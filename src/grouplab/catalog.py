@@ -10,9 +10,14 @@ u_ij(g) as functions on the group:
   are deduplicated by character, and the result is validated against Schur
   orthogonality and the dimension count sum(d^2) = |G|;
 * circle -- characters exp(i m theta) for |m| <= M;
-* SU(2) -- spin-j Wigner matrices for j = 0, 1/2, ..., jmax, evaluated from
-  the Cayley-Klein parameters of the 2x2 element so that products of grid
-  elements can be evaluated without Euler-angle extraction.
+* SU(2) -- spin-j Wigner matrices for j = 0, 1/2, ..., jmax.  On the Euler
+  product grid they are built from the factorization
+  D^j(alpha, beta, gamma) = diag(e^{-i m alpha}) d^j(beta) diag(e^{-i m' gamma}):
+  the small matrix d^j(beta) is evaluated once per distinct beta node and
+  multiplied by the torus phases at every node.  Off the grid,
+  ``su2_irrep_matrix`` evaluates D^j from the Cayley-Klein parameters of the
+  2x2 element, so products of grid elements need no Euler-angle extraction;
+  it is also the oracle for the beta nodes.
 
 Matrix coefficients are cached on the quadrature grid at build time; every
 downstream inner product is then a plain weighted dot product.
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupModel
+from .groups import GroupModel, su2_matrix_from_euler
 from .hilbert import OrthonormalFamily, family_from_block_grids
 
 
@@ -286,15 +291,22 @@ def build_catalog(
                 f"of {group.name}"
             )
         two_js = range(0, int(round(2 * jmax)) + 1)
+        alphas, betas, gammas = group.eulers.T
+        beta_nodes, beta_index = np.unique(betas, return_inverse=True)
         labels = []
         cache = {}
         for two_j in two_js:
             j = two_j / 2.0
             lab = IrrepLabel(kind="su2", payload=j, degree=two_j + 1, magnitude=j)
             labels.append(lab)
-            grid = np.empty((group.n_nodes, two_j + 1, two_j + 1), dtype=np.complex128)
-            for k in range(group.n_nodes):
-                grid[k] = su2_irrep_matrix(two_j, group.matrices[k])
+            small = np.array(
+                [su2_irrep_matrix(two_j, su2_matrix_from_euler(0.0, be, 0.0)) for be in beta_nodes]
+            )
+            m = j - np.arange(two_j + 1)
+            # gather d^j(beta) to every node, then apply the torus phases in place
+            grid = small[beta_index]
+            grid *= np.exp(-1j * np.multiply.outer(alphas, m))[:, :, None]
+            grid *= np.exp(-1j * np.multiply.outer(gammas, m))[:, None, :]
             cache[lab.key] = grid
     else:
         raise ValueError(f"unsupported group kind {group.kind!r}")

@@ -158,8 +158,8 @@ def cmd_lift(cfg: ExperimentConfig) -> int:
 
     restricted = lifted.restrict_to_k()
     restriction_residual = float(np.max(np.abs(restricted.members - xi.members))) if xi.n_members else 0.0
-    gram_residual = float(np.max(np.abs(lifted.gram_matrix() - xi.gram_matrix())))
     lifted_gram = lifted.gram_matrix()
+    gram_residual = float(np.max(np.abs(lifted_gram - xi.gram_matrix())))
     norm_residual = float(np.max(np.abs(np.diag(lifted_gram) - 1.0)))
     obj = {
         "group": model.K.name,

@@ -8,6 +8,7 @@ files are written atomically (temp file + rename).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import tempfile
@@ -334,25 +335,24 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Write header and rows line by line, never holding the whole text."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    lines.append("")
-    _atomic_write(path, "\n".join(lines))
+    lines = (",".join(_fmt(x) for x in row) + "\n" for row in rows)
+    _atomic_write(path, itertools.chain([",".join(header) + "\n"], lines))
 
 
 def write_json(path: str | Path, obj) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -401,7 +401,7 @@ def l2_from_csv(group: GroupModel, path: str | Path) -> L2Function:
     for row in _read_csv_rows(path, 3):
         k = int(row[0])
         _require(0 <= k < group.n_nodes, f"node index {k} out of range in {path}")
-        values[k] = float(row[1]) + 1j * float(row[2])
+        values[k] = _parse_sample(row[1], row[2], path)
         seen += 1
     _require(seen == group.n_nodes, f"{path} has {seen} rows, expected {group.n_nodes}")
     return L2Function(group, values)
@@ -426,12 +426,19 @@ def functions_from_csv(group: GroupModel, path: str | Path) -> tuple[list[str], 
             counts[fid] = 0
         k = int(row[1])
         _require(0 <= k < group.n_nodes, f"node index {k} out of range in {path}")
-        by_id[fid][k] = float(row[2]) + 1j * float(row[3])
+        by_id[fid][k] = _parse_sample(row[2], row[3], path)
         counts[fid] += 1
     for fid, c in counts.items():
         _require(c == group.n_nodes, f"function {fid!r} has {c} rows, expected {group.n_nodes}")
     ids = list(by_id)
     return ids, [L2Function(group, by_id[fid]) for fid in ids]
+
+
+def _parse_sample(re: str, im: str, path) -> complex:
+    """One sample value; NaN or infinity would slip past every defect check."""
+    z = float(re) + 1j * float(im)
+    _require(np.isfinite(z), f"{path}: sample value ({re}, {im}) is not finite")
+    return z
 
 
 def _read_csv_rows(path: Path, n_cols: int):

@@ -144,6 +144,39 @@ def test_su2_spin1_is_symmetric_square_of_defining():
         assert np.max(np.abs(sym_sq - spin1)) < 1e-12
 
 
+@pytest.mark.parametrize("spec", ["su2:j=4", "su2:j=2.5,quad=7"])
+def test_su2_grid_matches_per_node_oracle(spec):
+    # the Euler-factorized grid against su2_irrep_matrix at every node
+    g = make_group(spec)
+    cat = build_catalog(g)
+    for lab in cat.labels:
+        two_j = int(round(2 * lab.payload))
+        grid = cat.grids[lab.key]
+        assert grid.shape == (g.n_nodes, two_j + 1, two_j + 1)
+        oracle = np.array([su2_irrep_matrix(two_j, mat) for mat in g.matrices])
+        assert np.max(np.abs(grid - oracle)) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "spec, n_beta, n_spins", [("su2:j=4", 9, 9), ("su2:j=2.5,quad=7", 7, 6)]
+)
+def test_su2_build_calls_oracle_once_per_beta_node_and_spin(monkeypatch, spec, n_beta, n_spins):
+    import grouplab.catalog as catalog
+
+    g = make_group(spec)
+    assert len(np.unique(g.eulers[:, 1])) == n_beta
+    calls = []
+
+    def counting(two_j, mat):
+        calls.append(two_j)
+        return su2_irrep_matrix(two_j, mat)
+
+    monkeypatch.setattr(catalog, "su2_irrep_matrix", counting)
+    cat = catalog.build_catalog(g)
+    assert len(cat.labels) == n_spins
+    assert len(calls) == n_beta * n_spins  # 81 for su2:j=4
+
+
 def test_catalog_label_order_nondecreasing_magnitude():
     for spec, trunc in [("sym:4", None), ("circle:16", 5), ("su2:j=1.5", None)]:
         cat = build_catalog(make_group(spec), truncation=trunc)

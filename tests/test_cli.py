@@ -7,6 +7,7 @@ import pytest
 
 from grouplab.cli import main
 from grouplab.config import (
+    ConfigError,
     build_function,
     build_test_set,
     build_weights,
@@ -14,6 +15,7 @@ from grouplab.config import (
     functions_to_csv,
     l2_from_csv,
     l2_to_csv,
+    write_csv,
 )
 from grouplab.groups import make_group
 from grouplab.catalog import build_catalog, peter_weyl_basis
@@ -339,3 +341,47 @@ def test_cmd_isometry_zero_function(tmp_path):
     _, rows = read_csv(tmp_path / "exp_isometry.csv")
     assert float(rows[0][1]) == 0.0
     assert float(rows[0][3]) == 0.0
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_cmd_parseval_rejects_non_finite_samples(tmp_path, bad):
+    group = make_group("zn:4")
+    sample = tmp_path / "set.csv"
+    functions_to_csv(["fn0"], [random_function(group, 0)], sample)
+    lines = sample.read_text().split("\n")
+    lines[2] = f"fn0,1,{bad},0"
+    sample.write_text("\n".join(lines))
+    cfg = write_config(tmp_path, group="zn:4", test_set=f"samples:{sample}")
+    assert main(["parseval", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "exp_parseval.csv").exists()
+
+
+def test_l2_from_csv_rejects_non_finite(tmp_path):
+    group = make_group("zn:4")
+    path = tmp_path / "fn.csv"
+    path.write_text("node,re,im\n0,1,0\n1,0,nan\n2,0,0\n3,0,0\n")
+    with pytest.raises(ConfigError, match="not finite"):
+        l2_from_csv(group, path)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 5])
+def test_write_csv_exact_bytes(tmp_path, n_rows):
+    rows = ((k, 0.1 * k, np.float64(-k)) for k in range(n_rows))
+    path = tmp_path / "out.csv"
+    write_csv(path, ["k", "x", "y"], rows)
+    expected = "k,x,y\n" + "".join(
+        f"{k},{format(0.1 * k, '.17g')},{format(float(-k), '.17g')}\n" for k in range(n_rows)
+    )
+    assert path.read_bytes() == expected.encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_write_csv_failing_rows_leave_no_file(tmp_path):
+    # rows are streamed into the temp file; an error midway must not publish it
+    def rows():
+        yield (0, 1.0)
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError):
+        write_csv(tmp_path / "out.csv", ["k", "x"], rows())
+    assert list(tmp_path.iterdir()) == []
