@@ -2,35 +2,18 @@
 
 All inner products here reduce to sums of the form sum_k w_k a_k conj(b_k)
 over quadrature nodes, so the whole package funnels through the four kernels
-in this module: a single weighted inner product, batch coefficients of one
-function against a family, the Gram matrix of a family, and a linear
-combination of family members.
+in this module: a single weighted inner product, coefficients of functions
+against a family, the Gram matrix of a family, and linear combinations of
+family members.  Each is one BLAS-backed numpy expression.
 
-Two interchangeable backends are provided:
-
-* ``numba`` -- explicit loops compiled with ``@njit(cache=True)``; avoids
-  temporaries and exploits Hermitian symmetry in the Gram kernel.
-* ``numpy`` -- BLAS-backed matrix products.
-
-The backend is fixed at import time from the ``GROUPLAB_KERNELS`` environment
-variable (``numba``, ``numpy``, or ``auto``; default ``auto`` picks numba when
-importable).  ``benchmarks/bench_kernels.py`` times the two side by side.
+``coefficients_against`` and ``combine`` take either one operand vector or a
+stack of them, one per row, and evaluate the same matrix product either way;
+callers with a whole test set make one call instead of one per function.
+Time the kernels in context with ``perfbench/run.py``.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    HAVE_NUMBA = False
-
-ENV_VAR = "GROUPLAB_KERNELS"
 
 
 def _c128(a: np.ndarray) -> np.ndarray:
@@ -41,145 +24,32 @@ def _f64(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64)
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
-
-
-def weighted_inner_numpy(a, b, w):
-    """sum_k w_k a_k conj(b_k)."""
-    return complex(np.dot(a * w, np.conj(b)))
-
-
-def coefficients_numpy(members, w, f):
-    """out[m] = sum_k w_k f_k conj(members[m, k])."""
-    return np.conj(members) @ (w * f)
-
-
-def gram_numpy(members, w):
-    """out[i, j] = sum_k w_k members[i, k] conj(members[j, k])."""
-    return (members * w) @ np.conj(members).T
-
-
-def combine_numpy(coeffs, members):
-    """out[k] = sum_m coeffs[m] members[m, k]."""
-    return coeffs @ members
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def weighted_inner_numba(a, b, w):
-        acc = 0.0 + 0.0j
-        for k in range(a.shape[0]):
-            acc += w[k] * a[k] * np.conj(b[k])
-        return acc
-
-    @njit(cache=True)
-    def coefficients_numba(members, w, f):
-        m, n = members.shape
-        out = np.empty(m, np.complex128)
-        for i in range(m):
-            acc = 0.0 + 0.0j
-            for k in range(n):
-                acc += w[k] * f[k] * np.conj(members[i, k])
-            out[i] = acc
-        return out
-
-    @njit(cache=True)
-    def gram_numba(members, w):
-        m, n = members.shape
-        out = np.empty((m, m), np.complex128)
-        for i in range(m):
-            for j in range(i, m):
-                acc = 0.0 + 0.0j
-                for k in range(n):
-                    acc += w[k] * members[i, k] * np.conj(members[j, k])
-                out[i, j] = acc
-                if i != j:
-                    out[j, i] = np.conj(acc)
-        return out
-
-    @njit(cache=True)
-    def combine_numba(coeffs, members):
-        m, n = members.shape
-        out = np.zeros(n, np.complex128)
-        for i in range(m):
-            c = coeffs[i]
-            for k in range(n):
-                out[k] += c * members[i, k]
-        return out
-
-else:  # pragma: no cover
-    weighted_inner_numba = None
-    coefficients_numba = None
-    gram_numba = None
-    combine_numba = None
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-
-
-def _select_backend() -> str:
-    choice = os.environ.get(ENV_VAR, "auto").strip().lower() or "auto"
-    if choice == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError(f"{ENV_VAR}=numba requested but numba is not importable")
-        return "numba"
-    raise RuntimeError(f"unrecognized {ENV_VAR}={choice!r}; use numba, numpy, or auto")
-
-
-BACKEND = _select_backend()
-
-if BACKEND == "numba":
-    _weighted_inner = weighted_inner_numba
-    _coefficients = coefficients_numba
-    _gram = gram_numba
-    _combine = combine_numba
-else:
-    _weighted_inner = weighted_inner_numpy
-    _coefficients = coefficients_numpy
-    _gram = gram_numpy
-    _combine = combine_numpy
-
-
 def backend_name() -> str:
-    return BACKEND
+    """Name of the kernel implementation, reported in benchmark records."""
+    return "numpy"
 
 
 def weighted_inner(a, b, w) -> complex:
     """Weighted inner product sum_k w_k a_k conj(b_k)."""
-    return complex(_weighted_inner(_c128(a), _c128(b), _f64(w)))
+    return complex(np.dot(_c128(a) * _f64(w), np.conj(_c128(b))))
 
 
 def coefficients_against(members, w, f) -> np.ndarray:
-    """Inner products of f against each row of ``members`` (shape (M, K))."""
-    return np.asarray(_coefficients(_c128(members), _f64(w), _c128(f)))
+    """out[..., m] = sum_k w_k f[..., k] conj(members[m, k]).
+
+    ``members`` is (M, K); ``f`` is one function (K,) or a stack (F, K), giving
+    (M,) or (F, M).  Conjugating the small operand instead of ``members``
+    spares a copy of the member matrix.
+    """
+    return np.conj(_c128(members) @ np.conj(_c128(f) * _f64(w)).T).T
 
 
 def gram(members, w) -> np.ndarray:
-    """Weighted Gram matrix of the rows of ``members``."""
-    return np.asarray(_gram(_c128(members), _f64(w)))
+    """out[i, j] = sum_k w_k members[i, k] conj(members[j, k])."""
+    members = _c128(members)
+    return (members * _f64(w)) @ np.conj(members).T
 
 
 def combine(coeffs, members) -> np.ndarray:
-    """Linear combination sum_m coeffs[m] * members[m, :]."""
-    return np.asarray(_combine(_c128(coeffs), _c128(members)))
-
-
-def warmup() -> None:
-    """Trigger JIT compilation of the active backend on tiny inputs."""
-    m = np.ones((2, 3), np.complex128)
-    w = np.full(3, 1.0 / 3.0)
-    f = np.ones(3, np.complex128)
-    weighted_inner(f, f, w)
-    coefficients_against(m, w, f)
-    gram(m, w)
-    combine(np.ones(2, np.complex128), m)
+    """out[..., k] = sum_m coeffs[..., m] members[m, k] for (M,) or (F, M) coeffs."""
+    return _c128(coeffs) @ _c128(members)

@@ -25,12 +25,13 @@ downstream inner product is then a plain weighted dot product.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .groups import GroupModel, su2_matrix_from_euler
-from .hilbert import OrthonormalFamily, family_from_block_grids
+from .hilbert import FamilyBlock, OrthonormalFamily
 
 
 @dataclass(frozen=True)
@@ -94,12 +95,19 @@ def matrix_coefficient(cat: RepCatalog, label: IrrepLabel, i: int, j: int, g) ->
 
 def peter_weyl_basis(cat: RepCatalog) -> OrthonormalFamily:
     """The orthonormal family {sqrt(d) u_ij} over all catalog labels."""
-    grids = []
-    for lab in cat.labels:
-        grid = cat.grids[lab.key]  # (n_nodes, d, d)
-        scaled = math.sqrt(lab.degree) * np.transpose(grid, (1, 2, 0))
-        grids.append((lab.key, scaled))
-    return family_from_block_grids(cat.group, grids)
+    return _sqrt_degree_family(cat, cat.labels)
+
+
+def _sqrt_degree_family(cat: RepCatalog, labels) -> OrthonormalFamily:
+    """{sqrt(d) u_ij} over ``labels``: one block per label, member (i, j) at row i*d + j."""
+    blocks, rows, offset = [], [], 0
+    for lab in labels:
+        d = lab.degree
+        blocks.append(FamilyBlock(label=lab.key, size=d, offset=offset))
+        rows.append(math.sqrt(d) * cat.grids[lab.key].reshape(-1, d * d).T)
+        offset += d * d
+    members = np.vstack(rows) if rows else np.zeros((0, cat.group.n_nodes), np.complex128)
+    return OrthonormalFamily(group=cat.group, blocks=tuple(blocks), members=members)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +252,30 @@ def _finite_irreps(table: np.ndarray, max_tries: int = 12) -> list[np.ndarray]:
 # catalog construction
 
 
+def _bound_in_steps(truncation, group: GroupModel, per_unit: int) -> int:
+    """The magnitude bound as a count of 1/per_unit steps (circle M; SU(2) 2*jmax).
+
+    Magnitudes come in those steps, so a bound between two of them is rejected
+    rather than rounded: every label must satisfy magnitude <= truncation.
+    """
+    bound = group.capacity if truncation is None else truncation
+    if (
+        isinstance(bound, bool)
+        or not isinstance(bound, numbers.Real)
+        or not float(per_unit * bound).is_integer()
+        or bound < 0
+    ):
+        raise ValueError(
+            f"truncation for {group.name} must be a nonnegative multiple of "
+            f"{1 / per_unit:g}, got {truncation!r}"
+        )
+    if bound > group.capacity + 1e-12:
+        raise ValueError(
+            f"truncation {bound} exceeds quadrature capacity {group.capacity:g} of {group.name}"
+        )
+    return int(per_unit * bound)
+
+
 def build_catalog(
     group: GroupModel,
     truncation: float | None = None,
@@ -251,10 +283,11 @@ def build_catalog(
 ) -> RepCatalog:
     """Enumerate irreps with magnitude <= truncation (complete for finite groups).
 
-    ``truncation`` is the maximum magnitude (circle frequency bound M, SU(2)
-    spin bound jmax); it defaults to, and may not exceed, the group's
-    quadrature capacity.  Finite groups always get their complete dual and
-    ignore ``truncation``.  ``max_count`` optionally trims the ordered list.
+    ``truncation`` is the maximum magnitude (circle frequency bound M, an
+    integer; SU(2) spin bound jmax, a half-integer); it defaults to, and may
+    not exceed, the group's quadrature capacity.  Finite groups always get
+    their complete dual and ignore ``truncation``.  ``max_count`` optionally
+    trims the ordered list.
     """
     if group.kind == "finite":
         grids = _finite_irreps(group.table)
@@ -269,12 +302,7 @@ def build_catalog(
         if sum(l.degree**2 for l in labels) != group.order:
             raise RuntimeError(f"irrep dimension count failed for {group.name}")
     elif group.kind == "circle":
-        m_max = int(group.capacity if truncation is None else truncation)
-        if m_max > group.capacity:
-            raise ValueError(
-                f"truncation M={m_max} exceeds quadrature capacity {int(group.capacity)} "
-                f"of {group.name}"
-            )
+        m_max = _bound_in_steps(truncation, group, per_unit=1)
         ms = sorted(range(-m_max, m_max + 1), key=lambda m: (abs(m), m))
         labels = [
             IrrepLabel(kind="circle", payload=m, degree=1, magnitude=float(abs(m))) for m in ms
@@ -284,13 +312,7 @@ def build_catalog(
             for lab in labels
         }
     elif group.kind == "su2":
-        jmax = group.capacity if truncation is None else float(truncation)
-        if jmax > group.capacity + 1e-12:
-            raise ValueError(
-                f"truncation jmax={jmax} exceeds quadrature capacity {group.capacity} "
-                f"of {group.name}"
-            )
-        two_js = range(0, int(round(2 * jmax)) + 1)
+        two_js = range(0, _bound_in_steps(truncation, group, per_unit=2) + 1)
         alphas, betas, gammas = group.eulers.T
         beta_nodes, beta_index = np.unique(betas, return_inverse=True)
         labels = []

@@ -12,31 +12,53 @@ import sys
 
 import numpy as np
 
+from . import _kernels
 from . import config as cfgmod
-from .catalog import build_catalog, peter_weyl_basis
+from .catalog import build_catalog
 from .config import ConfigError, ExperimentConfig, InvariantBreach
 from .groups import make_group
-from .hilbert import coefficients, gram_tol
+from .hilbert import gram_tol
 from .iwasawa import lift_family, make_iwasawa_model, max_reproduction_residual, reproduction_residual
-from .parseval import transform_H
 from .semicomplete import OmissionSpec, build_riemann_lebesgue_family, semicompleteness_defect
 
 BESSEL_SLACK = 1e-9
 
 
-def _build_family(cfg: ExperimentConfig, cat):
-    if cfg.omit:
-        return build_riemann_lebesgue_family(cat, OmissionSpec(omitted=cfg.omit))
-    return peter_weyl_basis(cat)
-
-
-def _check_gram(family, tol: float | None) -> None:
-    limit = tol if tol is not None else gram_tol(family.group)
+def _family(cfg: ExperimentConfig, cat):
+    """The family without the omitted labels (Peter-Weyl when none), Gram-checked."""
+    family = build_riemann_lebesgue_family(cat, OmissionSpec(omitted=cfg.omit))
+    limit = cfg.tol if cfg.tol is not None else gram_tol(family.group)
     defect = family.gram_defect()
     if defect > limit:
         raise InvariantBreach(
             f"family Gram defect {defect:.3e} exceeds tolerance {limit:.3e}"
         )
+    return family
+
+
+def _bessel_rows(cfg: ExperimentConfig) -> list[tuple[str, float, float, float]]:
+    """(fn id, ||f||^2, sum |<f, chi>|^2, defect) for every test function.
+
+    The test set is stacked once and its coefficients come from one kernel
+    call.  A defect below -BESSEL_SLACK breaks Bessel's inequality.
+    """
+    group = make_group(cfg.group_spec)
+    cat = build_catalog(group, truncation=cfg.truncation)
+    family = _family(cfg, cat)
+    ids, fns, _ = cfgmod.build_test_set(
+        cfg.test_set_spec, group, family, seed_override=cfg.seed_override
+    )
+    values = np.reshape([f.values for f in fns], (len(fns), group.n_nodes))
+    coeffs = _kernels.coefficients_against(family.members, group.weights, values)
+    rows = []
+    for fid, f, c in zip(ids, fns, coeffs):
+        norm_sq = f.norm_sq()
+        coeff_sum = float(np.sum(np.abs(c) ** 2))
+        defect = norm_sq - coeff_sum
+        if defect < -BESSEL_SLACK:
+            raise InvariantBreach(f"Bessel inequality violated for {fid}: defect {defect:.3e}")
+        rows.append((fid, norm_sq, coeff_sum, defect))
+    return rows
 
 
 def cmd_catalog(cfg: ExperimentConfig) -> int:
@@ -55,26 +77,10 @@ def cmd_catalog(cfg: ExperimentConfig) -> int:
 
 
 def cmd_parseval(cfg: ExperimentConfig) -> int:
-    group = make_group(cfg.group_spec)
-    cat = build_catalog(group, truncation=cfg.truncation)
-    family = _build_family(cfg, cat)
-    _check_gram(family, cfg.tol)
-    ids, fns, _ = cfgmod.build_test_set(
-        cfg.test_set_spec, group, family, seed_override=cfg.seed_override
-    )
-    rows = []
-    for fid, f in zip(ids, fns):
-        c = coefficients(f, family)
-        norm_sq = f.norm_sq()
-        coeff_sum = float(np.sum(np.abs(c) ** 2))
-        defect = norm_sq - coeff_sum
-        if defect < -BESSEL_SLACK:
-            raise InvariantBreach(f"Bessel inequality violated for {fid}: defect {defect:.3e}")
-        rows.append((fid, norm_sq, coeff_sum, defect))
     cfgmod.write_csv(
         cfg.out_dir / f"{cfg.name}_parseval.csv",
         ["fn_id", "norm_sq", "coeff_sum_sq", "defect"],
-        rows,
+        _bessel_rows(cfg),
     )
     return 0
 
@@ -82,8 +88,7 @@ def cmd_parseval(cfg: ExperimentConfig) -> int:
 def cmd_semicomplete(cfg: ExperimentConfig) -> int:
     group = make_group(cfg.group_spec)
     cat = build_catalog(group, truncation=cfg.truncation)
-    family = _build_family(cfg, cat)
-    _check_gram(family, cfg.tol)
+    family = _family(cfg, cat)
     weights = cfgmod.build_weights(
         cfg.weights_spec, family.max_block_size, seed_override=cfg.seed_override
     )
@@ -113,27 +118,11 @@ def cmd_semicomplete(cfg: ExperimentConfig) -> int:
 
 
 def cmd_isometry(cfg: ExperimentConfig) -> int:
-    group = make_group(cfg.group_spec)
-    cat = build_catalog(group, truncation=cfg.truncation)
-    family = _build_family(cfg, cat)
-    _check_gram(family, cfg.tol)
-    ids, fns, _ = cfgmod.build_test_set(
-        cfg.test_set_spec, group, family, seed_override=cfg.seed_override
-    )
-    rows = []
-    for fid, f in zip(ids, fns):
-        seq = transform_H(f, family)
-        norm_sq = f.norm_sq()
-        seq_norm_sq = seq.norm_sq()
-        if norm_sq - seq_norm_sq < -BESSEL_SLACK:
-            raise InvariantBreach(
-                f"Bessel inequality violated for {fid}: sequence norm exceeds function norm"
-            )
-        rows.append((fid, norm_sq, seq_norm_sq, abs(norm_sq - seq_norm_sq)))
+    # ||transform_H(f)||^2 is sum |<f, chi>|^2, so the isometry defect is |Bessel defect|
     cfgmod.write_csv(
         cfg.out_dir / f"{cfg.name}_isometry.csv",
         ["fn_id", "norm_sq", "seq_norm_sq", "defect"],
-        rows,
+        [(fid, n, s, abs(d)) for fid, n, s, d in _bessel_rows(cfg)],
     )
     return 0
 
@@ -149,11 +138,7 @@ def cmd_lift(cfg: ExperimentConfig) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     cat_k = build_catalog(model.K, truncation=iw.truncation)
-    if cfg.omit:
-        xi = build_riemann_lebesgue_family(cat_k, OmissionSpec(omitted=cfg.omit))
-    else:
-        xi = peter_weyl_basis(cat_k)
-    _check_gram(xi, cfg.tol)
+    xi = _family(cfg, cat_k)
     lifted = lift_family(model, xi)
 
     restricted = lifted.restrict_to_k()

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .catalog import RepCatalog
-from .fourier import FourierCoefficients
 from .groups import GroupModel
 from .hilbert import (
     ExpansionWeights,
@@ -26,9 +25,9 @@ from .hilbert import (
     OrthonormalFamily,
     diag_reciprocal_weights,
     random_function,
+    random_functions,
     unit_weights,
 )
-from .parseval import MatrixSequence, MembershipVerdict
 from .semicomplete import SemicompletenessReport, validate_weights
 
 
@@ -75,6 +74,14 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _require_truncation(value, what: str) -> None:
+    """A truncation is absent or a JSON number; a string or bool is never coerced."""
+    _require(
+        value is None or (isinstance(value, (int, float)) and not isinstance(value, bool)),
+        f"{what} must be a number, got {value!r}",
+    )
+
+
 def _parse_kv(rest: str, what: str) -> dict[str, str]:
     out = {}
     for part in filter(None, (p.strip() for p in rest.split(","))):
@@ -117,6 +124,9 @@ def load_config(
             "seed must be an unsigned 64-bit integer",
         )
 
+    truncation = raw.get("truncation")
+    _require_truncation(truncation, "'truncation'")
+
     tol = tol_override if tol_override is not None else raw.get("tol")
     if tol is not None:
         _require(isinstance(tol, (int, float)) and tol > 0, "'tol' must be positive")
@@ -145,12 +155,13 @@ def load_config(
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed iwasawa block: {exc}") from exc
         _require(len(iwa.a_range) == 2 and len(iwa.n_range) == 2, "ranges need two endpoints")
+        _require_truncation(iwa.truncation, "'iwasawa.truncation'")
 
     out_dir = Path(out_override) if out_override is not None else Path(raw.get("out", "."))
     return ExperimentConfig(
         name=name,
         group_spec=group_spec,
-        truncation=raw.get("truncation"),
+        truncation=truncation,
         omit=tuple(omit),
         weights_spec=raw.get("weights", "unit"),
         test_set_spec=raw.get("test_set", "random:count=16,seed=0"),
@@ -294,17 +305,8 @@ def build_test_set(
         _require(count >= 0, "test set count must be nonnegative")
         if seed_override is not None:
             seed = seed_override
-        rng = np.random.default_rng(seed)
-        ids, fns = [], []
-        for k in range(count):
-            v = rng.standard_normal(group.n_nodes) + 1j * rng.standard_normal(group.n_nodes)
-            f = L2Function(group, v)
-            nrm = f.norm()
-            if nrm > 0:
-                f = f * (1.0 / nrm)
-            ids.append(f"random:{k}")
-            fns.append(f)
-        return ids, fns, f"random:count={count},seed={seed}"
+        ids = [f"random:{k}" for k in range(count)]
+        return ids, random_functions(group, seed, count), f"random:count={count},seed={seed}"
     if head == "members":
         _require(family is not None, "'members' test set needs a family in context")
         ids, fns = [], []
@@ -459,30 +461,6 @@ def _read_csv_rows(path: Path, n_cols: int):
             yield parts
 
 
-def matrix_sequence_rows(seq: MatrixSequence):
-    for key in seq.labels:
-        mat = seq.matrices[key]
-        for i in range(mat.shape[0]):
-            for j in range(mat.shape[1]):
-                z = mat[i, j]
-                yield (key, i, j, float(z.real), float(z.imag))
-
-
-def matrix_sequence_summary(seq: MatrixSequence) -> dict:
-    """Per-block and total Hilbert-Schmidt norms of a matrix sequence."""
-    blocks = []
-    for key in seq.labels:
-        mat = seq.matrices[key]
-        blocks.append(
-            {
-                "label": key,
-                "size": mat.shape[0],
-                "norm_sq": float(np.sum(np.abs(mat) ** 2)),
-            }
-        )
-    return {"norm_sq": seq.norm_sq(), "blocks": blocks}
-
-
 def lifted_family_to_csv(lifted, path: str | Path) -> None:
     """Export lifted members over the K x AN product grid (member,node,re,im)."""
     ids = []
@@ -497,15 +475,6 @@ def lifted_family_to_csv(lifted, path: str | Path) -> None:
                 yield (fid, k, float(z.real), float(z.imag))
 
     write_csv(path, ["member", "node", "re", "im"], rows())
-
-
-def fourier_rows(fhat: FourierCoefficients):
-    for lab in fhat.catalog.labels:
-        mat = fhat.matrices[lab.key]
-        for i in range(lab.degree):
-            for j in range(lab.degree):
-                z = mat[i, j]
-                yield (lab.key, i, j, float(z.real), float(z.imag))
 
 
 def weights_hash(weights: ExpansionWeights) -> str:
@@ -534,14 +503,4 @@ def report_json_obj(report: SemicompletenessReport) -> dict:
             "zero_beta": [list(ij) for ij in diag.zero_beta],
             "admissible": diag.admissible,
         },
-    }
-
-
-def verdict_json_obj(v: MembershipVerdict) -> dict:
-    return {
-        "defect": v.defect,
-        "tolerance": v.tolerance,
-        "verdict": "member" if v.member else "non-member",
-        "span_dimension": v.span_dimension,
-        "norm_sq": v.norm_sq,
     }

@@ -63,21 +63,27 @@ def zero_function(group: GroupModel) -> L2Function:
     return L2Function(group, np.zeros(group.n_nodes, dtype=np.complex128))
 
 
-def from_callable(group: GroupModel, phi) -> L2Function:
-    values = np.array([phi(group.node_element(k)) for k in range(group.n_nodes)])
-    return L2Function(group, values)
+def random_functions(
+    group: GroupModel, seed: int, count: int, normalize: bool = True
+) -> list[L2Function]:
+    """``count`` seeded random functions: complex standard-normal node values, normalized.
+
+    The functions are consecutive draws from one generator, so the first is
+    ``random_function(group, seed)``.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        v = rng.standard_normal(group.n_nodes) + 1j * rng.standard_normal(group.n_nodes)
+        f = L2Function(group, v)
+        n = f.norm() if normalize else 0.0
+        out.append(f * (1.0 / n) if n > 0 else f)
+    return out
 
 
 def random_function(group: GroupModel, seed: int, normalize: bool = True) -> L2Function:
     """Seeded random function: complex standard-normal node values, normalized."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(group.n_nodes) + 1j * rng.standard_normal(group.n_nodes)
-    f = L2Function(group, v)
-    if normalize:
-        n = f.norm()
-        if n > 0:
-            f = f * (1.0 / n)
-    return f
+    return random_functions(group, seed, 1, normalize)[0]
 
 
 @dataclass(frozen=True)
@@ -152,27 +158,6 @@ class OrthonormalFamily:
         return float(np.max(np.abs(g - np.eye(self.n_members))))
 
 
-def family_from_block_grids(
-    group: GroupModel, grids: list[tuple[str, np.ndarray]]
-) -> OrthonormalFamily:
-    """Assemble a family from (label, size x size x n_nodes) block grids."""
-    blocks = []
-    rows = []
-    offset = 0
-    for label, grid in grids:
-        grid = np.asarray(grid, dtype=np.complex128)
-        if grid.ndim != 3 or grid.shape[0] != grid.shape[1] or grid.shape[2] != group.n_nodes:
-            raise ValueError(f"block {label!r} grid has bad shape {grid.shape}")
-        size = grid.shape[0]
-        blocks.append(FamilyBlock(label=label, size=size, offset=offset))
-        rows.append(grid.reshape(size * size, group.n_nodes))
-        offset += size * size
-    members = (
-        np.vstack(rows) if rows else np.zeros((0, group.n_nodes), dtype=np.complex128)
-    )
-    return OrthonormalFamily(group=group, blocks=tuple(blocks), members=members)
-
-
 @dataclass(eq=False)
 class ExpansionWeights:
     """Scalar weights (gamma_j, beta_ij) for weighted semi-Fourier expansion.
@@ -193,6 +178,9 @@ class ExpansionWeights:
             raise ValueError(
                 f"weights need gamma (n,) and beta (n, n); got {self.gamma.shape} and {self.beta.shape}"
             )
+        if not (np.all(np.isfinite(self.gamma)) and np.all(np.isfinite(self.beta))):
+            # NaN passes the zero and diagonal checks and turns every defect into NaN
+            raise ValueError("expansion weights must be finite")
 
     @property
     def n(self) -> int:

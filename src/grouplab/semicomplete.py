@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import RepCatalog
+from .catalog import RepCatalog, _sqrt_degree_family
 from .fourier import fourier_transform, synthesize
 from .groups import require_same_group
 from .hilbert import (
@@ -22,7 +22,6 @@ from .hilbert import (
     OrthonormalFamily,
     coefficients,
     expand,
-    family_from_block_grids,
 )
 
 
@@ -45,11 +44,7 @@ def build_riemann_lebesgue_family(cat: RepCatalog, omit: OmissionSpec) -> Orthon
     retained = [lab for lab in cat.labels if lab.key not in omit.omitted]
     if not retained:
         raise ValueError("omission would leave an empty family")
-    grids = []
-    for lab in retained:
-        scaled = np.sqrt(lab.degree) * np.transpose(cat.grids[lab.key], (1, 2, 0))
-        grids.append((lab.key, scaled))
-    return family_from_block_grids(cat.group, grids)
+    return _sqrt_degree_family(cat, retained)
 
 
 def omission_tail_bound(f: L2Function, cat: RepCatalog, omit: OmissionSpec) -> float:

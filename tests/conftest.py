@@ -1,14 +1,7 @@
 import pytest
 
-from grouplab import _kernels
 from grouplab.catalog import build_catalog
 from grouplab.groups import circle_group, cyclic_group, dihedral_group, symmetric_group
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # compile the jit kernels once so individual tests time only the math
-    _kernels.warmup()
 
 
 @pytest.fixture(scope="session")

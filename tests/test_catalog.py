@@ -198,6 +198,20 @@ def test_truncation_beyond_capacity_rejected():
         build_catalog(su2_group(1), truncation=2)
 
 
+@pytest.mark.parametrize("make, truncation", [(circle_group, 2.7), (su2_group, 1.3)])
+def test_truncation_between_magnitudes_rejected(make, truncation):
+    # rounding would give a label whose magnitude exceeds the bound, or silently drop one
+    with pytest.raises(ValueError, match="multiple of"):
+        build_catalog(make(16 if make is circle_group else 2), truncation=truncation)
+
+
+def test_integral_float_truncation_accepted():
+    assert [lab.magnitude for lab in build_catalog(su2_group(2), truncation=1.5).labels] == [
+        0.0, 0.5, 1.0, 1.5
+    ]
+    assert len(build_catalog(circle_group(16), truncation=2.0).labels) == 5
+
+
 def test_peter_weyl_gram_cyclic2():
     cat = build_catalog(cyclic_group(2))
     fam = peter_weyl_basis(cat)

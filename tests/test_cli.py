@@ -385,3 +385,51 @@ def test_write_csv_failing_rows_leave_no_file(tmp_path):
     with pytest.raises(RuntimeError):
         write_csv(tmp_path / "out.csv", ["k", "x"], rows())
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cmd_semicomplete_rejects_non_finite_weights(tmp_path):
+    table = tmp_path / "weights.json"
+    table.write_text('{"gamma": [NaN, 1, 1], "beta": [[1, 1, 1], [1, 1, 1], [1, 1, 1]]}')
+    cfg = write_config(tmp_path, weights=f"table:{table}", test_set="random:count=2,seed=0")
+    assert main(["semicomplete", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.glob("exp_semicomplete.*"))
+
+
+@pytest.mark.parametrize(
+    "group, truncation",
+    [
+        ("circle:16", "3"),
+        ("su2:j=2", "1"),
+        ("circle:16", 2.7),
+        ("su2:j=2", 1.3),
+        ("circle:16", True),
+        ("circle:16", -1),
+    ],
+)
+def test_cmd_catalog_rejects_bad_truncation(tmp_path, group, truncation):
+    cfg = write_config(tmp_path, group=group, truncation=truncation)
+    assert main(["catalog", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "exp_catalog.json").exists()
+
+
+@pytest.mark.parametrize("truncation", ["3", False, 2.5])
+def test_cmd_lift_rejects_bad_iwasawa_truncation(tmp_path, truncation):
+    cfg = write_config(
+        tmp_path,
+        group="circle:16",
+        iwasawa={
+            "K": "circle:16",
+            "A": {"range": [-0.5, 0.5], "nodes": 4},
+            "N": {"range": [-0.5, 0.5], "nodes": 4},
+            "truncation": truncation,
+        },
+    )
+    assert main(["lift", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "exp_lift.json").exists()
+
+
+def test_random_test_set_starts_with_random_function():
+    group = make_group("circle:16")
+    ids, fns, _ = build_test_set("random:count=3,seed=5", group)
+    assert ids == ["random:0", "random:1", "random:2"]
+    assert np.array_equal(fns[0].values, random_function(group, 5).values)

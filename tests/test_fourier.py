@@ -152,17 +152,3 @@ def test_block_norms_summary(sym3_catalog):
     assert set(norms) == {lab.key for lab in sym3_catalog.labels}
     assert norms["irrep:2"] > 0
     assert norms["irrep:0"] < 1e-10
-
-
-def test_fourier_csv_rows_export(sym3, sym3_catalog):
-    from grouplab.config import fourier_rows
-
-    f = random_function(sym3, 3)
-    fhat = fourier_transform(f, sym3_catalog)
-    rows = list(fourier_rows(fhat))
-    assert len(rows) == 6   # sum of d^2 over the catalog
-    labels = {r[0] for r in rows}
-    assert labels == {"irrep:0", "irrep:1", "irrep:2"}
-    for key, i, j, re, im in rows:
-        want = fhat.matrices[key][i, j]
-        assert abs(complex(re, im) - want) < 1e-15

@@ -216,3 +216,11 @@ def test_expansion_weights_validation():
     r = diag_reciprocal_weights(5, seed=3)
     assert np.max(np.abs(r.gamma * np.diag(r.beta) - 1.0)) < 1e-12
     assert np.all(r.gamma != 0) and np.all(r.beta != 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_expansion_weights_reject_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ExpansionWeights(np.array([bad, 1.0]), np.ones((2, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        ExpansionWeights(np.ones(2), np.array([[1.0, bad], [1.0, 1.0]]))

@@ -43,37 +43,15 @@ def test_combine_matches_matmul(random_inputs):
     assert np.max(np.abs(_kernels.combine(coeffs, members) - coeffs @ members)) < 1e-13
 
 
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not importable")
-def test_backends_agree(random_inputs):
-    members, w, f = random_inputs
-    pairs = [
-        (_kernels.gram_numba(members, w), _kernels.gram_numpy(members, w)),
-        (
-            _kernels.coefficients_numba(members, w, f),
-            _kernels.coefficients_numpy(members, w, f),
-        ),
-        (
-            _kernels.combine_numba(f[:9], members),
-            _kernels.combine_numpy(f[:9], members),
-        ),
-    ]
-    for got, want in pairs:
-        assert np.max(np.abs(np.asarray(got) - np.asarray(want))) < 1e-12
-    assert (
-        abs(
-            _kernels.weighted_inner_numba(members[0], members[1], w)
-            - _kernels.weighted_inner_numpy(members[0], members[1], w)
-        )
-        < 1e-13
-    )
-
-
-def test_env_selection_logic(monkeypatch):
-    monkeypatch.setenv(_kernels.ENV_VAR, "numpy")
-    assert _kernels._select_backend() == "numpy"
-    monkeypatch.setenv(_kernels.ENV_VAR, "auto")
-    expected = "numba" if _kernels.HAVE_NUMBA else "numpy"
-    assert _kernels._select_backend() == expected
-    monkeypatch.setenv(_kernels.ENV_VAR, "not-a-backend")
-    with pytest.raises(RuntimeError):
-        _kernels._select_backend()
+def test_stacked_operands_match_one_at_a_time(random_inputs):
+    members, w, _ = random_inputs
+    rng = np.random.default_rng(8)
+    fs = rng.standard_normal((5, 40)) + 1j * rng.standard_normal((5, 40))
+    stacked = _kernels.coefficients_against(members, w, fs)
+    assert stacked.shape == (5, 9)
+    for f, row in zip(fs, stacked):
+        assert np.max(np.abs(row - _kernels.coefficients_against(members, w, f))) < 1e-14
+    combined = _kernels.combine(stacked, members)
+    assert combined.shape == (5, 40)
+    for c, row in zip(stacked, combined):
+        assert np.max(np.abs(row - _kernels.combine(c, members))) < 1e-13

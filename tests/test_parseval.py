@@ -321,30 +321,3 @@ def test_block_decompose_on_circle():
     for _, _, comp in parts:
         total = total + comp
     assert (total - project(f, fam)).norm() < 1e-9
-
-
-def test_matrix_sequence_csv_rows_and_verdict_json(sym3, rl_family):
-    from grouplab.config import matrix_sequence_rows, verdict_json_obj
-
-    f = rl_family.member(0, 0, 0)
-    seq = transform_H(f, rl_family)
-    rows = list(matrix_sequence_rows(seq))
-    assert len(rows) == 2   # two 1x1 retained blocks
-    assert rows[0][:3] == (rl_family.blocks[0].label, 0, 0)
-    assert abs(rows[0][3] - 1.0) < 1e-12
-
-    v = membership(f, rl_family)
-    obj = verdict_json_obj(v)
-    assert obj["verdict"] == "member"
-    assert obj["span_dimension"] == 2
-
-
-def test_matrix_sequence_json_summary(rl_family):
-    from grouplab.config import matrix_sequence_summary
-
-    f = rl_family.member(0, 0, 0)
-    seq = transform_H(f, rl_family)
-    obj = matrix_sequence_summary(seq)
-    assert abs(obj["norm_sq"] - 1.0) < 1e-12
-    assert [b["label"] for b in obj["blocks"]] == list(rl_family.labels)
-    assert abs(sum(b["norm_sq"] for b in obj["blocks"]) - obj["norm_sq"]) < 1e-12
