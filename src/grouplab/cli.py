@@ -25,40 +25,40 @@ BESSEL_SLACK = 1e-9
 
 
 def _family(cfg: ExperimentConfig, cat):
-    """The family without the omitted labels (Peter-Weyl when none), Gram-checked."""
+    """The family without the omitted labels (Peter-Weyl when none) and its
+    Gram matrix, which must lie within the tolerance of the identity."""
     family = build_riemann_lebesgue_family(cat, OmissionSpec(omitted=cfg.omit))
     limit = cfg.tol if cfg.tol is not None else gram_tol(family.group)
-    defect = family.gram_defect()
+    gram = family.gram_matrix()
+    defect = family.gram_defect(gram)
     if defect > limit:
         raise InvariantBreach(
             f"family Gram defect {defect:.3e} exceeds tolerance {limit:.3e}"
         )
-    return family
+    return family, gram
 
 
-def _bessel_rows(cfg: ExperimentConfig) -> list[tuple[str, float, float, float]]:
-    """(fn id, ||f||^2, sum |<f, chi>|^2, defect) for every test function.
+def _bessel_columns(cfg: ExperimentConfig):
+    """Columns (fn ids, ||f||^2, sum |<f, chi>|^2, defect) over the test set.
 
     The test set is stacked once and its coefficients come from one kernel
     call.  A defect below -BESSEL_SLACK breaks Bessel's inequality.
     """
     group = make_group(cfg.group_spec)
     cat = build_catalog(group, truncation=cfg.truncation)
-    family = _family(cfg, cat)
+    family = _family(cfg, cat)[0]
     ids, fns, _ = cfgmod.build_test_set(
         cfg.test_set_spec, group, family, seed_override=cfg.seed_override
     )
     values = np.reshape([f.values for f in fns], (len(fns), group.n_nodes))
     coeffs = _kernels.coefficients_against(family.members, group.weights, values)
-    rows = []
-    for fid, f, c in zip(ids, fns, coeffs):
-        norm_sq = f.norm_sq()
-        coeff_sum = float(np.sum(np.abs(c) ** 2))
-        defect = norm_sq - coeff_sum
-        if defect < -BESSEL_SLACK:
-            raise InvariantBreach(f"Bessel inequality violated for {fid}: defect {defect:.3e}")
-        rows.append((fid, norm_sq, coeff_sum, defect))
-    return rows
+    norm_sq = np.array([f.norm_sq() for f in fns], dtype=float)
+    coeff_sum = np.array([np.sum(np.abs(c) ** 2) for c in coeffs], dtype=float)
+    defect = norm_sq - coeff_sum
+    for fid, d in zip(ids, defect):
+        if d < -BESSEL_SLACK:
+            raise InvariantBreach(f"Bessel inequality violated for {fid}: defect {d:.3e}")
+    return ids, norm_sq, coeff_sum, defect
 
 
 def cmd_catalog(cfg: ExperimentConfig) -> int:
@@ -71,7 +71,7 @@ def cmd_catalog(cfg: ExperimentConfig) -> int:
             cfgmod.write_csv(
                 cfg.out_dir / f"{cfg.name}_coeffs_{safe}.csv",
                 ["node", "i", "j", "re", "im"],
-                cfgmod.coefficient_grid_rows(cat, lab.key),
+                [cfgmod.coefficient_grid_columns(cat, lab.key)],
             )
     return 0
 
@@ -80,7 +80,7 @@ def cmd_parseval(cfg: ExperimentConfig) -> int:
     cfgmod.write_csv(
         cfg.out_dir / f"{cfg.name}_parseval.csv",
         ["fn_id", "norm_sq", "coeff_sum_sq", "defect"],
-        _bessel_rows(cfg),
+        [_bessel_columns(cfg)],
     )
     return 0
 
@@ -88,7 +88,7 @@ def cmd_parseval(cfg: ExperimentConfig) -> int:
 def cmd_semicomplete(cfg: ExperimentConfig) -> int:
     group = make_group(cfg.group_spec)
     cat = build_catalog(group, truncation=cfg.truncation)
-    family = _family(cfg, cat)
+    family = _family(cfg, cat)[0]
     weights = cfgmod.build_weights(
         cfg.weights_spec, family.max_block_size, seed_override=cfg.seed_override
     )
@@ -112,17 +112,18 @@ def cmd_semicomplete(cfg: ExperimentConfig) -> int:
     cfgmod.write_csv(
         cfg.out_dir / f"{cfg.name}_semicomplete.csv",
         ["fn", "defect"],
-        report.per_function,
+        [tuple(zip(*report.per_function))],
     )
     return 0
 
 
 def cmd_isometry(cfg: ExperimentConfig) -> int:
     # ||transform_H(f)||^2 is sum |<f, chi>|^2, so the isometry defect is |Bessel defect|
+    ids, norm_sq, seq_norm_sq, defect = _bessel_columns(cfg)
     cfgmod.write_csv(
         cfg.out_dir / f"{cfg.name}_isometry.csv",
         ["fn_id", "norm_sq", "seq_norm_sq", "defect"],
-        [(fid, n, s, abs(d)) for fid, n, s, d in _bessel_rows(cfg)],
+        [(ids, norm_sq, seq_norm_sq, np.abs(defect))],
     )
     return 0
 
@@ -138,13 +139,13 @@ def cmd_lift(cfg: ExperimentConfig) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     cat_k = build_catalog(model.K, truncation=iw.truncation)
-    xi = _family(cfg, cat_k)
+    xi, xi_gram = _family(cfg, cat_k)
     lifted = lift_family(model, xi)
 
     restricted = lifted.restrict_to_k()
     restriction_residual = float(np.max(np.abs(restricted.members - xi.members))) if xi.n_members else 0.0
     lifted_gram = lifted.gram_matrix()
-    gram_residual = float(np.max(np.abs(lifted_gram - xi.gram_matrix())))
+    gram_residual = float(np.max(np.abs(lifted_gram - xi_gram)))
     norm_residual = float(np.max(np.abs(np.diag(lifted_gram) - 1.0)))
     obj = {
         "group": model.K.name,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -82,6 +83,22 @@ def _require_truncation(value, what: str) -> None:
     )
 
 
+def _require_positive(value, what: str) -> None:
+    """A tolerance is absent or a finite positive number; bools, NaN and
+    infinities never pass (an infinite epsilon would also be written to JSON
+    as the invalid token ``Infinity``)."""
+    _require(
+        value is None
+        or (
+            isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and (isinstance(value, int) or math.isfinite(value))
+            and value > 0
+        ),
+        f"{what} must be a finite positive number, got {value!r}",
+    )
+
+
 def _parse_kv(rest: str, what: str) -> dict[str, str]:
     out = {}
     for part in filter(None, (p.strip() for p in rest.split(","))):
@@ -128,13 +145,9 @@ def load_config(
     _require_truncation(truncation, "'truncation'")
 
     tol = tol_override if tol_override is not None else raw.get("tol")
-    if tol is not None:
-        _require(isinstance(tol, (int, float)) and tol > 0, "'tol' must be positive")
+    _require_positive(tol, "'tol'")
     epsilon = raw.get("epsilon")
-    if epsilon is not None:
-        _require(
-            isinstance(epsilon, (int, float)) and epsilon > 0, "'epsilon' must be positive"
-        )
+    _require_positive(epsilon, "'epsilon'")
 
     iwa = None
     if "iwasawa" in raw:
@@ -328,20 +341,37 @@ def build_test_set(
 # deterministic writers
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    if isinstance(x, (np.floating,)):
-        return format(float(x), ".17g")
-    return str(x)
+#: Rows formatted by one ``%`` template; bounds the text held in memory at once.
+CSV_CHUNK_ROWS = 8192
+
+#: printf conversion by numpy dtype kind; every other kind goes through str().
+_CONVERSIONS = {"i": "%d", "u": "%d", "f": "%.17g"}
 
 
-def write_csv(path: str | Path, header: list[str], rows) -> None:
-    """Write header and rows line by line, never holding the whole text."""
+def write_csv(path: str | Path, header: list[str], blocks) -> None:
+    """Write a header line and then every block of rows, a chunk at a time.
+
+    ``blocks`` is an iterable of column tuples, one column per header field,
+    all of one length; each block is converted with ``np.asarray`` and is
+    written as soon as it arrives, so a streamed export is never held whole.
+    Integer columns print with ``%d``, float columns with ``%.17g`` (the
+    digits of ``format(x, ".17g")``) and any other column with ``str()``.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = (",".join(_fmt(x) for x in row) + "\n" for row in rows)
-    _atomic_write(path, itertools.chain([",".join(header) + "\n"], lines))
+    chunks = itertools.chain([",".join(header) + "\n"], _csv_chunks(blocks, len(header)))
+    _atomic_write(path, chunks)
+
+
+def _csv_chunks(blocks, n_fields: int):
+    for block in blocks:
+        cols = [np.asarray(c) for c in block]
+        if len(cols) != n_fields or any(c.shape != cols[0].shape or c.ndim != 1 for c in cols):
+            raise ValueError(f"a CSV block needs {n_fields} one-dimensional columns of one length")
+        line = ",".join(_CONVERSIONS.get(c.dtype.kind, "%s") for c in cols) + "\n"
+        for start in range(0, len(cols[0]), CSV_CHUNK_ROWS):
+            part = [c[start:start + CSV_CHUNK_ROWS].tolist() for c in cols]
+            yield (line * len(part[0])) % tuple(itertools.chain.from_iterable(zip(*part)))
 
 
 def write_json(path: str | Path, obj) -> None:
@@ -376,23 +406,21 @@ def catalog_json_obj(cat: RepCatalog) -> dict:
     }
 
 
-def coefficient_grid_rows(cat: RepCatalog, label_key: str):
-    """CSV rows (node, i, j, re, im) for one label's cached coefficient grid."""
+def coefficient_grid_columns(cat: RepCatalog, label_key: str):
+    """CSV columns (node, i, j, re, im) of one label's cached coefficient grid.
+
+    Rows run node-major, then i, then j.
+    """
     grid = cat.grids[label_key]
-    n, d, _ = grid.shape
-    for k in range(n):
-        for i in range(d):
-            for j in range(d):
-                z = grid[k, i, j]
-                yield (k, i, j, float(z.real), float(z.imag))
+    return (*np.indices(grid.shape).reshape(3, -1), grid.real.reshape(-1), grid.imag.reshape(-1))
+
+
+def _sample_columns(values: np.ndarray):
+    return np.arange(len(values)), values.real, values.imag
 
 
 def l2_to_csv(f: L2Function, path: str | Path) -> None:
-    write_csv(
-        path,
-        ["node", "re", "im"],
-        ((k, float(z.real), float(z.imag)) for k, z in enumerate(f.values)),
-    )
+    write_csv(path, ["node", "re", "im"], [_sample_columns(f.values)])
 
 
 def l2_from_csv(group: GroupModel, path: str | Path) -> L2Function:
@@ -410,12 +438,13 @@ def l2_from_csv(group: GroupModel, path: str | Path) -> L2Function:
 
 
 def functions_to_csv(ids: list[str], fns: list[L2Function], path: str | Path) -> None:
-    def rows():
-        for fid, f in zip(ids, fns):
-            for k, z in enumerate(f.values):
-                yield (fid, k, float(z.real), float(z.imag))
+    write_csv(path, ["fn", "node", "re", "im"], _labelled_samples(ids, (f.values for f in fns)))
 
-    write_csv(path, ["fn", "node", "re", "im"], rows())
+
+def _labelled_samples(ids, rows):
+    """One (id, node, re, im) block per sample row, streamed."""
+    for fid, values in zip(ids, rows):
+        yield (np.full(len(values), fid, dtype=object), *_sample_columns(values))
 
 
 def functions_from_csv(group: GroupModel, path: str | Path) -> tuple[list[str], list[L2Function]]:
@@ -463,18 +492,13 @@ def _read_csv_rows(path: Path, n_cols: int):
 
 def lifted_family_to_csv(lifted, path: str | Path) -> None:
     """Export lifted members over the K x AN product grid (member,node,re,im)."""
-    ids = []
-    for b in lifted.blocks:
-        for i in range(b.size):
-            for j in range(b.size):
-                ids.append(f"member:{b.label}[{i}][{j}]")
-
-    def rows():
-        for fid, values in zip(ids, lifted.members):
-            for k, z in enumerate(values):
-                yield (fid, k, float(z.real), float(z.imag))
-
-    write_csv(path, ["member", "node", "re", "im"], rows())
+    ids = [
+        f"member:{b.label}[{i}][{j}]"
+        for b in lifted.blocks
+        for i in range(b.size)
+        for j in range(b.size)
+    ]
+    write_csv(path, ["member", "node", "re", "im"], _labelled_samples(ids, lifted.members))
 
 
 def weights_hash(weights: ExpansionWeights) -> str:

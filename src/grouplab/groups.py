@@ -195,18 +195,22 @@ def su2_group(jmax: float, quad: int | None = None) -> GroupModel:
     alphas = TWO_PI * np.arange(n_torus) / n_torus
     gammas = 2.0 * TWO_PI * np.arange(n_torus) / n_torus
 
-    n_nodes = n_torus * n_beta * n_torus
-    matrices = np.empty((n_nodes, 2, 2), dtype=np.complex128)
-    eulers = np.empty((n_nodes, 3))
-    weights = np.empty(n_nodes)
-    idx = 0
-    for ia, al in enumerate(alphas):
-        for ib, be in enumerate(betas):
-            for ic, ga in enumerate(gammas):
-                matrices[idx] = su2_matrix_from_euler(al, be, ga)
-                eulers[idx] = (al, be, ga)
-                weights[idx] = glw[ib] / (2.0 * n_torus * n_torus)
-                idx += 1
+    # nodes run alpha-major, then beta, then gamma; every array below has
+    # shape (n_torus, n_beta, n_torus) after broadcasting
+    al = alphas[:, None, None]
+    be = betas[None, :, None]
+    ga = gammas[None, None, :]
+    # the half-angle factors use math.cos/math.sin, as su2_matrix_from_euler
+    # does, so every node equals that function's matrix bit for bit
+    c = np.array([math.cos(x / 2.0) for x in betas])[None, :, None]
+    s = np.array([math.sin(x / 2.0) for x in betas])[None, :, None]
+    a = c * np.exp(-0.5j * (al + ga))
+    b = -s * np.exp(-0.5j * (al - ga))
+    matrices = np.stack([a, b, -np.conj(b), np.conj(a)], axis=-1).reshape(-1, 2, 2)
+    eulers = np.stack(np.broadcast_arrays(al, be, ga), axis=-1).reshape(-1, 3)
+    weights = np.broadcast_to(
+        glw[None, :, None] / (2.0 * n_torus * n_torus), (n_torus, n_beta, n_torus)
+    ).reshape(-1)
     return GroupModel(
         kind="su2",
         name=f"su2:j={_fmt_spin(jmax)},quad={n_beta}",

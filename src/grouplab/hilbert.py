@@ -151,10 +151,11 @@ class OrthonormalFamily:
     def gram_matrix(self) -> np.ndarray:
         return _kernels.gram(self.members, self.group.weights)
 
-    def gram_defect(self) -> float:
+    def gram_defect(self, gram: np.ndarray | None = None) -> float:
+        """max |G - I| over the Gram matrix G (computed here unless given)."""
         if self.n_members == 0:
             return 0.0
-        g = self.gram_matrix()
+        g = self.gram_matrix() if gram is None else gram
         return float(np.max(np.abs(g - np.eye(self.n_members))))
 
 

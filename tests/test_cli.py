@@ -15,6 +15,7 @@ from grouplab.config import (
     functions_to_csv,
     l2_from_csv,
     l2_to_csv,
+    CSV_CHUNK_ROWS,
     write_csv,
 )
 from grouplab.groups import make_group
@@ -366,9 +367,9 @@ def test_l2_from_csv_rejects_non_finite(tmp_path):
 
 @pytest.mark.parametrize("n_rows", [0, 1, 5])
 def test_write_csv_exact_bytes(tmp_path, n_rows):
-    rows = ((k, 0.1 * k, np.float64(-k)) for k in range(n_rows))
+    k = np.arange(n_rows)
     path = tmp_path / "out.csv"
-    write_csv(path, ["k", "x", "y"], rows)
+    write_csv(path, ["k", "x", "y"], [(k, 0.1 * k, (-k).astype(np.float64))])
     expected = "k,x,y\n" + "".join(
         f"{k},{format(0.1 * k, '.17g')},{format(float(-k), '.17g')}\n" for k in range(n_rows)
     )
@@ -377,13 +378,13 @@ def test_write_csv_exact_bytes(tmp_path, n_rows):
 
 
 def test_write_csv_failing_rows_leave_no_file(tmp_path):
-    # rows are streamed into the temp file; an error midway must not publish it
-    def rows():
-        yield (0, 1.0)
+    # blocks are streamed into the temp file; an error midway must not publish it
+    def blocks():
+        yield (np.array([0]), np.array([1.0]))
         raise RuntimeError("row source failed")
 
     with pytest.raises(RuntimeError):
-        write_csv(tmp_path / "out.csv", ["k", "x"], rows())
+        write_csv(tmp_path / "out.csv", ["k", "x"], blocks())
     assert list(tmp_path.iterdir()) == []
 
 
@@ -433,3 +434,161 @@ def test_random_test_set_starts_with_random_function():
     ids, fns, _ = build_test_set("random:count=3,seed=5", group)
     assert ids == ["random:0", "random:1", "random:2"]
     assert np.array_equal(fns[0].values, random_function(group, 5).values)
+
+
+def _per_row_bytes(header, rows):
+    # the per-value formatting the chunked writer replaced
+    def fmt(x):
+        if isinstance(x, (float, np.floating)):
+            return format(float(x), ".17g")
+        return str(x)
+
+    return (",".join(header) + "\n" + "".join(",".join(map(fmt, r)) + "\n" for r in rows)).encode()
+
+
+def test_write_csv_special_floats(tmp_path):
+    values = [-0.0, 5e-324, 1e300, 0.1, float("nan"), float("inf"), -float("inf")]
+    path = tmp_path / "out.csv"
+    write_csv(path, ["x"], [(np.array(values),)])
+    assert path.read_bytes() == ("x\n" + "".join(format(x, ".17g") + "\n" for x in values)).encode()
+    assert path.read_text().split("\n")[1:3] == ["-0", "4.9406564584124654e-324"]
+
+
+def test_write_csv_int_beyond_int64(tmp_path):
+    ints = [0, 10**20, -(10**20), 2**63 - 1]
+    path = tmp_path / "out.csv"
+    write_csv(path, ["n"], [(ints,)])
+    assert path.read_bytes() == ("n\n" + "".join(str(k) + "\n" for k in ints)).encode()
+
+
+def test_write_csv_numpy_scalar_and_str_columns(tmp_path):
+    ids = ["random:0", "member:j:1[0][2]", "a b"]
+    ints = np.array([-5, 0, 2**62], dtype=np.int64)
+    small = np.array([1, 2, 255], dtype=np.uint8)
+    floats = np.array([0.1, -2.5, 1e-300], dtype=np.float64)
+    singles = np.array([0.1, 3.0, -7.25], dtype=np.float32)
+    path = tmp_path / "out.csv"
+    header = ["id", "i", "u", "x", "s"]
+    write_csv(path, header, [(ids, ints, small, floats, singles)])
+    rows = list(zip(ids, ints, small, floats, singles))
+    assert path.read_bytes() == _per_row_bytes(header, rows)
+    assert path.read_text().split("\n")[1] == "random:0,-5,1,0.10000000000000001,0.10000000149011612"
+
+
+@pytest.mark.parametrize("blocks", [[], [([], np.array([], dtype=float))]])
+def test_write_csv_header_only(tmp_path, blocks):
+    path = tmp_path / "out.csv"
+    write_csv(path, ["fn", "defect"], blocks)
+    assert path.read_bytes() == b"fn,defect\n"
+
+
+@pytest.mark.parametrize("n_rows", [CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+def test_write_csv_chunk_boundaries(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    k = np.arange(n_rows)
+    x = rng.standard_normal(n_rows)
+    ids = [f"f{m % 7}" for m in range(n_rows)]
+    path = tmp_path / "out.csv"
+    # two blocks, so the second chunk run starts mid-file
+    write_csv(path, ["fn", "k", "x"], [(ids, k, x), (ids[:3], k[:3], x[:3])])
+    rows = list(zip(ids, k, x)) + list(zip(ids[:3], k[:3], x[:3]))
+    assert path.read_bytes() == _per_row_bytes(["fn", "k", "x"], rows)
+
+
+def test_write_csv_failure_after_full_chunk_leaves_no_file(tmp_path):
+    def blocks():
+        yield (np.arange(CSV_CHUNK_ROWS + 1), np.zeros(CSV_CHUNK_ROWS + 1))
+        raise RuntimeError("block source failed")
+
+    with pytest.raises(RuntimeError):
+        write_csv(tmp_path / "out.csv", ["k", "x"], blocks())
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "block", [(np.arange(3), np.zeros(2)), (np.arange(3),), (np.zeros((3, 1)), np.zeros((3, 1)))]
+)
+def test_write_csv_rejects_ragged_block(tmp_path, block):
+    with pytest.raises(ValueError, match="one-dimensional columns"):
+        write_csv(tmp_path / "out.csv", ["k", "x"], [(np.arange(2), np.ones(2)), block])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cmd_catalog_dump_bytes_match_per_row_format(tmp_path):
+    cfg = write_config(tmp_path, group="su2:j=1", dump_coefficients=True)
+    assert main(["catalog", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    cat = build_catalog(make_group("su2:j=1"))
+    assert len(cat.labels) == 3
+    for lab in cat.labels:
+        grid = cat.grids[lab.key]
+        n, d, _ = grid.shape
+        rows = (
+            (k, i, j, float(grid[k, i, j].real), float(grid[k, i, j].imag))
+            for k in range(n)
+            for i in range(d)
+            for j in range(d)
+        )
+        path = tmp_path / f"exp_coeffs_{lab.key.replace(':', '-')}.csv"
+        assert path.read_bytes() == _per_row_bytes(["node", "i", "j", "re", "im"], rows)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tol", True),
+        ("tol", float("inf")),
+        ("tol", float("nan")),
+        ("tol", -1e-9),
+        ("epsilon", True),
+        ("epsilon", False),
+        ("epsilon", float("inf")),
+        ("epsilon", float("nan")),
+        ("epsilon", "0.1"),
+    ],
+)
+def test_cmd_semicomplete_rejects_bad_tolerance(tmp_path, field, value):
+    # json.dumps writes inf and nan as the non-standard Infinity and NaN tokens
+    cfg = write_config(tmp_path, test_set="random:count=2,seed=0", **{field: value})
+    assert main(["semicomplete", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.glob("exp_semicomplete.*"))
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-inf", "0"])
+def test_tol_override_must_be_finite_positive(tmp_path, tol):
+    cfg = write_config(tmp_path, test_set="random:count=2,seed=0")
+    argv = ["semicomplete", "--config", str(cfg), "--out", str(tmp_path), f"--tol={tol}"]
+    assert main(argv) == 2
+    assert not list(tmp_path.glob("exp_semicomplete.*"))
+
+
+def test_cmd_semicomplete_accepts_integer_tolerances(tmp_path):
+    cfg = write_config(tmp_path, test_set="random:count=2,seed=0", tol=1, epsilon=2)
+    assert main(["semicomplete", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "exp_semicomplete.json").read_text())["epsilon"] == 2
+
+
+def test_cmd_lift_computes_each_gram_matrix_once(tmp_path, monkeypatch):
+    from grouplab import _kernels
+
+    calls = []
+    gram = _kernels.gram
+
+    def counting_gram(*args):
+        calls.append(args[0].shape)
+        return gram(*args)
+
+    monkeypatch.setattr(_kernels, "gram", counting_gram)
+    cfg = write_config(
+        tmp_path,
+        group="circle:16",
+        iwasawa={
+            "K": "circle:16",
+            "A": {"range": [-0.5, 0.5], "nodes": 4},
+            "N": {"range": [-0.5, 0.5], "nodes": 4},
+            "truncation": 3,
+        },
+    )
+    assert main(["lift", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    # one Gram of xi (the family check, reused for gram_residual), one of the lift
+    assert calls == [(7, 16), (7, 16 * 16)]
+    assert json.loads((tmp_path / "exp_lift.json").read_text())["gram_residual"] < 1e-10

@@ -117,6 +117,24 @@ def test_su2_nodes_unitary_unit_determinant():
     assert abs(g.weights.sum() - 1.0) < 1e-12
 
 
+def test_su2_grid_nodes_match_euler_factorization():
+    # the broadcast grid build equals su2_matrix_from_euler node by node, bit for bit
+    from grouplab.groups import su2_matrix_from_euler
+
+    g = make_group("su2:j=1.5")
+    x, glw = np.polynomial.legendre.leggauss(4)
+    n_torus = 7
+    k = 0
+    for alpha in 2 * np.pi * np.arange(n_torus) / n_torus:
+        for ib, beta in enumerate(np.arccos(x)):
+            for gamma in 4 * np.pi * np.arange(n_torus) / n_torus:
+                assert g.matrices[k].tobytes() == su2_matrix_from_euler(alpha, beta, gamma).tobytes()
+                assert g.eulers[k].tolist() == [alpha, beta, gamma]
+                assert g.weights[k] == glw[ib] / (2.0 * n_torus * n_torus)
+                k += 1
+    assert k == g.n_nodes == 196
+
+
 def test_su2_wigner_entry_orthogonality():
     # quadrature reproduces Schur orthogonality of the cached Wigner entries
     from grouplab.catalog import su2_irrep_matrix
