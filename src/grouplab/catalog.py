@@ -67,9 +67,6 @@ class RepCatalog:
                 return lab
         raise KeyError(f"label {key!r} not in catalog")
 
-    def coefficient_grid(self, label: IrrepLabel) -> np.ndarray:
-        return self.grids[label.key]
-
     def coefficient_matrix(self, label: IrrepLabel, g) -> np.ndarray:
         """u(g) for an arbitrary group element (not necessarily a grid node)."""
         if label.key not in self.grids:
@@ -79,10 +76,6 @@ class RepCatalog:
         if self.group.kind == "circle":
             return np.array([[np.exp(1j * label.payload * g)]], dtype=np.complex128)
         return su2_irrep_matrix(int(round(2 * label.payload)), np.asarray(g))
-
-    @property
-    def total_dimension(self) -> int:
-        return sum(lab.degree * lab.degree for lab in self.labels)
 
 
 def matrix_coefficient(cat: RepCatalog, label: IrrepLabel, i: int, j: int, g) -> complex:

@@ -10,10 +10,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 import os
+import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +75,15 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_finite(value) -> bool:
+    """A JSON number within float range; bools, NaN and infinities never count."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
 def _require_truncation(value, what: str) -> None:
     """A truncation is absent or a JSON number; a string or bool is never coerced."""
     _require(
@@ -88,13 +97,7 @@ def _require_positive(value, what: str) -> None:
     infinities never pass (an infinite epsilon would also be written to JSON
     as the invalid token ``Infinity``)."""
     _require(
-        value is None
-        or (
-            isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            and (isinstance(value, int) or math.isfinite(value))
-            and value > 0
-        ),
+        value is None or (_is_finite(value) and value > 0),
         f"{what} must be a finite positive number, got {value!r}",
     )
 
@@ -149,26 +152,8 @@ def load_config(
     epsilon = raw.get("epsilon")
     _require_positive(epsilon, "'epsilon'")
 
-    iwa = None
-    if "iwasawa" in raw:
-        blk = raw["iwasawa"]
-        _require(isinstance(blk, dict), "'iwasawa' must be an object")
-        try:
-            a_blk = blk.get("A", {})
-            n_blk = blk.get("N", {})
-            iwa = IwasawaConfig(
-                k_spec=blk.get("K", "circle:64"),
-                a_range=tuple(a_blk.get("range", (-2.0, 2.0))),
-                n_range=tuple(n_blk.get("range", (-2.0, 2.0))),
-                a_size=int(a_blk.get("nodes", 32)),
-                n_size=int(n_blk.get("nodes", 32)),
-                profile=blk.get("profile", "uniform"),
-                truncation=blk.get("truncation"),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed iwasawa block: {exc}") from exc
-        _require(len(iwa.a_range) == 2 and len(iwa.n_range) == 2, "ranges need two endpoints")
-        _require_truncation(iwa.truncation, "'iwasawa.truncation'")
+    dump = raw.get("dump_coefficients", False)
+    _require(isinstance(dump, bool), f"'dump_coefficients' must be true or false, got {dump!r}")
 
     out_dir = Path(out_override) if out_override is not None else Path(raw.get("out", "."))
     return ExperimentConfig(
@@ -181,10 +166,42 @@ def load_config(
         epsilon=epsilon,
         tol=tol,
         out_dir=out_dir,
-        dump_coefficients=bool(raw.get("dump_coefficients", False)),
-        iwasawa=iwa,
+        dump_coefficients=dump,
+        iwasawa=_iwasawa_config(raw["iwasawa"]) if "iwasawa" in raw else None,
         seed_override=seed_override,
     )
+
+
+def _iwasawa_config(blk) -> IwasawaConfig:
+    """The 'iwasawa' block: strings ``K`` and ``profile``, a numeric ``truncation``,
+    and per axis ``A``/``N`` an integer ``nodes`` >= 1 and a ``range`` of two
+    finite numbers."""
+    _require(isinstance(blk, dict), "'iwasawa' must be an object")
+    axes = []
+    for axis in ("A", "N"):
+        sub = blk.get(axis, {})
+        _require(isinstance(sub, dict), f"'iwasawa.{axis}' must be an object")
+        rng = sub.get("range", [-2.0, 2.0])
+        _require(
+            isinstance(rng, list) and len(rng) == 2 and all(map(_is_finite, rng)),
+            f"'iwasawa.{axis}.range' must be two finite numbers, got {rng!r}",
+        )
+        nodes = sub.get("nodes", 32)
+        _require(
+            isinstance(nodes, int) and not isinstance(nodes, bool) and nodes >= 1,
+            f"'iwasawa.{axis}.nodes' must be an integer >= 1, got {nodes!r}",
+        )
+        axes.append((tuple(rng), nodes))
+    k_spec = blk.get("K", "circle:64")
+    profile = blk.get("profile", "uniform")
+    _require(
+        isinstance(k_spec, str) and isinstance(profile, str),
+        f"'iwasawa.K' and 'iwasawa.profile' must be strings, got {k_spec!r} and {profile!r}",
+    )
+    truncation = blk.get("truncation")
+    _require_truncation(truncation, "'iwasawa.truncation'")
+    (a_range, a_size), (n_range, n_size) = axes
+    return IwasawaConfig(k_spec, a_range, n_range, a_size, n_size, profile, truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +339,8 @@ def build_test_set(
         return ids, random_functions(group, seed, count), f"random:count={count},seed={seed}"
     if head == "members":
         _require(family is not None, "'members' test set needs a family in context")
-        ids, fns = [], []
-        for bi, b in enumerate(family.blocks):
-            for i in range(b.size):
-                for j in range(b.size):
-                    ids.append(f"member:{b.label}[{i}][{j}]")
-                    fns.append(family.member(bi, i, j))
-        return ids, fns, "members"
+        fns = [family.member_flat(k) for k in range(family.n_members)]
+        return _member_ids(family), fns, "members"
     if head == "samples":
         path = Path(rest)
         _require(path.is_file(), f"samples file not found: {path}")
@@ -492,13 +504,13 @@ def _read_csv_rows(path: Path, n_cols: int):
 
 def lifted_family_to_csv(lifted, path: str | Path) -> None:
     """Export lifted members over the K x AN product grid (member,node,re,im)."""
-    ids = [
-        f"member:{b.label}[{i}][{j}]"
-        for b in lifted.blocks
-        for i in range(b.size)
-        for j in range(b.size)
-    ]
+    ids = _member_ids(lifted.source)
     write_csv(path, ["member", "node", "re", "im"], _labelled_samples(ids, lifted.members))
+
+
+def _member_ids(family: OrthonormalFamily) -> list[str]:
+    """``member:<label>[i][j]`` for every family member, in flat order."""
+    return [f"member:{label}[{i}][{j}]" for label, i, j in family.flat_positions()]
 
 
 def weights_hash(weights: ExpansionWeights) -> str:

@@ -1,14 +1,18 @@
-"""Fourier transform to matrix coefficients, synthesis, and block projections.
+"""Fourier transform to the Peter-Weyl matrix sequence, synthesis, block projections.
 
-The transform of f maps each catalog label to the matrix of inner products
-against the raw (unnormalized) coefficients u_ij; synthesis weights each block
-by its degree, so on a finite group with the complete catalog the round trip
-is the identity, and on a truncated continuous catalog it is the band-limited
-projection.
+The transform of f is the L2(A) coefficient transform against the Peter-Weyl
+family {sqrt(d) u_ij}: a ``MatrixSequence`` keyed by catalog label with
+fhat(label)_ij = <f, sqrt(d) u_ij>, the matrices of
+``transform_H(f, peter_weyl_basis(cat))``.  The family is orthonormal, so the
+Plancherel sum is the plain ``norm_sq`` of the sequence and ``hs_inner`` of two
+transforms is the L2 inner product of the functions.  Synthesis weights each
+block by sqrt(d), so on a finite group with the complete catalog the round
+trip is the identity, and on a truncated continuous catalog it is the
+band-limited projection.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -16,57 +20,34 @@ from . import _kernels
 from .catalog import IrrepLabel, RepCatalog
 from .groups import require_same_group
 from .hilbert import L2Function
+from .parseval import MatrixSequence, require_structure
 
 
-@dataclass(eq=False)
-class FourierCoefficients:
-    """Per-label coefficient matrices fhat[key][i, j] = <f, u_ij>."""
-
-    catalog: RepCatalog
-    matrices: dict[str, np.ndarray]
-
-    def norm_sq(self) -> float:
-        """Plancherel sum: sum_label d * sum_ij |fhat_ij|^2."""
-        total = 0.0
-        for lab in self.catalog.labels:
-            total += lab.degree * float(np.sum(np.abs(self.matrices[lab.key]) ** 2))
-        return total
-
-    def block_norms(self) -> dict[str, float]:
-        """Hilbert-Schmidt norm per label."""
-        return {
-            lab.key: float(np.sqrt(np.sum(np.abs(self.matrices[lab.key]) ** 2)))
-            for lab in self.catalog.labels
-        }
-
-
-def fourier_transform(f: L2Function, cat: RepCatalog) -> FourierCoefficients:
-    """fhat(label)_ij = <f, u_ij> for every label in the catalog."""
+def fourier_transform(f: L2Function, cat: RepCatalog) -> MatrixSequence:
+    """fhat(label)_ij = <f, sqrt(d) u_ij> for every label in the catalog."""
     require_same_group(f.group, cat.group)
-    w = cat.group.weights
+    n = cat.group.n_nodes
+    # sqrt(d) is real, so it folds into the quadrature weights once per degree
+    weights = {}
     matrices = {}
     for lab in cat.labels:
         d = lab.degree
-        grid = cat.grids[lab.key].reshape(cat.group.n_nodes, d * d).T
-        coeffs = _kernels.coefficients_against(grid, w, f.values)
-        matrices[lab.key] = coeffs.reshape(d, d)
-    return FourierCoefficients(catalog=cat, matrices=matrices)
+        if d not in weights:
+            weights[d] = math.sqrt(d) * cat.group.weights
+        grid = cat.grids[lab.key].reshape(n, d * d).T
+        matrices[lab.key] = _kernels.coefficients_against(grid, weights[d], f.values).reshape(d, d)
+    return MatrixSequence(labels=tuple(matrices), matrices=matrices)
 
 
-def synthesize(fhat: FourierCoefficients, cat: RepCatalog) -> L2Function:
-    """sum_label d * sum_ij fhat_ij u_ij as a function on the grid."""
-    if fhat.catalog is not cat and set(fhat.matrices) != {lab.key for lab in cat.labels}:
-        raise ValueError("coefficient labels do not match the catalog")
+def synthesize(seq: MatrixSequence, cat: RepCatalog) -> L2Function:
+    """sum_label sqrt(d) * sum_ij seq_ij u_ij as a function on the grid."""
+    keys = tuple(lab.key for lab in cat.labels)
+    require_structure(seq, keys, tuple(lab.degree for lab in cat.labels))
     out = np.zeros(cat.group.n_nodes, dtype=np.complex128)
-    for lab in cat.labels:
+    for key, lab in zip(keys, cat.labels):
         d = lab.degree
-        mat = np.asarray(fhat.matrices[lab.key], dtype=np.complex128)
-        if mat.shape != (d, d):
-            raise ValueError(
-                f"block {lab.key!r} has shape {mat.shape}, expected {(d, d)}"
-            )
-        grid = cat.grids[lab.key].reshape(cat.group.n_nodes, d * d).T
-        out += _kernels.combine(d * mat.reshape(d * d), grid)
+        grid = cat.grids[key].reshape(cat.group.n_nodes, d * d).T
+        out += _kernels.combine(math.sqrt(d) * seq.matrices[key].reshape(d * d), grid)
     return L2Function(cat.group, out)
 
 

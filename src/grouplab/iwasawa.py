@@ -27,7 +27,6 @@ from .catalog import RepCatalog
 from .groups import GroupModel, make_group, same_group
 from .hilbert import (
     ExpansionWeights,
-    FamilyBlock,
     L2Function,
     OrthonormalFamily,
 )
@@ -145,10 +144,6 @@ class LiftedFamily:
     members: np.ndarray          # (n_members, nK * nAN)
     weights: np.ndarray          # (nK * nAN,) product measure
 
-    @property
-    def blocks(self) -> tuple[FamilyBlock, ...]:
-        return self.source.blocks
-
     def gram_matrix(self) -> np.ndarray:
         from . import _kernels
 
@@ -222,7 +217,10 @@ def reproduction_residual(
 
 
 def max_reproduction_residual(model: IwasawaModel, g0: L2Function | None = None) -> float:
-    """Largest reproduction residual over all reference AN nodes."""
-    return max(
-        reproduction_residual(model, g0=g0, an_index=k) for k in range(model.n_an)
-    )
+    """Largest ``reproduction_residual`` over all reference AN nodes, which
+    enter only through exp(f(a1 n1)): one broadcast over the AN grid."""
+    if g0 is None:
+        g0 = L2Function(model.K, np.ones(model.K.n_nodes, dtype=np.complex128))
+    mass = np.dot(model.an_weights, np.exp(model.profile + np.conj(model.profile)))
+    factors = mass * np.exp(model.profile)                       # (nAN,)
+    return float(np.max(np.abs(g0.values * factors[:, None] - g0.values)))

@@ -29,7 +29,11 @@ from .hilbert import (
 
 @dataclass(eq=False)
 class MatrixSequence:
-    """An element of L2(A): one square complex matrix per block label."""
+    """An element of L2(A): one square complex matrix per block label.
+
+    ``transform_H`` makes one against any family; ``fourier.fourier_transform``
+    makes the one against the Peter-Weyl family, keyed by catalog label.
+    """
 
     labels: tuple[str, ...]
     matrices: dict[str, np.ndarray]
@@ -66,14 +70,17 @@ def basis_sequence(family: OrthonormalFamily, label: str, i: int, j: int) -> Mat
     return seq
 
 
-def _require_matching_structure(a: MatrixSequence, b: MatrixSequence) -> None:
-    if a.labels != b.labels or a.block_sizes() != b.block_sizes():
-        raise ValueError("matrix sequences have mismatched block structure")
+def require_structure(
+    seq: MatrixSequence, labels: tuple[str, ...], sizes: tuple[int, ...]
+) -> None:
+    """Raise unless ``seq`` has exactly these block labels and sizes, in order."""
+    if seq.labels != labels or seq.block_sizes() != sizes:
+        raise ValueError("matrix sequence does not match the expected block labels and sizes")
 
 
 def hs_inner(a: MatrixSequence, b: MatrixSequence) -> complex:
     """Hilbert-Schmidt inner product sum_alpha tr(a(alpha) b(alpha)^*)."""
-    _require_matching_structure(a, b)
+    require_structure(b, a.labels, a.block_sizes())
     total = 0.0 + 0.0j
     for key in a.labels:
         total += complex(np.sum(a.matrices[key] * np.conj(b.matrices[key])))
@@ -127,9 +134,7 @@ def transform_H(f: L2Function, family: OrthonormalFamily) -> MatrixSequence:
 
 def inverse_H(seq: MatrixSequence, family: OrthonormalFamily) -> L2Function:
     """Synthesis sum_alpha sum_ij seq(alpha)_ij chi_(i,j)."""
-    sizes = tuple(b.size for b in family.blocks)
-    if seq.labels != family.labels or seq.block_sizes() != sizes:
-        raise ValueError("matrix sequence does not match the family's block structure")
+    require_structure(seq, family.labels, tuple(b.size for b in family.blocks))
     flat = np.concatenate(
         [seq.matrices[b.label].reshape(b.size * b.size) for b in family.blocks]
     ) if family.blocks else np.zeros(0, dtype=np.complex128)

@@ -2,13 +2,15 @@
 
 An omission family keeps the Peter-Weyl members of every non-omitted label.
 For a test function f, the tail bound sum_{omitted} d * sum_ij |<f, u_ij>|
-dominates the L2 distance between the full expansion and the omitted-family
-expansion, and the semicompleteness defect of a family with expansion weights
+(sqrt(d) * sum_ij |fhat_ij| in terms of the Fourier transform fhat) dominates
+the L2 distance between the full expansion and the omitted-family expansion,
+and the semicompleteness defect of a family with expansion weights
 is measured as a supremum over an explicit finite test set (the report always
 records which test set was used; nothing is asserted uniformly over L2(G)).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +25,7 @@ from .hilbert import (
     coefficients,
     expand,
 )
+from .parseval import MatrixSequence
 
 
 @dataclass(frozen=True)
@@ -30,9 +33,6 @@ class OmissionSpec:
     """A finite set of catalog label keys to drop from the Peter-Weyl family."""
 
     omitted: tuple[str, ...] = ()
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.omitted
 
 
 def build_riemann_lebesgue_family(cat: RepCatalog, omit: OmissionSpec) -> OrthonormalFamily:
@@ -47,6 +47,14 @@ def build_riemann_lebesgue_family(cat: RepCatalog, omit: OmissionSpec) -> Orthon
     return _sqrt_degree_family(cat, retained)
 
 
+def _label_tails(fhat: MatrixSequence, cat: RepCatalog) -> list[float]:
+    """sqrt(d) * sum_ij |fhat_ij| = d * sum_ij |<f, u_ij>| per catalog label."""
+    return [
+        math.sqrt(lab.degree) * float(np.sum(np.abs(fhat.matrices[lab.key])))
+        for lab in cat.labels
+    ]
+
+
 def omission_tail_bound(f: L2Function, cat: RepCatalog, omit: OmissionSpec) -> float:
     """sum over omitted labels of d * sum_ij |<f, u_ij>|.
 
@@ -54,12 +62,8 @@ def omission_tail_bound(f: L2Function, cat: RepCatalog, omit: OmissionSpec) -> f
     and its expansion over the retained family.
     """
     require_same_group(f.group, cat.group)
-    fhat = fourier_transform(f, cat)
-    total = 0.0
-    for lab in cat.labels:
-        if lab.key in omit.omitted:
-            total += lab.degree * float(np.sum(np.abs(fhat.matrices[lab.key])))
-    return total
+    tails = _label_tails(fourier_transform(f, cat), cat)
+    return sum((t for lab, t in zip(cat.labels, tails) if lab.key in omit.omitted), 0.0)
 
 
 def choose_omissions(
@@ -76,13 +80,9 @@ def choose_omissions(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not testset:
         raise ValueError("test set must be nonempty")
-    contributions = []
-    for f in testset:
-        fhat = fourier_transform(f, cat)
-        contributions.append(
-            [lab.degree * float(np.sum(np.abs(fhat.matrices[lab.key]))) for lab in cat.labels]
-        )
-    contributions = np.asarray(contributions)      # (n_fns, n_labels)
+    contributions = np.array(       # (n_fns, n_labels)
+        [_label_tails(fourier_transform(f, cat), cat) for f in testset]
+    )
     n_labels = len(cat.labels)
     cumulative = np.zeros(len(testset))
     chosen = 0
@@ -111,13 +111,13 @@ def semi_fourier_expand(
         )
     if np.any(weights.gamma == 0) or np.any(weights.beta == 0):
         raise ValueError("expansion weights must be nonzero")
-    coeffs = coefficients(f, family)
-    scale = np.empty(family.n_members, dtype=np.complex128)
-    for b in family.blocks:
-        for i in range(b.size):
-            for j in range(b.size):
-                scale[b.offset + i * b.size + j] = weights.gamma[j] * weights.beta[i, j]
-    return expand(coeffs * scale, family)
+    # member (i, j) of a size-d block is weighted by gamma[j] * beta[i, j]
+    per_size = {
+        d: (weights.gamma[:d] * weights.beta[:d, :d]).reshape(-1)
+        for d in {b.size for b in family.blocks}
+    }
+    scale = np.concatenate([per_size[b.size] for b in family.blocks] or [np.zeros(0)])
+    return expand(coefficients(f, family) * scale, family)
 
 
 @dataclass(eq=False)

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, printed as a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -rA`` to see the lines for
-passing tests too.  Timed criteria measure steady-state computation; the jit
-kernels are warmed once by the session fixture before any test runs.
+passing tests too.  Timed criteria measure the whole computation, first
+calls included: the kernels are plain numpy and need no warm-up.
 """
 import json
 import time

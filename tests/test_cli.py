@@ -429,6 +429,41 @@ def test_cmd_lift_rejects_bad_iwasawa_truncation(tmp_path, truncation):
     assert not (tmp_path / "exp_lift.json").exists()
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"A": {"range": ["-2", 2], "nodes": 4}},
+        {"profile": 5},
+        {"A": {"range": [-0.5, 0.5], "nodes": 7.9}},
+        {"A": {"range": [-0.5, 0.5], "nodes": True}},
+        {"N": {"range": [-0.5, 0.5], "nodes": 0}},
+        {"N": {"range": [-0.5, float("nan")], "nodes": 4}},
+        {"N": {"range": [-0.5, True], "nodes": 4}},
+        {"N": {"range": [-0.5, 0.0, 0.5], "nodes": 4}},
+        {"N": [-0.5, 0.5]},
+        {"K": 16},
+    ],
+)
+def test_cmd_lift_rejects_mistyped_iwasawa_block(tmp_path, override):
+    block = {
+        "K": "circle:16",
+        "A": {"range": [-0.5, 0.5], "nodes": 4},
+        "N": {"range": [-0.5, 0.5], "nodes": 4},
+        "truncation": 3,
+    }
+    block.update(override)
+    cfg = write_config(tmp_path, group="circle:16", iwasawa=block)
+    assert main(["lift", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "exp_lift.json").exists()
+
+
+@pytest.mark.parametrize("dump", ["false", 0, None])
+def test_cmd_catalog_rejects_non_boolean_dump_coefficients(tmp_path, dump):
+    cfg = write_config(tmp_path, group="zn:4", dump_coefficients=dump)
+    assert main(["catalog", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert list(tmp_path.glob("exp_*")) == []
+
+
 def test_random_test_set_starts_with_random_function():
     group = make_group("circle:16")
     ids, fns, _ = build_test_set("random:count=3,seed=5", group)

@@ -3,8 +3,9 @@ import pytest
 
 from grouplab.catalog import build_catalog, peter_weyl_basis
 from grouplab.fourier import block_project, fourier_transform, inversion_defect, synthesize
-from grouplab.groups import circle_group, cyclic_group
+from grouplab.groups import circle_group, cyclic_group, make_group
 from grouplab.hilbert import L2Function, coefficients, expand, inner, random_function
+from grouplab.parseval import hs_inner, transform_H
 
 
 def test_constant_function_hits_only_trivial_block(sym3, sym3_catalog):
@@ -27,18 +28,20 @@ def test_identity_indicator_on_cyclic4():
 
 
 def test_matrix_coefficient_transforms_to_schur_integral(sym3, sym3_catalog):
-    # oracle: explicit Schur integral sum_g w_g u_00 conj(u_ij)
+    # oracle: explicit Schur integral sum_g w_g u_00 conj(u_ij); the transform
+    # is taken against sqrt(d) u_ij, so fhat / sqrt(d) is the raw integral
     lab = sym3_catalog.label_by_key("irrep:2")
     grid = sym3_catalog.grids[lab.key]
     f = L2Function(sym3, grid[:, 0, 0])
     fhat = fourier_transform(f, sym3_catalog)
+    raw = fhat.matrices[lab.key] / np.sqrt(lab.degree)
     for i in range(2):
         for j in range(2):
             oracle = sum(
                 sym3.weights[g] * grid[g, 0, 0] * np.conj(grid[g, i, j]) for g in range(6)
             )
-            assert abs(fhat.matrices[lab.key][i, j] - oracle) < 1e-12
-    assert abs(fhat.matrices[lab.key][0, 0] - 0.5) < 1e-10
+            assert abs(raw[i, j] - oracle) < 1e-12
+    assert abs(raw[0, 0] - 0.5) < 1e-10
     for key in ("irrep:0", "irrep:1"):
         assert np.max(np.abs(fhat.matrices[key])) < 1e-10
 
@@ -147,8 +150,32 @@ def test_synthesize_shape_mismatch(sym3_catalog):
 
 def test_block_norms_summary(sym3_catalog):
     f = peter_weyl_basis(sym3_catalog).member(2, 0, 0)
-    fhat = fourier_transform(f, sym3_catalog)
-    norms = fhat.block_norms()
+    seq = fourier_transform(f, sym3_catalog)
+    norms = {key: np.linalg.norm(seq.matrices[key]) for key in seq.labels}
     assert set(norms) == {lab.key for lab in sym3_catalog.labels}
     assert norms["irrep:2"] > 0
     assert norms["irrep:0"] < 1e-10
+
+
+@pytest.mark.parametrize(
+    "spec,truncation",
+    [("sym:3", None), ("dihedral:5", None), ("circle:16", 5), ("su2:j=1.5", None)],
+)
+def test_transform_is_transform_H_against_peter_weyl(spec, truncation):
+    group = make_group(spec)
+    cat = build_catalog(group, truncation=truncation)
+    f = random_function(group, 3)
+    seq = fourier_transform(f, cat)
+    oracle = transform_H(f, peter_weyl_basis(cat))
+    assert seq.labels == oracle.labels == tuple(lab.key for lab in cat.labels)
+    for key in seq.labels:
+        assert np.max(np.abs(seq.matrices[key] - oracle.matrices[key])) < 1e-13
+
+
+def test_hs_inner_of_transforms_is_l2_inner(sym3, sym3_catalog):
+    for seed in range(5):
+        f = random_function(sym3, seed, normalize=False)
+        h = random_function(sym3, 100 + seed, normalize=False)
+        fh = fourier_transform(f, sym3_catalog)
+        hh = fourier_transform(h, sym3_catalog)
+        assert abs(hs_inner(fh, hh) - inner(f, h)) < 1e-12

@@ -3,7 +3,7 @@ import pytest
 
 from grouplab.catalog import build_catalog, peter_weyl_basis
 from grouplab.groups import circle_group
-from grouplab.hilbert import L2Function, unit_weights
+from grouplab.hilbert import L2Function, random_function, unit_weights
 from grouplab.iwasawa import (
     check_K_semicomplete,
     lift_family,
@@ -173,6 +173,15 @@ def test_reproduction_residual_gauss_profile(gauss_model):
     assert max_reproduction_residual(gauss_model) > 1e-2
     with pytest.raises(IndexError):
         reproduction_residual(gauss_model, an_index=10**9)
+
+
+@pytest.mark.parametrize("g0_seed", [None, 11])
+def test_max_reproduction_residual_is_oracle_max_over_nodes(gauss_model, g0_seed):
+    g0 = None if g0_seed is None else random_function(gauss_model.K, g0_seed)
+    oracle = max(
+        reproduction_residual(gauss_model, g0=g0, an_index=k) for k in range(gauss_model.n_an)
+    )
+    assert abs(max_reproduction_residual(gauss_model, g0=g0) - oracle) <= 1e-15 * oracle
 
 
 def test_lifted_family_csv_export(gauss_model, k_catalog, tmp_path):

@@ -208,6 +208,11 @@ def test_hs_inner_polarization(full_family):
 def test_hs_inner_structure_mismatch(rl_family, full_family):
     with pytest.raises(ValueError):
         hs_inner(zero_sequence(rl_family), zero_sequence(full_family))
+    # same labels, different block sizes: a (1, 1) block would broadcast silently
+    one = MatrixSequence(labels=("x",), matrices={"x": np.ones((1, 1))})
+    two = MatrixSequence(labels=("x",), matrices={"x": np.ones((2, 2))})
+    with pytest.raises(ValueError):
+        hs_inner(one, two)
 
 
 def test_matrix_sequence_norm_recomputed_entrywise(full_family):

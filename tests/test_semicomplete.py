@@ -7,6 +7,9 @@ from grouplab.groups import circle_group, cyclic_group
 from grouplab.hilbert import (
     ExpansionWeights,
     L2Function,
+    coefficients,
+    diag_reciprocal_weights,
+    expand,
     inner,
     project,
     random_function,
@@ -171,6 +174,19 @@ def test_semi_fourier_weight_distortion(sym3_catalog):
     f = fam.member(0, 0, 0)
     g = semi_fourier_expand(f, fam, ExpansionWeights(gamma, beta))
     assert (g - 2.0 * f).norm() < 1e-10
+
+
+def test_semi_fourier_weights_match_longhand_loop(sym3, sym3_catalog):
+    # member (i, j) of every block is weighted by gamma[j] * beta[i, j]; the
+    # weights are wider than the largest block, so only their leading corner is used
+    fam = peter_weyl_basis(sym3_catalog)
+    w = diag_reciprocal_weights(3, 5)
+    f = random_function(sym3, 8)
+    scale = [
+        w.gamma[j] * w.beta[i, j] for b in fam.blocks for i in range(b.size) for j in range(b.size)
+    ]
+    want = expand(coefficients(f, fam) * np.array(scale), fam)
+    assert np.array_equal(semi_fourier_expand(f, fam, w).values, want.values)
 
 
 def test_semi_fourier_dimension_mismatch(sym3_catalog):
