@@ -424,7 +424,8 @@ def coefficient_grid_columns(cat: RepCatalog, label_key: str):
     Rows run node-major, then i, then j.
     """
     grid = cat.grids[label_key]
-    return (*np.indices(grid.shape).reshape(3, -1), grid.real.reshape(-1), grid.imag.reshape(-1))
+    index = np.indices(grid.shape, dtype=np.int32).reshape(3, -1)
+    return (*index, grid.real.reshape(-1), grid.imag.reshape(-1))
 
 
 def _sample_columns(values: np.ndarray):
@@ -503,9 +504,13 @@ def _read_csv_rows(path: Path, n_cols: int):
 
 
 def lifted_family_to_csv(lifted, path: str | Path) -> None:
-    """Export lifted members over the K x AN product grid (member,node,re,im)."""
+    """Export lifted members over the K x AN product grid (member,node,re,im).
+
+    Each member's product values are formed and written one member at a time.
+    """
     ids = _member_ids(lifted.source)
-    write_csv(path, ["member", "node", "re", "im"], _labelled_samples(ids, lifted.members))
+    rows = (lifted.product_values(m) for m in range(len(lifted.members)))
+    write_csv(path, ["member", "node", "re", "im"], _labelled_samples(ids, rows))
 
 
 def _member_ids(family: OrthonormalFamily) -> list[str]:

@@ -27,7 +27,7 @@ def gram_tol(group: GroupModel) -> float:
 
 @dataclass(eq=False)
 class L2Function:
-    """An element of L2(G): complex values on the quadrature grid."""
+    """An element of L2(G): finite complex values on the quadrature grid."""
 
     group: GroupModel
     values: np.ndarray
@@ -38,6 +38,8 @@ class L2Function:
             raise ValueError(
                 f"function needs {self.group.n_nodes} node values, got {self.values.shape}"
             )
+        if not np.isfinite(self.values).all():
+            raise ValueError("function values must be finite (no NaN or infinity)")
 
     def norm_sq(self) -> float:
         return float(np.dot(self.group.weights, np.abs(self.values) ** 2))

@@ -10,7 +10,12 @@ profile f on the AN grid satisfies
        by rescaling the product weights.
 
 Lifted members chi(k, an) = exp(f(an)) * xi(k) then restrict to xi on K
-bitwise and inherit the Gram matrix of xi.
+bitwise and inherit the Gram matrix of xi.  Each member is a rank-one
+product, so a ``LiftedFamily`` keeps its two factors, the K factor xi and the
+AN envelope exp(f), and never the members x (n_K * n_AN) product matrix:
+memory is O(members * n_K + n_AN).  The Gram matrix factors as
+Gram(xi) * sum_an w_an |exp f(an)|^2, and dense product values exist only
+one member at a time (``LiftedFamily.product_values``).
 
 The pointwise reproduction identity that would force exp(f) == 1 everywhere
 is not enforced; ``reproduction_residual`` measures it for separable
@@ -108,7 +113,12 @@ def make_iwasawa_model(
             raise ValueError(f"gauss profile needs sigma > 0, got {sigma}")
         raw = (-(aa**2 + nn**2) / (4.0 * sigma * sigma)).reshape(-1).astype(np.complex128)
     elif head == "table":
-        table = np.loadtxt(rest, dtype=float, ndmin=2)
+        try:
+            table = np.loadtxt(rest, dtype=float, ndmin=2)
+        except OSError as exc:
+            raise ValueError(
+                f"cannot read profile table {rest!r}: {exc.strerror or type(exc).__name__}"
+            ) from exc
         if table.shape != (a_size, n_size):
             raise ValueError(
                 f"profile table shape {table.shape} does not match grid ({a_size}, {n_size})"
@@ -134,27 +144,36 @@ def make_iwasawa_model(
 
 @dataclass(eq=False)
 class LiftedFamily:
-    """Functions chi(k, an) = exp(f(an)) xi(k) on the K x AN product grid.
+    """Functions chi(k, an) = exp(f(an)) xi(k) on the K x AN product grid,
+    stored as their two factors.
 
-    Product nodes are ordered K-major: flat index = k * n_an + an.
+    ``members`` is the (n_members, nK) K factor, the source family's own
+    member matrix, and ``envelope`` = exp(profile) the (nAN,) AN factor.
+    Product nodes are ordered K-major: member m at flat node k * n_an + an
+    has the value members[m, k] * envelope[an].
     """
 
     model: IwasawaModel
     source: OrthonormalFamily
-    members: np.ndarray          # (n_members, nK * nAN)
-    weights: np.ndarray          # (nK * nAN,) product measure
+    members: np.ndarray          # (n_members, nK), the K factor xi
+    envelope: np.ndarray         # (nAN,), the AN factor exp(f)
 
     def gram_matrix(self) -> np.ndarray:
+        """Gram(xi) times the AN mass sum_an w_an |exp f(an)|^2."""
         from . import _kernels
 
-        return _kernels.gram(self.members, self.weights)
+        an_mass = float(np.dot(self.model.an_weights, np.abs(self.envelope) ** 2))
+        return _kernels.gram(self.members, self.model.K.weights) * an_mass
+
+    def product_values(self, m: int) -> np.ndarray:
+        """Member m over the whole product grid, (nK * nAN,) in K-major order."""
+        return np.outer(self.members[m], self.envelope).reshape(-1)
 
     def restrict_to_k(self) -> OrthonormalFamily:
         """The family of restrictions chi(., identity AN node) on K."""
-        n_an = self.model.n_an
-        values = self.members[:, self.model.id_index :: n_an]
+        values = self.members * self.envelope[self.model.id_index]
         return OrthonormalFamily(
-            group=self.model.K, blocks=self.source.blocks, members=values.copy()
+            group=self.model.K, blocks=self.source.blocks, members=values
         )
 
 
@@ -164,12 +183,9 @@ def lift_family(model: IwasawaModel, xi: OrthonormalFamily) -> LiftedFamily:
         raise ValueError(
             f"family lives on {xi.group.name}, model K factor is {model.K.name}"
         )
-    envelope = np.exp(model.profile)                     # (nAN,)
-    members = (xi.members[:, :, None] * envelope[None, None, :]).reshape(
-        xi.n_members, -1
+    return LiftedFamily(
+        model=model, source=xi, members=xi.members, envelope=np.exp(model.profile)
     )
-    weights = (xi.group.weights[:, None] * model.an_weights[None, :]).reshape(-1)
-    return LiftedFamily(model=model, source=xi, members=members, weights=weights)
 
 
 def check_K_semicomplete(
@@ -217,10 +233,14 @@ def reproduction_residual(
 
 
 def max_reproduction_residual(model: IwasawaModel, g0: L2Function | None = None) -> float:
-    """Largest ``reproduction_residual`` over all reference AN nodes, which
-    enter only through exp(f(a1 n1)): one broadcast over the AN grid."""
+    """Largest ``reproduction_residual`` over all reference AN nodes.
+
+    The reference node enters only through the factor mass * exp(f(a1 n1)),
+    and |g0(k) * factor - g0(k)| = |g0(k)| * |factor - 1|, so the maximum
+    over the K x AN grid is a product of two maxima: O(nK + nAN) memory.
+    """
     if g0 is None:
         g0 = L2Function(model.K, np.ones(model.K.n_nodes, dtype=np.complex128))
     mass = np.dot(model.an_weights, np.exp(model.profile + np.conj(model.profile)))
     factors = mass * np.exp(model.profile)                       # (nAN,)
-    return float(np.max(np.abs(g0.values * factors[:, None] - g0.values)))
+    return float(np.max(np.abs(g0.values)) * np.max(np.abs(factors - 1.0)))

@@ -230,6 +230,22 @@ def test_cmd_lift_malformed_range_exit2(tmp_path):
     assert main(["lift", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+def test_cmd_lift_missing_profile_table_exit2(tmp_path, capsys):
+    missing = tmp_path / "absent" / "p.txt"
+    cfg = write_config(
+        tmp_path,
+        iwasawa={
+            "K": "circle:16",
+            "A": {"range": [-1, 1], "nodes": 4},
+            "N": {"range": [-1, 1], "nodes": 4},
+            "profile": f"table:{missing}",
+        },
+    )
+    assert main(["lift", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not (tmp_path / "exp_lift.json").exists()
+
+
 def test_missing_config_exit2(tmp_path):
     assert main(["catalog", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -624,6 +640,7 @@ def test_cmd_lift_computes_each_gram_matrix_once(tmp_path, monkeypatch):
         },
     )
     assert main(["lift", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    # one Gram of xi (the family check, reused for gram_residual), one of the lift
-    assert calls == [(7, 16), (7, 16 * 16)]
+    # one Gram of xi (the family check, reused for gram_residual), one of the
+    # lift's K factor, which the lift scales by its AN mass
+    assert calls == [(7, 16), (7, 16)]
     assert json.loads((tmp_path / "exp_lift.json").read_text())["gram_residual"] < 1e-10

@@ -218,6 +218,14 @@ def test_expansion_weights_validation():
     assert np.all(r.gamma != 0) and np.all(r.beta != 0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_l2_function_rejects_non_finite(sym3, bad):
+    values = np.ones(6, dtype=np.complex128)
+    values[4] = bad
+    with pytest.raises(ValueError, match="finite"):
+        L2Function(sym3, values)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_expansion_weights_reject_non_finite(bad):
     with pytest.raises(ValueError, match="finite"):

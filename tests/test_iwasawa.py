@@ -1,7 +1,12 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from grouplab import _kernels
 from grouplab.catalog import build_catalog, peter_weyl_basis
+from grouplab.config import _labelled_samples, _member_ids, lifted_family_to_csv, write_csv
 from grouplab.groups import circle_group
 from grouplab.hilbert import L2Function, random_function, unit_weights
 from grouplab.iwasawa import (
@@ -185,8 +190,6 @@ def test_max_reproduction_residual_is_oracle_max_over_nodes(gauss_model, g0_seed
 
 
 def test_lifted_family_csv_export(gauss_model, k_catalog, tmp_path):
-    from grouplab.config import lifted_family_to_csv
-
     xi = peter_weyl_basis(k_catalog)
     lifted = lift_family(gauss_model, xi)
     path = tmp_path / "lifted.csv"
@@ -198,4 +201,68 @@ def test_lifted_family_csv_export(gauss_model, k_catalog, tmp_path):
     first = lines[1].split(",")
     assert first[0] == "member:m:0[0][0]"
     got = complex(float(first[2]), float(first[3]))
-    assert abs(got - lifted.members[0, 0]) < 1e-15
+    assert abs(got - lifted.members[0, 0] * lifted.envelope[0]) < 1e-15
+
+
+def _dense_lift(model, xi):
+    """The lift as a dense members x (nK * nAN) matrix and its product measure."""
+    envelope = np.exp(model.profile)
+    members = (xi.members[:, :, None] * envelope[None, None, :]).reshape(xi.n_members, -1)
+    weights = (xi.group.weights[:, None] * model.an_weights[None, :]).reshape(-1)
+    return members, weights
+
+
+@pytest.mark.parametrize("k_spec,an_size", [("circle:16", 4), ("circle:64", 32)])
+def test_factored_lift_matches_dense_oracle(k_spec, an_size, tmp_path):
+    model = make_iwasawa_model(
+        k_spec, (-2.0, 2.0), (-1.5, 1.5), an_size, an_size, profile="gauss:sigma=0.7"
+    )
+    xi = peter_weyl_basis(build_catalog(model.K, truncation=3))
+    lifted = lift_family(model, xi)
+    assert lifted.members is xi.members
+    dense, weights = _dense_lift(model, xi)
+
+    gram = lifted.gram_matrix()
+    assert np.max(np.abs(gram - _kernels.gram(dense, weights))) < 1e-14
+    restricted = lifted.restrict_to_k()
+    assert np.array_equal(restricted.members, dense[:, model.id_index :: model.n_an])
+    for m in range(xi.n_members):
+        assert np.array_equal(lifted.product_values(m), dense[m])
+
+    factored_csv, dense_csv = tmp_path / "factored.csv", tmp_path / "dense.csv"
+    lifted_family_to_csv(lifted, factored_csv)
+    write_csv(dense_csv, ["member", "node", "re", "im"], _labelled_samples(_member_ids(xi), dense))
+    assert factored_csv.read_bytes() == dense_csv.read_bytes()
+
+
+def test_misnormalised_profile_breaks_gram_residual(gauss_model, k_catalog):
+    broken = dataclasses.replace(gauss_model, an_weights=gauss_model.an_weights * 1.01)
+    xi = peter_weyl_basis(k_catalog)
+    lifted = lift_family(broken, xi)
+    gram = lifted.gram_matrix()
+    assert np.max(np.abs(gram - xi.gram_matrix())) > 1e-3          # gram_residual
+    assert np.max(np.abs(np.diag(gram) - 1.0)) > 1e-3              # norm_residual
+    dense, weights = _dense_lift(broken, xi)
+    assert np.max(np.abs(gram - _kernels.gram(dense, weights))) < 1e-12
+
+
+def test_lift_memory_bounded_by_factors():
+    # the dense member matrix would be 33 x (256 * 65536) complex values, about 8.9 GB
+    tracemalloc.start()
+    try:
+        model = make_iwasawa_model(
+            "circle:256", (-2.0, 2.0), (-2.0, 2.0), 256, 256, profile="gauss:sigma=0.7"
+        )
+        xi = peter_weyl_basis(build_catalog(model.K, truncation=16))
+        lifted = lift_family(model, xi)
+        gram = lifted.gram_matrix()
+        restricted = lifted.restrict_to_k()
+        residual = max_reproduction_residual(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert xi.n_members == 33
+    assert np.max(np.abs(gram - xi.gram_matrix())) < 1e-9
+    assert np.array_equal(restricted.members, xi.members)
+    assert residual > 1e-2
+    assert peak < 64 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MB"
