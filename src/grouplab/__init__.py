@@ -10,7 +10,7 @@ space, and lifts of circle families to a truncated K*A*N model.
 
 from ._kernels import backend_name
 from .catalog import IrrepLabel, RepCatalog, build_catalog, matrix_coefficient, peter_weyl_basis
-from .fourier import block_project, fourier_transform, synthesize
+from .fourier import fourier_transform, synthesize
 from .groups import (
     GroupModel,
     circle_group,

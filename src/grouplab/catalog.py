@@ -269,18 +269,13 @@ def _bound_in_steps(truncation, group: GroupModel, per_unit: int) -> int:
     return int(per_unit * bound)
 
 
-def build_catalog(
-    group: GroupModel,
-    truncation: float | None = None,
-    max_count: int | None = None,
-) -> RepCatalog:
+def build_catalog(group: GroupModel, truncation: float | None = None) -> RepCatalog:
     """Enumerate irreps with magnitude <= truncation (complete for finite groups).
 
     ``truncation`` is the maximum magnitude (circle frequency bound M, an
     integer; SU(2) spin bound jmax, a half-integer); it defaults to, and may
     not exceed, the group's quadrature capacity.  Finite groups always get
-    their complete dual and ignore ``truncation``.  ``max_count`` optionally
-    trims the ordered list.
+    their complete dual and ignore ``truncation``.
     """
     if group.kind == "finite":
         grids = _finite_irreps(group.table)
@@ -325,8 +320,4 @@ def build_catalog(
             cache[lab.key] = grid
     else:
         raise ValueError(f"unsupported group kind {group.kind!r}")
-
-    if max_count is not None:
-        labels = labels[:max_count]
-        cache = {lab.key: cache[lab.key] for lab in labels}
     return RepCatalog(group=group, labels=tuple(labels), grids=cache)

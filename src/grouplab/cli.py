@@ -71,7 +71,7 @@ def cmd_catalog(cfg: ExperimentConfig) -> int:
             cfgmod.write_csv(
                 cfg.out_dir / f"{cfg.name}_coeffs_{safe}.csv",
                 ["node", "i", "j", "re", "im"],
-                [cfgmod.coefficient_grid_columns(cat, lab.key)],
+                cfgmod.coefficient_grid_columns(cat, lab.key),
             )
     return 0
 

@@ -4,6 +4,9 @@ Configs are a single JSON document.  All text outputs are deterministic for a
 fixed config: CSV uses 17-significant-digit floats, '.' decimal separator,
 ',' field separator and '\\n' line endings; JSON is written with sorted keys;
 files are written atomically (temp file + rename).
+
+Weights, function and test-set specs follow the grammar of ``spec.py``, which
+also defines ``ConfigError`` (re-exported here).
 """
 from __future__ import annotations
 
@@ -30,10 +33,7 @@ from .hilbert import (
     unit_weights,
 )
 from .semicomplete import SemicompletenessReport, validate_weights
-
-
-class ConfigError(ValueError):
-    """Malformed configuration or unreadable referenced path (CLI exit 2)."""
+from .spec import ConfigError, parse_params, split_spec
 
 
 class InvariantBreach(RuntimeError):
@@ -100,15 +100,6 @@ def _require_positive(value, what: str) -> None:
         value is None or (_is_finite(value) and value > 0),
         f"{what} must be a finite positive number, got {value!r}",
     )
-
-
-def _parse_kv(rest: str, what: str) -> dict[str, str]:
-    out = {}
-    for part in filter(None, (p.strip() for p in rest.split(","))):
-        key, sep, val = part.partition("=")
-        _require(bool(sep), f"malformed {what} parameter {part!r}")
-        out[key.strip().lower()] = val.strip()
-    return out
 
 
 def load_config(
@@ -212,17 +203,12 @@ def build_weights(spec, n: int, seed_override: int | None = None) -> ExpansionWe
     """Parse a weights spec: 'unit' | 'diag-reciprocal:seed=S' | 'table:PATH'."""
     if isinstance(spec, ExpansionWeights):
         return spec
-    _require(isinstance(spec, str), f"weights spec must be a string, got {type(spec)}")
-    head, _, rest = spec.strip().partition(":")
-    head = head.lower()
+    head, rest = split_spec(spec)
     if head == "unit":
+        parse_params(rest, "unit weights")
         return unit_weights(n)
     if head == "diag-reciprocal":
-        params = _parse_kv(rest, "weights")
-        try:
-            seed = int(params.get("seed", "0"))
-        except ValueError as exc:
-            raise ConfigError(f"bad weights seed {params.get('seed')!r}") from exc
+        seed = parse_params(rest, "weights", seed=int).get("seed", 0)
         if seed_override is not None:
             seed = seed_override
         return diag_reciprocal_weights(n, seed)
@@ -266,24 +252,15 @@ def build_function(
     Forms: 'random:seed=S', 'member:block=B,i=I,j=J' (B is a block index or
     label), 'samples:PATH' (CSV with node,re,im rows).
     """
-    head, _, rest = spec.strip().partition(":")
-    head = head.lower()
+    head, rest = split_spec(spec)
     if head == "random":
-        params = _parse_kv(rest, "function")
-        try:
-            seed = int(params.get("seed", "0"))
-        except ValueError as exc:
-            raise ConfigError(f"bad function seed {params.get('seed')!r}") from exc
+        seed = parse_params(rest, "function", seed=int).get("seed", 0)
         return f"random:{seed}", random_function(group, seed)
     if head == "member":
         _require(family is not None, "member function spec needs a family in context")
-        params = _parse_kv(rest, "function")
-        try:
-            i = int(params["i"])
-            j = int(params["j"])
-            blk = params["block"]
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"malformed member spec {spec!r}") from exc
+        params = parse_params(rest, "member function", block=str, i=int, j=int)
+        _require(len(params) == 3, f"member spec {spec!r} needs block, i and j")
+        blk, i, j = params["block"], params["i"], params["j"]
         block_index = None
         if blk.isdigit():
             block_index = int(blk)
@@ -322,22 +299,17 @@ def build_test_set(
             ids.append(fid)
             fns.append(f)
         return ids, fns, f"list:{len(spec)}"
-    _require(isinstance(spec, str), f"test_set spec must be a string or list, got {type(spec)}")
-    head, _, rest = spec.strip().partition(":")
-    head = head.lower()
+    head, rest = split_spec(spec)
     if head == "random":
-        params = _parse_kv(rest, "test set")
-        try:
-            count = int(params.get("count", "16"))
-            seed = int(params.get("seed", "0"))
-        except ValueError as exc:
-            raise ConfigError(f"malformed test set spec {spec!r}") from exc
+        params = parse_params(rest, "test set", count=int, seed=int)
+        count, seed = params.get("count", 16), params.get("seed", 0)
         _require(count >= 0, "test set count must be nonnegative")
         if seed_override is not None:
             seed = seed_override
         ids = [f"random:{k}" for k in range(count)]
         return ids, random_functions(group, seed, count), f"random:count={count},seed={seed}"
     if head == "members":
+        parse_params(rest, "members test set")
         _require(family is not None, "'members' test set needs a family in context")
         fns = [family.member_flat(k) for k in range(family.n_members)]
         return _member_ids(family), fns, "members"
@@ -419,13 +391,18 @@ def catalog_json_obj(cat: RepCatalog) -> dict:
 
 
 def coefficient_grid_columns(cat: RepCatalog, label_key: str):
-    """CSV columns (node, i, j, re, im) of one label's cached coefficient grid.
+    """CSV blocks (node, i, j, re, im) of one label's cached coefficient grid.
 
-    Rows run node-major, then i, then j.
+    Rows run node-major, then i, then j; each block is a slab of whole nodes,
+    about ``CSV_CHUNK_ROWS`` rows, so no column is built for the whole grid.
     """
     grid = cat.grids[label_key]
-    index = np.indices(grid.shape, dtype=np.int32).reshape(3, -1)
-    return (*index, grid.real.reshape(-1), grid.imag.reshape(-1))
+    n, d, _ = grid.shape
+    step = max(1, CSV_CHUNK_ROWS // (d * d))
+    for start in range(0, n, step):
+        slab = grid[start:start + step]
+        node, i, j = np.indices(slab.shape, dtype=np.int32).reshape(3, -1)
+        yield node + start, i, j, slab.real.reshape(-1), slab.imag.reshape(-1)
 
 
 def _sample_columns(values: np.ndarray):

@@ -1,4 +1,4 @@
-"""Fourier transform to the Peter-Weyl matrix sequence, synthesis, block projections.
+"""Fourier transform to the Peter-Weyl matrix sequence and synthesis.
 
 The transform of f is the L2(A) coefficient transform against the Peter-Weyl
 family {sqrt(d) u_ij}: a ``MatrixSequence`` keyed by catalog label with
@@ -8,7 +8,8 @@ Plancherel sum is the plain ``norm_sq`` of the sequence and ``hs_inner`` of two
 transforms is the L2 inner product of the functions.  Synthesis weights each
 block by sqrt(d), so on a finite group with the complete catalog the round
 trip is the identity, and on a truncated continuous catalog it is the
-band-limited projection.
+band-limited projection.  The row-block projections H_i of f are
+``parseval.block_decompose(f, peter_weyl_basis(cat))``.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import math
 import numpy as np
 
 from . import _kernels
-from .catalog import IrrepLabel, RepCatalog
+from .catalog import RepCatalog
 from .groups import require_same_group
 from .hilbert import L2Function
 from .parseval import MatrixSequence, require_structure
@@ -49,19 +50,6 @@ def synthesize(seq: MatrixSequence, cat: RepCatalog) -> L2Function:
         grid = cat.grids[key].reshape(cat.group.n_nodes, d * d).T
         out += _kernels.combine(math.sqrt(d) * seq.matrices[key].reshape(d * d), grid)
     return L2Function(cat.group, out)
-
-
-def block_project(f: L2Function, cat: RepCatalog, label: IrrepLabel, i: int) -> L2Function:
-    """Orthogonal projection of f onto span{u_ij : j} for row i of one label."""
-    require_same_group(f.group, cat.group)
-    d = label.degree
-    if not (0 <= i < d):
-        raise IndexError(f"row {i} out of range for degree {d}")
-    grid = cat.grids[label.key]           # (n_nodes, d, d)
-    row = np.ascontiguousarray(grid[:, i, :].T)   # (d, n_nodes): u_ij for j = 0..d-1
-    w = cat.group.weights
-    coeffs = _kernels.coefficients_against(row, w, f.values)
-    return L2Function(cat.group, _kernels.combine(d * coeffs, row))
 
 
 def inversion_defect(f: L2Function, cat: RepCatalog) -> float:

@@ -13,7 +13,8 @@ Three families are supported:
   coefficients up to the stored spin capacity.
 
 Weights are always stored explicitly and sum to 1, so every L2 inner product
-downstream is a plain weighted dot product over the node grid.
+downstream is a plain weighted dot product over the node grid.  ``make_group``
+reads these spec strings with the grammar of ``spec.py``.
 """
 from __future__ import annotations
 
@@ -22,6 +23,8 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
+
+from .spec import ConfigError, parse_params, parse_value, split_spec
 
 TWO_PI = 2.0 * math.pi
 
@@ -234,44 +237,18 @@ def make_group(spec: str) -> GroupModel:
     """Build a group from a spec string.
 
     Accepted forms: ``zn:N``, ``dihedral:N``, ``sym:N``, ``circle:N``,
-    ``su2:j=J[,quad=Q]``.
+    ``su2:j=J[,quad=Q]``; ``spec.py`` holds the grammar.
     """
-    spec = spec.strip()
-    head, sep, rest = spec.partition(":")
-    if not sep:
-        raise ValueError(f"unsupported group spec {spec!r}")
-    head = head.lower()
-    try:
-        if head == "zn":
-            return cyclic_group(int(rest))
-        if head == "dihedral":
-            return dihedral_group(int(rest))
-        if head == "sym":
-            return symmetric_group(int(rest))
-        if head == "circle":
-            return circle_group(int(rest))
-        if head == "su2":
-            jmax = None
-            quad = None
-            for part in rest.split(","):
-                key, psep, val = part.partition("=")
-                if not psep:
-                    raise ValueError(f"malformed su2 parameter {part!r}")
-                key = key.strip().lower()
-                if key == "j":
-                    jmax = float(val)
-                elif key == "quad":
-                    quad = int(val)
-                else:
-                    raise ValueError(f"unknown su2 parameter {key!r}")
-            if jmax is None:
-                raise ValueError("su2 spec needs j=<spin>")
-            return su2_group(jmax, quad)
-    except ValueError:
-        raise
-    except Exception as exc:
-        raise ValueError(f"unsupported group spec {spec!r}: {exc}") from exc
-    raise ValueError(f"unsupported group spec {spec!r}")
+    head, rest = split_spec(spec)
+    sized = dict(zn=cyclic_group, dihedral=dihedral_group, sym=symmetric_group, circle=circle_group)
+    if head in sized:
+        return sized[head](parse_value(rest, int, f"{head} size"))
+    if head != "su2":
+        raise ConfigError(f"unsupported group spec {spec!r}")
+    params = parse_params(rest, "su2", j=float, quad=int)
+    if "j" not in params:
+        raise ConfigError("su2 spec needs j=<spin>")
+    return su2_group(params["j"], params.get("quad"))
 
 
 def haar_integrate(group: GroupModel, phi) -> complex:

@@ -20,6 +20,9 @@ one member at a time (``LiftedFamily.product_values``).
 The pointwise reproduction identity that would force exp(f) == 1 everywhere
 is not enforced; ``reproduction_residual`` measures it for separable
 functions instead.
+
+The K factor spec and the profile spec (``uniform``, ``gauss:sigma=S``,
+``table:PATH``) are read with the grammar of ``spec.py``.
 """
 from __future__ import annotations
 
@@ -36,6 +39,7 @@ from .hilbert import (
     OrthonormalFamily,
 )
 from .semicomplete import SemicompletenessReport, semicompleteness_defect
+from .spec import parse_params, split_spec
 
 
 @dataclass(eq=False)
@@ -98,17 +102,12 @@ def make_iwasawa_model(
     id_index = int(np.argmin(aa.reshape(-1) ** 2 + nn.reshape(-1) ** 2))
 
     name = profile.strip()
-    head, _, rest = name.partition(":")
-    head = head.lower()
+    head, rest = split_spec(name)
     if head == "uniform":
+        parse_params(rest, "uniform profile")
         raw = np.zeros(a_size * n_size, dtype=np.complex128)
     elif head == "gauss":
-        sigma = 1.0
-        for part in filter(None, rest.split(",")):
-            key, sep, val = part.partition("=")
-            if not sep or key.strip().lower() != "sigma":
-                raise ValueError(f"malformed gauss profile parameter {part!r}")
-            sigma = float(val)
+        sigma = parse_params(rest, "gauss profile", sigma=float).get("sigma", 1.0)
         if sigma <= 0:
             raise ValueError(f"gauss profile needs sigma > 0, got {sigma}")
         raw = (-(aa**2 + nn**2) / (4.0 * sigma * sigma)).reshape(-1).astype(np.complex128)

@@ -1,0 +1,54 @@
+"""The one grammar of ``head[:rest]`` spec strings: groups, lift profiles,
+weights, test functions and test sets.
+
+The head is case-insensitive.  A head with parameters reads its rest as
+comma-separated ``key=value`` parts with case-insensitive keys, each value
+converted by the type the head declares for its key.  Empty parts are
+skipped; an unknown key, a part without ``=`` or a bad value is a
+``ConfigError``.
+"""
+from __future__ import annotations
+
+import math
+
+
+class ConfigError(ValueError):
+    """Malformed configuration or unreadable referenced path (CLI exit 2)."""
+
+
+def split_spec(spec: str) -> tuple[str, str]:
+    """``(head, rest)`` of ``head[:rest]``: the head lower-cased, the rest stripped."""
+    if not isinstance(spec, str):
+        raise ConfigError(f"a spec must be a string, got {spec!r}")
+    head, _, rest = spec.strip().partition(":")
+    return head.lower(), rest.strip()
+
+
+def parse_value(text: str, kind, what: str):
+    """``kind(text)``; a failed conversion or a non-finite float is a ConfigError."""
+    try:
+        value = kind(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad {what} {text!r}") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"bad {what} {text!r}: not finite")
+    return value
+
+
+def parse_params(rest: str, what: str, **types) -> dict:
+    """The ``key=value`` parts of ``rest``, each converted by ``types[key]``.
+
+    Only the keys present are returned; the caller supplies defaults.  With no
+    ``types`` the head takes no parameters and any part is an error.
+    """
+    params = {}
+    for part in filter(None, (p.strip() for p in rest.split(","))):
+        key, sep, value = part.partition("=")
+        key = key.strip().lower()
+        if not sep:
+            raise ConfigError(f"malformed {what} parameter {part!r}")
+        if key not in types:
+            known = ", ".join(sorted(types)) or "none"
+            raise ConfigError(f"unknown {what} parameter {key!r} (accepted: {known})")
+        params[key] = parse_value(value.strip(), types[key], f"{what} {key}")
+    return params

@@ -23,8 +23,9 @@ from grouplab.hilbert import (
     random_function,
 )
 from grouplab.iwasawa import lift_family, make_iwasawa_model
-from grouplab.fourier import block_project, fourier_transform, synthesize
+from grouplab.fourier import fourier_transform, synthesize
 from grouplab.parseval import (
+    block_decompose,
     isometry_defect,
     inverse_H,
     membership,
@@ -185,10 +186,10 @@ def test_criterion_7_block_decomposition():
             group = make_group(spec)
             cat = build_catalog(group, truncation=trunc)
             fam = peter_weyl_basis(cat)
-            pairs = [(lab, i) for lab in cat.labels for i in range(lab.degree)]
             for seed in range(50):
                 f = random_function(group, seed)
-                parts = [block_project(f, cat, lab, i) for lab, i in pairs]
+                parts = [p for _, _, p in block_decompose(f, fam)]
+                assert len(parts) == sum(lab.degree for lab in cat.labels), spec
                 total = L2Function(group, np.zeros(group.n_nodes))
                 for p in parts:
                     total = total + p

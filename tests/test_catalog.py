@@ -241,8 +241,3 @@ def test_peter_weyl_gram_circle64():
     fam = peter_weyl_basis(cat)
     assert fam.n_members == 11
     assert fam.gram_defect() < 1e-12
-
-
-def test_max_count_trims_catalog():
-    cat = build_catalog(circle_group(32), truncation=5, max_count=3)
-    assert len(cat.labels) == 3

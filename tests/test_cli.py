@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from grouplab import config as cfgmod
 from grouplab.cli import main
 from grouplab.config import (
     ConfigError,
@@ -581,6 +582,18 @@ def test_cmd_catalog_dump_bytes_match_per_row_format(tmp_path):
         )
         path = tmp_path / f"exp_coeffs_{lab.key.replace(':', '-')}.csv"
         assert path.read_bytes() == _per_row_bytes(["node", "i", "j", "re", "im"], rows)
+
+
+def test_coefficient_grid_columns_stream_node_slabs(monkeypatch):
+    # 20 rows per chunk hold two whole j=1 nodes (9 rows each); 75 nodes leave a remainder
+    monkeypatch.setattr(cfgmod, "CSV_CHUNK_ROWS", 20)
+    cat = build_catalog(make_group("su2:j=1"))
+    grid = cat.grids["j:1"]
+    blocks = list(cfgmod.coefficient_grid_columns(cat, "j:1"))
+    assert [len(b[0]) for b in blocks] == [18] * 37 + [9]
+    whole = (*np.indices(grid.shape).reshape(3, -1), grid.real.reshape(-1), grid.imag.reshape(-1))
+    for got, want in zip(zip(*blocks), whole):
+        assert np.array_equal(np.concatenate(got), want)
 
 
 @pytest.mark.parametrize(

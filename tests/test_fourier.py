@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from grouplab.catalog import build_catalog, peter_weyl_basis
-from grouplab.fourier import block_project, fourier_transform, inversion_defect, synthesize
+from grouplab.fourier import fourier_transform, inversion_defect, synthesize
 from grouplab.groups import circle_group, cyclic_group, make_group
 from grouplab.hilbert import L2Function, coefficients, expand, inner, random_function
-from grouplab.parseval import hs_inner, transform_H
+from grouplab.parseval import block_decompose, hs_inner, transform_H
 
 
 def test_constant_function_hits_only_trivial_block(sym3, sym3_catalog):
@@ -103,42 +103,37 @@ def test_transform_linearity(sym3, sym3_catalog):
         assert np.max(np.abs(lhs.matrices[lab.key] - want)) < 1e-10
 
 
+def _row_projections(f, cat):
+    """Row-block projections H_i of f against the Peter-Weyl family, by (label, i)."""
+    parts = block_decompose(f, peter_weyl_basis(cat))
+    assert [(key, i) for key, i, _ in parts] == [
+        (lab.key, i) for lab in cat.labels for i in range(lab.degree)
+    ]
+    return {(key, i): p for key, i, p in parts}
+
+
 def test_block_project_fixes_own_row(sym3, sym3_catalog):
-    lab = sym3_catalog.label_by_key("irrep:2")
-    f = L2Function(sym3, sym3_catalog.grids[lab.key][:, 0, 0])
-    p = block_project(f, sym3_catalog, lab, 0)
-    assert (p - f).norm() < 1e-12
-    q = block_project(f, sym3_catalog, lab, 1)
-    assert q.norm() < 1e-12
+    f = L2Function(sym3, sym3_catalog.grids["irrep:2"][:, 0, 0])
+    parts = _row_projections(f, sym3_catalog)
+    assert (parts["irrep:2", 0] - f).norm() < 1e-12
+    assert parts["irrep:2", 1].norm() < 1e-12
 
 
 def test_block_project_sums_to_identity(sym3, sym3_catalog):
     for seed in range(10):
         f = random_function(sym3, seed)
         total = L2Function(sym3, np.zeros(6))
-        for lab in sym3_catalog.labels:
-            for i in range(lab.degree):
-                total = total + block_project(f, sym3_catalog, lab, i)
+        for p in _row_projections(f, sym3_catalog).values():
+            total = total + p
         assert (total - f).norm() < 1e-10
 
 
 def test_block_projections_mutually_orthogonal(sym3, sym3_catalog):
-    f = random_function(sym3, 31)
-    parts = [
-        (lab.key, i, block_project(f, sym3_catalog, lab, i))
-        for lab in sym3_catalog.labels
-        for i in range(lab.degree)
-    ]
-    for k1, i1, p1 in parts:
-        for k2, i2, p2 in parts:
-            if (k1, i1) != (k2, i2):
+    parts = _row_projections(random_function(sym3, 31), sym3_catalog)
+    for k1, p1 in parts.items():
+        for k2, p2 in parts.items():
+            if k1 != k2:
                 assert abs(inner(p1, p2)) < 1e-9
-
-
-def test_block_project_index_range(sym3, sym3_catalog):
-    lab = sym3_catalog.label_by_key("irrep:2")
-    with pytest.raises(IndexError):
-        block_project(random_function(sym3, 0), sym3_catalog, lab, 2)
 
 
 def test_synthesize_shape_mismatch(sym3_catalog):
