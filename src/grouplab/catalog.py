@@ -20,13 +20,18 @@ u_ij(g) as functions on the group:
   it is also the oracle for the beta nodes.
 
 Matrix coefficients are cached on the quadrature grid at build time; every
-downstream inner product is then a plain weighted dot product.
+downstream inner product is then a plain weighted dot product.  The cache is
+one read-only ``(sum d^2, n_nodes)`` store in member layout: the label at row
+offset o keeps u_ij at row o + i*d + j.  ``grids[key]`` is an
+``(n_nodes, d, d)`` view of a label's rows, and Peter-Weyl and omission
+families share the store where no sqrt(d) scaling or gather is needed, so an
+analysis run holds the coefficient grid once.
 """
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,11 +60,37 @@ class IrrepLabel:
 
 @dataclass(eq=False)
 class RepCatalog:
-    """Ordered irrep labels with matrix-coefficient grids cached per label."""
+    """Ordered irrep labels with their matrix coefficients on the grid, stored once.
+
+    ``store`` is the read-only (sum d^2, n_nodes) coefficient matrix; label
+    ``key`` owns rows ``offsets[key]`` to ``offsets[key] + d*d`` and
+    ``grids[key]`` is the same numbers as an (n_nodes, d, d) view.
+    """
 
     group: GroupModel
     labels: tuple[IrrepLabel, ...]
-    grids: dict[str, np.ndarray]   # key -> (n_nodes, d, d)
+    store: np.ndarray                      # (sum d^2, n_nodes), member layout
+    offsets: dict[str, int] = field(init=False)
+    grids: dict[str, np.ndarray] = field(init=False)   # key -> (n_nodes, d, d) view
+
+    def __post_init__(self):
+        n = self.group.n_nodes
+        rows = sum(lab.degree**2 for lab in self.labels)
+        if self.store.shape != (rows, n) or self.store.dtype != np.complex128:
+            raise ValueError(
+                f"coefficient store {self.store.dtype}{self.store.shape} does not match "
+                f"{rows} coefficients on {n} nodes"
+            )
+        self.store.flags.writeable = False
+        self.offsets, self.grids = {}, {}
+        for lab, offset, block in _label_rows(self.labels, self.store):
+            self.offsets[lab.key] = offset
+            self.grids[lab.key] = block.T.reshape(n, lab.degree, lab.degree)
+
+    def rows(self, key: str) -> np.ndarray:
+        """The (d*d, n_nodes) store rows of one label: u_ij at row i*d + j."""
+        d = self.grids[key].shape[1]
+        return self.store[self.offsets[key] : self.offsets[key] + d * d]
 
     def label_by_key(self, key: str) -> IrrepLabel:
         for lab in self.labels:
@@ -92,14 +123,29 @@ def peter_weyl_basis(cat: RepCatalog) -> OrthonormalFamily:
 
 
 def _sqrt_degree_family(cat: RepCatalog, labels) -> OrthonormalFamily:
-    """{sqrt(d) u_ij} over ``labels``: one block per label, member (i, j) at row i*d + j."""
-    blocks, rows, offset = [], [], 0
+    """{sqrt(d) u_ij} over ``labels``: one block per label, member (i, j) at row i*d + j.
+
+    Degree-1 labels on one contiguous run of store rows need neither scaling
+    nor a gather, so their members are a read-only view of the catalog store.
+    Any other family is gathered into one new array and scaled in place.
+    """
+    blocks, spans, offset = [], [], 0
     for lab in labels:
         d = lab.degree
         blocks.append(FamilyBlock(label=lab.key, size=d, offset=offset))
-        rows.append(math.sqrt(d) * cat.grids[lab.key].reshape(-1, d * d).T)
+        start = cat.offsets[lab.key]
+        spans.append((start, start + d * d))
         offset += d * d
-    members = np.vstack(rows) if rows else np.zeros((0, cat.group.n_nodes), np.complex128)
+    if not spans:
+        members = np.zeros((0, cat.group.n_nodes), np.complex128)
+    elif all(b.size == 1 for b in blocks) and all(
+        stop == start for (_, stop), (start, _) in zip(spans, spans[1:])
+    ):
+        members = cat.store[spans[0][0] : spans[-1][1]]
+    else:
+        members = np.concatenate([cat.store[start:stop] for start, stop in spans])
+        for b in blocks:
+            members[b.offset : b.offset + b.size**2] *= math.sqrt(b.size)
     return OrthonormalFamily(group=cat.group, blocks=tuple(blocks), members=members)
 
 
@@ -277,47 +323,62 @@ def build_catalog(group: GroupModel, truncation: float | None = None) -> RepCata
     not exceed, the group's quadrature capacity.  Finite groups always get
     their complete dual and ignore ``truncation``.
     """
+    n = group.n_nodes
     if group.kind == "finite":
         grids = _finite_irreps(group.table)
-        labels = []
-        cache = {}
-        for idx, grid in enumerate(grids):
-            lab = IrrepLabel(
-                kind="finite", payload=idx, degree=grid.shape[1], magnitude=float(idx)
-            )
-            labels.append(lab)
-            cache[lab.key] = grid
+        labels = [
+            IrrepLabel(kind="finite", payload=idx, degree=grid.shape[1], magnitude=float(idx))
+            for idx, grid in enumerate(grids)
+        ]
         if sum(l.degree**2 for l in labels) != group.order:
             raise RuntimeError(f"irrep dimension count failed for {group.name}")
+        store = _empty_store(labels, n)
+        for (_, _, rows), grid in zip(_label_rows(labels, store), grids):
+            rows[...] = grid.reshape(n, -1).T
     elif group.kind == "circle":
         m_max = _bound_in_steps(truncation, group, per_unit=1)
         ms = sorted(range(-m_max, m_max + 1), key=lambda m: (abs(m), m))
         labels = [
             IrrepLabel(kind="circle", payload=m, degree=1, magnitude=float(abs(m))) for m in ms
         ]
-        cache = {
-            lab.key: np.exp(1j * lab.payload * group.thetas).reshape(-1, 1, 1)
-            for lab in labels
-        }
+        store = _empty_store(labels, n)
+        for lab, _, rows in _label_rows(labels, store):
+            np.exp(1j * lab.payload * group.thetas, out=rows[0])
     elif group.kind == "su2":
         two_js = range(0, _bound_in_steps(truncation, group, per_unit=2) + 1)
+        labels = [
+            IrrepLabel(kind="su2", payload=two_j / 2.0, degree=two_j + 1, magnitude=two_j / 2.0)
+            for two_j in two_js
+        ]
         alphas, betas, gammas = group.eulers.T
         beta_nodes, beta_index = np.unique(betas, return_inverse=True)
-        labels = []
-        cache = {}
-        for two_j in two_js:
-            j = two_j / 2.0
-            lab = IrrepLabel(kind="su2", payload=j, degree=two_j + 1, magnitude=j)
-            labels.append(lab)
+        store = _empty_store(labels, n)
+        for lab, _, rows in _label_rows(labels, store):
+            d = lab.degree
             small = np.array(
-                [su2_irrep_matrix(two_j, su2_matrix_from_euler(0.0, be, 0.0)) for be in beta_nodes]
+                [su2_irrep_matrix(d - 1, su2_matrix_from_euler(0.0, be, 0.0)) for be in beta_nodes]
             )
-            m = j - np.arange(two_j + 1)
-            # gather d^j(beta) to every node, then apply the torus phases in place
-            grid = small[beta_index]
+            m = lab.payload - np.arange(d)
+            # gather d^j(beta) to every node's store column ("clip" writes straight
+            # into the rows, with no buffer), then apply the torus phases in
+            # place through the (n, d, d) view of those rows
+            np.take(small.reshape(-1, d * d).T, beta_index, axis=1, out=rows, mode="clip")
+            grid = rows.T.reshape(n, d, d)
             grid *= np.exp(-1j * np.multiply.outer(alphas, m))[:, :, None]
             grid *= np.exp(-1j * np.multiply.outer(gammas, m))[:, None, :]
-            cache[lab.key] = grid
     else:
         raise ValueError(f"unsupported group kind {group.kind!r}")
-    return RepCatalog(group=group, labels=tuple(labels), grids=cache)
+    return RepCatalog(group=group, labels=tuple(labels), store=store)
+
+
+def _empty_store(labels, n_nodes: int) -> np.ndarray:
+    return np.empty((sum(lab.degree**2 for lab in labels), n_nodes), np.complex128)
+
+
+def _label_rows(labels, store: np.ndarray):
+    """(label, row offset, its (d*d, n_nodes) rows of ``store``) in catalog order."""
+    offset = 0
+    for lab in labels:
+        size = lab.degree**2
+        yield lab, offset, store[offset : offset + size]
+        offset += size

@@ -27,7 +27,6 @@ from .parseval import MatrixSequence, require_structure
 def fourier_transform(f: L2Function, cat: RepCatalog) -> MatrixSequence:
     """fhat(label)_ij = <f, sqrt(d) u_ij> for every label in the catalog."""
     require_same_group(f.group, cat.group)
-    n = cat.group.n_nodes
     # sqrt(d) is real, so it folds into the quadrature weights once per degree
     weights = {}
     matrices = {}
@@ -35,8 +34,9 @@ def fourier_transform(f: L2Function, cat: RepCatalog) -> MatrixSequence:
         d = lab.degree
         if d not in weights:
             weights[d] = math.sqrt(d) * cat.group.weights
-        grid = cat.grids[lab.key].reshape(n, d * d).T
-        matrices[lab.key] = _kernels.coefficients_against(grid, weights[d], f.values).reshape(d, d)
+        matrices[lab.key] = _kernels.coefficients_against(
+            cat.rows(lab.key), weights[d], f.values
+        ).reshape(d, d)
     return MatrixSequence(labels=tuple(matrices), matrices=matrices)
 
 
@@ -47,8 +47,7 @@ def synthesize(seq: MatrixSequence, cat: RepCatalog) -> L2Function:
     out = np.zeros(cat.group.n_nodes, dtype=np.complex128)
     for key, lab in zip(keys, cat.labels):
         d = lab.degree
-        grid = cat.grids[key].reshape(cat.group.n_nodes, d * d).T
-        out += _kernels.combine(math.sqrt(d) * seq.matrices[key].reshape(d * d), grid)
+        out += _kernels.combine(math.sqrt(d) * seq.matrices[key].reshape(d * d), cat.rows(key))
     return L2Function(cat.group, out)
 
 

@@ -4,7 +4,9 @@ Functions are complex vectors on the group's quadrature grid; "closed span"
 statements from the continuous theory become span statements on the grid.
 Orthonormal families are stored as a dense member matrix plus block metadata
 (block label, square block size, flat offset), with the flat order fixed as:
-blocks in catalog order, row-major (i outer, j inner) within a block.
+blocks in catalog order, row-major (i outer, j inner) within a block.  The
+member matrix may be a read-only view of a catalog's coefficient store (see
+``catalog``); operations here only read it.
 """
 from __future__ import annotations
 
@@ -158,7 +160,11 @@ class OrthonormalFamily:
         if self.n_members == 0:
             return 0.0
         g = self.gram_matrix() if gram is None else gram
-        return float(np.max(np.abs(g - np.eye(self.n_members))))
+        # max over |G_ij| off the diagonal and |G_ii - 1| on it, with no identity
+        # or difference matrix: one abs array whose diagonal is overwritten
+        dev = np.abs(g)
+        np.fill_diagonal(dev, np.abs(np.diagonal(g) - 1.0))
+        return float(np.max(dev))
 
 
 @dataclass(eq=False)

@@ -241,3 +241,75 @@ def test_peter_weyl_gram_circle64():
     fam = peter_weyl_basis(cat)
     assert fam.n_members == 11
     assert fam.gram_defect() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the coefficient store
+
+
+def _vstack_family_members(cat, labels):
+    # the per-label construction the store replaced
+    return np.vstack(
+        [math.sqrt(lab.degree) * cat.grids[lab.key].reshape(-1, lab.degree**2).T for lab in labels]
+    )
+
+
+@pytest.mark.parametrize("spec", ["sym:3", "dihedral:5", "su2:j=1.5", "circle:16", "zn:12"])
+def test_grids_are_views_of_the_store_in_member_layout(spec):
+    cat = build_catalog(make_group(spec))
+    n = cat.group.n_nodes
+    assert cat.store.shape == (sum(lab.degree**2 for lab in cat.labels), n)
+    for lab in cat.labels:
+        d = lab.degree
+        grid = cat.grids[lab.key]
+        assert grid.shape == (n, d, d) and np.shares_memory(grid, cat.store)
+        rows = grid.reshape(n, d * d).T
+        assert rows.flags.c_contiguous and np.shares_memory(rows, cat.store)
+        assert np.array_equal(rows, cat.rows(lab.key))
+        # u_ij sits at row offset + i*d + j
+        assert np.array_equal(cat.store[cat.offsets[lab.key] + (d - 1) * d], grid[:, d - 1, 0])
+
+
+@pytest.mark.parametrize(
+    "spec, omit, shared",
+    [
+        ("circle:16", (), True),
+        ("zn:12", (), True),
+        ("circle:16", ("m:7", "m:-7", "m:6"), True),    # a tail omission
+        ("circle:16", ("m:1",), False),                 # a gap in the retained rows
+        ("sym:3", (), False),                           # sqrt(2) scaling
+        ("sym:3", ("irrep:1",), False),
+        ("dihedral:5", (), False),
+        ("dihedral:5", ("irrep:2",), False),
+        ("su2:j=1.5", (), False),
+        ("su2:j=1.5", ("j:0.5",), False),
+    ],
+)
+def test_families_share_the_store_or_bit_equal_per_label_vstack(spec, omit, shared):
+    from grouplab.semicomplete import OmissionSpec, build_riemann_lebesgue_family
+
+    cat = build_catalog(make_group(spec))
+    fam = build_riemann_lebesgue_family(cat, OmissionSpec(omitted=omit))
+    assert np.shares_memory(fam.members, cat.store) == shared
+    if not omit:
+        assert np.shares_memory(peter_weyl_basis(cat).members, cat.store) == shared
+    retained = [lab for lab in cat.labels if lab.key not in omit]
+    want = _vstack_family_members(cat, retained)
+    if shared:   # sqrt(1) * u may differ from u in the sign of a zero
+        assert np.array_equal(fam.members, want)
+    else:
+        assert fam.members.tobytes() == want.tobytes()
+
+
+def test_store_grids_and_shared_members_are_read_only():
+    cat = build_catalog(make_group("circle:16"))
+    with pytest.raises(ValueError, match="read-only"):
+        cat.grids["m:1"][0, 0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        cat.store[0, 0] = 0.0
+    fam = peter_weyl_basis(cat)
+    with pytest.raises(ValueError, match="read-only"):
+        fam.members[0, 0] = 0.0
+    su2 = build_catalog(make_group("su2:j=1"))
+    with pytest.raises(ValueError, match="read-only"):
+        su2.grids["j:1"][0] *= 2.0

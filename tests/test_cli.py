@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -657,3 +658,22 @@ def test_cmd_lift_computes_each_gram_matrix_once(tmp_path, monkeypatch):
     # lift's K factor, which the lift scales by its AN mass
     assert calls == [(7, 16), (7, 16)]
     assert json.loads((tmp_path / "exp_lift.json").read_text())["gram_residual"] < 1e-10
+
+
+def test_family_gram_check_holds_the_coefficients_once(tmp_path):
+    # circle:1024 without its top pair: the 1021 retained members are a view of
+    # the 16.7 MB store, and the Gram check adds the 16.7 MB Gram matrix, one
+    # slab and one real |G| array; three member-sized copies would pass 80 MB
+    from grouplab.cli import _family
+
+    path = write_config(tmp_path, group="circle:1024", omit=["m:511", "m:-511"])
+    cfg = cfgmod.load_config(path)
+    tracemalloc.start()
+    try:
+        cat = build_catalog(make_group(cfg.group_spec), truncation=cfg.truncation)
+        family, gram = _family(cfg, cat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert family.n_members == 1021 and gram.shape == (1021, 1021)
+    assert peak <= 50 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MB"

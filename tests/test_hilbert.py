@@ -10,6 +10,7 @@ from grouplab.hilbert import (
     coefficients,
     diag_reciprocal_weights,
     expand,
+    gram_tol,
     inner,
     parseval_defect,
     project,
@@ -232,3 +233,27 @@ def test_expansion_weights_reject_non_finite(bad):
         ExpansionWeights(np.array([bad, 1.0]), np.ones((2, 2)))
     with pytest.raises(ValueError, match="finite"):
         ExpansionWeights(np.ones(2), np.array([[1.0, bad], [1.0, 1.0]]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_gram_defect_bitwise_equals_dense_formula(n):
+    fam = peter_weyl_basis(build_catalog(make_group(f"zn:{n}")))
+    rng = np.random.default_rng(n)
+    for scale in (1e-14, 1e-3, 2.0):
+        g = np.eye(n) + scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        assert fam.gram_defect(g) == float(np.max(np.abs(g - np.eye(n))))
+    if n > 1:
+        g = np.eye(n, dtype=np.complex128)
+        g[0, -1] = 3e-7j            # the maximum sits off the diagonal
+        assert fam.gram_defect(g) == 3e-7
+
+
+@pytest.mark.parametrize("spec", ["sym:3", "circle:64"])
+def test_gram_defect_sees_one_perturbed_member(spec):
+    g = make_group(spec)
+    fam = peter_weyl_basis(build_catalog(g, truncation=None if spec == "sym:3" else 10))
+    assert fam.gram_defect() < gram_tol(g)
+    members = fam.members.copy()
+    members[1, 2] += 1e-6
+    broken = OrthonormalFamily(group=g, blocks=fam.blocks, members=members)
+    assert broken.gram_defect() > gram_tol(g)

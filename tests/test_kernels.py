@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -55,3 +57,41 @@ def test_stacked_operands_match_one_at_a_time(random_inputs):
     assert combined.shape == (5, 40)
     for c, row in zip(stacked, combined):
         assert np.max(np.abs(row - _kernels.combine(c, members))) < 1e-13
+
+
+def _old_gram(members, w):
+    # the unslabbed formula: two member-sized temporaries and the result
+    return (members * w) @ np.conj(members).T
+
+
+SLAB = _kernels.GRAM_SLAB_ROWS
+
+
+@pytest.mark.parametrize("rows", [0, 1, SLAB - 1, SLAB, SLAB + 1, 2 * SLAB + 3])
+def test_slabbed_gram_matches_unslabbed_formula(rows):
+    rng = np.random.default_rng(rows)
+    members = rng.standard_normal((rows, 48)) + 1j * rng.standard_normal((rows, 48))
+    w = rng.random(48) + 0.1
+    g = _kernels.gram(members, w)
+    assert g.shape == (rows, rows) and g.dtype == np.complex128
+    want = _old_gram(members, w)
+    scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    assert np.max(np.abs(g - want), initial=0.0) <= 1e-13 * scale
+
+
+def test_gram_allocates_result_and_slabs_only():
+    rng = np.random.default_rng(3)
+    members = rng.standard_normal((1023, 1024)) + 1j * rng.standard_normal((1023, 1024))
+    w = rng.random(1024)
+    result_bytes = 16 * 1023 * 1023
+    slab_bytes = 16 * SLAB * 1024
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = _kernels.gram(members, w)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert g.shape == (1023, 1023)
+    # the unslabbed formula peaks at three member-sized arrays
+    assert peak <= result_bytes + 2 * slab_bytes, f"gram peak {peak / 2**20:.1f} MB"
