@@ -21,11 +21,14 @@ u_ij(g) as functions on the group:
 
 Matrix coefficients are cached on the quadrature grid at build time; every
 downstream inner product is then a plain weighted dot product.  The cache is
-one read-only ``(sum d^2, n_nodes)`` store in member layout: the label at row
-offset o keeps u_ij at row o + i*d + j.  ``grids[key]`` is an
-``(n_nodes, d, d)`` view of a label's rows, and Peter-Weyl and omission
-families share the store where no sqrt(d) scaling or gather is needed, so an
-analysis run holds the coefficient grid once.
+one read-only ``(sum d^2, n_nodes)`` store in member layout, described by
+``blocks``, the Peter-Weyl layout of the catalog (one ``hilbert.FamilyBlock``
+per label, keyed by label): label block b keeps u_ij at row
+b.offset + i*d + j, its rows are ``store[b.rows]``, and ``grids[key]`` is an
+``(n_nodes, d, d)`` view of them.  The Peter-Weyl family and the matrix
+sequence of a Fourier transform have the same ``blocks``.  Peter-Weyl and
+omission families share the store where no sqrt(d) scaling or gather is
+needed, so an analysis run holds the coefficient grid once.
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .groups import GroupModel, su2_matrix_from_euler
-from .hilbert import FamilyBlock, OrthonormalFamily
+from .hilbert import FamilyBlock, OrthonormalFamily, block_layout
 
 
 @dataclass(frozen=True)
@@ -63,34 +66,29 @@ class RepCatalog:
     """Ordered irrep labels with their matrix coefficients on the grid, stored once.
 
     ``store`` is the read-only (sum d^2, n_nodes) coefficient matrix; label
-    ``key`` owns rows ``offsets[key]`` to ``offsets[key] + d*d`` and
-    ``grids[key]`` is the same numbers as an (n_nodes, d, d) view.
+    block b of ``blocks`` owns rows ``store[b.rows]`` and ``grids[b.label]``
+    is the same numbers as an (n_nodes, d, d) view.
     """
 
     group: GroupModel
     labels: tuple[IrrepLabel, ...]
     store: np.ndarray                      # (sum d^2, n_nodes), member layout
-    offsets: dict[str, int] = field(init=False)
+    blocks: tuple[FamilyBlock, ...] = field(init=False)   # Peter-Weyl layout
     grids: dict[str, np.ndarray] = field(init=False)   # key -> (n_nodes, d, d) view
 
     def __post_init__(self):
         n = self.group.n_nodes
-        rows = sum(lab.degree**2 for lab in self.labels)
+        self.blocks = _peter_weyl_layout(self.labels)
+        rows = sum(b.size**2 for b in self.blocks)
         if self.store.shape != (rows, n) or self.store.dtype != np.complex128:
             raise ValueError(
                 f"coefficient store {self.store.dtype}{self.store.shape} does not match "
                 f"{rows} coefficients on {n} nodes"
             )
         self.store.flags.writeable = False
-        self.offsets, self.grids = {}, {}
-        for lab, offset, block in _label_rows(self.labels, self.store):
-            self.offsets[lab.key] = offset
-            self.grids[lab.key] = block.T.reshape(n, lab.degree, lab.degree)
-
-    def rows(self, key: str) -> np.ndarray:
-        """The (d*d, n_nodes) store rows of one label: u_ij at row i*d + j."""
-        d = self.grids[key].shape[1]
-        return self.store[self.offsets[key] : self.offsets[key] + d * d]
+        self.grids = {
+            b.label: self.store[b.rows].T.reshape(n, b.size, b.size) for b in self.blocks
+        }
 
     def label_by_key(self, key: str) -> IrrepLabel:
         for lab in self.labels:
@@ -119,34 +117,28 @@ def matrix_coefficient(cat: RepCatalog, label: IrrepLabel, i: int, j: int, g) ->
 
 def peter_weyl_basis(cat: RepCatalog) -> OrthonormalFamily:
     """The orthonormal family {sqrt(d) u_ij} over all catalog labels."""
-    return _sqrt_degree_family(cat, cat.labels)
+    return _sqrt_degree_family(cat, cat.blocks)
 
 
-def _sqrt_degree_family(cat: RepCatalog, labels) -> OrthonormalFamily:
-    """{sqrt(d) u_ij} over ``labels``: one block per label, member (i, j) at row i*d + j.
+def _sqrt_degree_family(cat: RepCatalog, retained) -> OrthonormalFamily:
+    """{sqrt(d) u_ij} over the ``retained`` blocks of ``cat.blocks``, in catalog order.
 
     Degree-1 labels on one contiguous run of store rows need neither scaling
     nor a gather, so their members are a read-only view of the catalog store.
     Any other family is gathered into one new array and scaled in place.
     """
-    blocks, spans, offset = [], [], 0
-    for lab in labels:
-        d = lab.degree
-        blocks.append(FamilyBlock(label=lab.key, size=d, offset=offset))
-        start = cat.offsets[lab.key]
-        spans.append((start, start + d * d))
-        offset += d * d
-    if not spans:
+    blocks = block_layout((b.label, b.size) for b in retained)
+    if not retained:
         members = np.zeros((0, cat.group.n_nodes), np.complex128)
-    elif all(b.size == 1 for b in blocks) and all(
-        stop == start for (_, stop), (start, _) in zip(spans, spans[1:])
+    elif all(b.size == 1 for b in retained) and all(
+        a.rows.stop == b.offset for a, b in zip(retained, retained[1:])
     ):
-        members = cat.store[spans[0][0] : spans[-1][1]]
+        members = cat.store[retained[0].offset : retained[-1].rows.stop]
     else:
-        members = np.concatenate([cat.store[start:stop] for start, stop in spans])
+        members = np.concatenate([cat.store[b.rows] for b in retained])
         for b in blocks:
-            members[b.offset : b.offset + b.size**2] *= math.sqrt(b.size)
-    return OrthonormalFamily(group=cat.group, blocks=tuple(blocks), members=members)
+            members[b.rows] *= math.sqrt(b.size)
+    return OrthonormalFamily(group=cat.group, blocks=blocks, members=members)
 
 
 # ---------------------------------------------------------------------------
@@ -332,18 +324,18 @@ def build_catalog(group: GroupModel, truncation: float | None = None) -> RepCata
         ]
         if sum(l.degree**2 for l in labels) != group.order:
             raise RuntimeError(f"irrep dimension count failed for {group.name}")
-        store = _empty_store(labels, n)
-        for (_, _, rows), grid in zip(_label_rows(labels, store), grids):
-            rows[...] = grid.reshape(n, -1).T
+        blocks, store = _empty_store(labels, n)
+        for b, grid in zip(blocks, grids):
+            store[b.rows] = grid.reshape(n, -1).T
     elif group.kind == "circle":
         m_max = _bound_in_steps(truncation, group, per_unit=1)
         ms = sorted(range(-m_max, m_max + 1), key=lambda m: (abs(m), m))
         labels = [
             IrrepLabel(kind="circle", payload=m, degree=1, magnitude=float(abs(m))) for m in ms
         ]
-        store = _empty_store(labels, n)
-        for lab, _, rows in _label_rows(labels, store):
-            np.exp(1j * lab.payload * group.thetas, out=rows[0])
+        blocks, store = _empty_store(labels, n)
+        for lab, b in zip(labels, blocks):
+            np.exp(1j * lab.payload * group.thetas, out=store[b.offset])
     elif group.kind == "su2":
         two_js = range(0, _bound_in_steps(truncation, group, per_unit=2) + 1)
         labels = [
@@ -352,9 +344,9 @@ def build_catalog(group: GroupModel, truncation: float | None = None) -> RepCata
         ]
         alphas, betas, gammas = group.eulers.T
         beta_nodes, beta_index = np.unique(betas, return_inverse=True)
-        store = _empty_store(labels, n)
-        for lab, _, rows in _label_rows(labels, store):
-            d = lab.degree
+        blocks, store = _empty_store(labels, n)
+        for lab, b in zip(labels, blocks):
+            d, rows = lab.degree, store[b.rows]
             small = np.array(
                 [su2_irrep_matrix(d - 1, su2_matrix_from_euler(0.0, be, 0.0)) for be in beta_nodes]
             )
@@ -371,14 +363,12 @@ def build_catalog(group: GroupModel, truncation: float | None = None) -> RepCata
     return RepCatalog(group=group, labels=tuple(labels), store=store)
 
 
-def _empty_store(labels, n_nodes: int) -> np.ndarray:
-    return np.empty((sum(lab.degree**2 for lab in labels), n_nodes), np.complex128)
+def _empty_store(labels, n_nodes: int) -> tuple[tuple[FamilyBlock, ...], np.ndarray]:
+    """The Peter-Weyl layout of ``labels`` and an uninitialised store it describes."""
+    blocks = _peter_weyl_layout(labels)
+    return blocks, np.empty((sum(b.size**2 for b in blocks), n_nodes), np.complex128)
 
 
-def _label_rows(labels, store: np.ndarray):
-    """(label, row offset, its (d*d, n_nodes) rows of ``store``) in catalog order."""
-    offset = 0
-    for lab in labels:
-        size = lab.degree**2
-        yield lab, offset, store[offset : offset + size]
-        offset += size
+def _peter_weyl_layout(labels) -> tuple[FamilyBlock, ...]:
+    """One d x d block per label, keyed by label, in catalog order."""
+    return block_layout((lab.key, lab.degree) for lab in labels)

@@ -53,7 +53,9 @@ def _bessel_columns(cfg: ExperimentConfig):
     values = np.reshape([f.values for f in fns], (len(fns), group.n_nodes))
     coeffs = _kernels.coefficients_against(family.members, group.weights, values)
     norm_sq = np.array([f.norm_sq() for f in fns], dtype=float)
-    coeff_sum = np.array([np.sum(np.abs(c) ** 2) for c in coeffs], dtype=float)
+    # the kernel returns coeffs in Fortran order; C-ordered rows keep each row's
+    # pairwise summation, so the sums equal the per-row np.sum bit for bit
+    coeff_sum = np.sum(np.abs(coeffs, order="C") ** 2, axis=1)
     defect = norm_sq - coeff_sum
     for fid, d in zip(ids, defect):
         if d < -BESSEL_SLACK:
@@ -132,12 +134,9 @@ def cmd_lift(cfg: ExperimentConfig) -> int:
     if cfg.iwasawa is None:
         raise ConfigError("lift needs an 'iwasawa' block in the config")
     iw = cfg.iwasawa
-    try:
-        model = make_iwasawa_model(
-            iw.k_spec, iw.a_range, iw.n_range, iw.a_size, iw.n_size, profile=iw.profile
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    model = make_iwasawa_model(
+        iw.k_spec, iw.a_range, iw.n_range, iw.a_size, iw.n_size, profile=iw.profile
+    )
     cat_k = build_catalog(model.K, truncation=iw.truncation)
     xi, xi_gram = _family(cfg, cat_k)
     lifted = lift_family(model, xi)

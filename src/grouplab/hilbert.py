@@ -2,11 +2,13 @@
 
 Functions are complex vectors on the group's quadrature grid; "closed span"
 statements from the continuous theory become span statements on the grid.
-Orthonormal families are stored as a dense member matrix plus block metadata
-(block label, square block size, flat offset), with the flat order fixed as:
-blocks in catalog order, row-major (i outer, j inner) within a block.  The
-member matrix may be a read-only view of a catalog's coefficient store (see
-``catalog``); operations here only read it.
+Orthonormal families are stored as a dense member matrix plus one
+``FamilyBlock`` (label, square size, flat offset) per block, with the flat
+order fixed as: blocks in catalog order, row-major (i outer, j inner) within
+a block.  ``block_layout`` is the one constructor of that layout; the catalog
+store and the L2(A) matrix sequences use it too.  The member matrix may be a
+read-only view of a catalog's coefficient store (see ``catalog``); operations
+here only read it.
 """
 from __future__ import annotations
 
@@ -92,18 +94,33 @@ def random_function(group: GroupModel, seed: int, normalize: bool = True) -> L2F
 
 @dataclass(frozen=True)
 class FamilyBlock:
+    """Where one square block sits in a flat layout: its size**2 entries start
+    at ``offset``, entry (i, j) at offset + i*size + j."""
+
     label: str
     size: int
     offset: int
+
+    @property
+    def rows(self) -> slice:
+        return slice(self.offset, self.offset + self.size * self.size)
+
+
+def block_layout(sizes) -> tuple[FamilyBlock, ...]:
+    """Blocks for ``(label, size)`` pairs laid out back to back, in order."""
+    blocks, offset = [], 0
+    for label, size in sizes:
+        blocks.append(FamilyBlock(label=label, size=size, offset=offset))
+        offset += size * size
+    return tuple(blocks)
 
 
 @dataclass(eq=False)
 class OrthonormalFamily:
     """An indexed family of functions with square block structure.
 
-    ``members`` holds one function per row.  Block b contributes size**2
-    consecutive rows starting at its offset; the member at in-block position
-    (i, j) sits at row offset + i*size + j.
+    ``members`` holds one function per row; block b's members are the rows
+    ``b.rows``, in-block position (i, j) at row b.offset + i*b.size + j.
     """
 
     group: GroupModel

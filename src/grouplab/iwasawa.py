@@ -22,7 +22,9 @@ is not enforced; ``reproduction_residual`` measures it for separable
 functions instead.
 
 The K factor spec and the profile spec (``uniform``, ``gauss:sigma=S``,
-``table:PATH``) are read with the grammar of ``spec.py``.
+``table:PATH``) are read with the grammar of ``spec.py``, and every bad input
+to the model (range, node count, K factor, profile, table) is a
+``ConfigError``.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from .hilbert import (
     OrthonormalFamily,
 )
 from .semicomplete import SemicompletenessReport, semicompleteness_defect
-from .spec import parse_params, split_spec
+from .spec import ConfigError, parse_params, split_spec
 
 
 @dataclass(eq=False)
@@ -68,11 +70,11 @@ class IwasawaModel:
 
 def _grid(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     if not (lo < hi):
-        raise ValueError(f"degenerate range [{lo}, {hi}]")
+        raise ConfigError(f"degenerate range [{lo}, {hi}]")
     if n < 1:
-        raise ValueError(f"grid size must be positive, got {n}")
+        raise ConfigError(f"grid size must be positive, got {n}")
     if not (lo <= 0.0 <= hi):
-        raise ValueError(f"range [{lo}, {hi}] excludes the identity coordinate 0")
+        raise ConfigError(f"range [{lo}, {hi}] excludes the identity coordinate 0")
     h = (hi - lo) / n
     nodes = lo + (np.arange(n) + 0.5) * h
     return nodes, np.full(n, h)
@@ -93,7 +95,7 @@ def make_iwasawa_model(
     """
     K = make_group(k_spec)
     if K.kind != "circle":
-        raise ValueError(f"K factor must be a circle model, got {k_spec!r}")
+        raise ConfigError(f"K factor must be a circle model, got {k_spec!r}")
     a_nodes, a_w = _grid(a_range[0], a_range[1], a_size)
     n_nodes, n_w = _grid(n_range[0], n_range[1], n_size)
     an_weights = np.outer(a_w, n_w).reshape(-1)
@@ -109,27 +111,29 @@ def make_iwasawa_model(
     elif head == "gauss":
         sigma = parse_params(rest, "gauss profile", sigma=float).get("sigma", 1.0)
         if sigma <= 0:
-            raise ValueError(f"gauss profile needs sigma > 0, got {sigma}")
+            raise ConfigError(f"gauss profile needs sigma > 0, got {sigma}")
         raw = (-(aa**2 + nn**2) / (4.0 * sigma * sigma)).reshape(-1).astype(np.complex128)
     elif head == "table":
         try:
             table = np.loadtxt(rest, dtype=float, ndmin=2)
         except OSError as exc:
-            raise ValueError(
+            raise ConfigError(
                 f"cannot read profile table {rest!r}: {exc.strerror or type(exc).__name__}"
             ) from exc
+        except ValueError as exc:
+            raise ConfigError(f"profile table {rest!r} is not a table of numbers: {exc}") from exc
         if table.shape != (a_size, n_size):
-            raise ValueError(
+            raise ConfigError(
                 f"profile table shape {table.shape} does not match grid ({a_size}, {n_size})"
             )
         raw = table.reshape(-1).astype(np.complex128)
     else:
-        raise ValueError(f"unknown profile {profile!r}")
+        raise ConfigError(f"unknown profile {profile!r}")
 
     shifted = raw - raw[id_index]          # condition (i), exact
     mass = float(np.dot(an_weights, np.exp(2.0 * np.real(shifted))))
     if not math.isfinite(mass) or mass <= 0:
-        raise ValueError(f"profile {profile!r} is not normalizable on the range")
+        raise ConfigError(f"profile {profile!r} is not normalizable on the range")
     return IwasawaModel(
         K=K,
         a_nodes=a_nodes,

@@ -6,9 +6,12 @@ coefficient transform maps f to one square matrix per block; it is an isometry
 exactly on the family span, and the span decomposes into the mutually
 orthogonal row subspaces span{chi_(i,j) : j}.
 
-Block sizes may differ between blocks (omission families have ragged
-degrees), so a matrix sequence carries one n_alpha x n_alpha matrix per
-block rather than a single fixed size.
+A matrix sequence is the family's coefficient vector with its block layout:
+one flat complex vector in the family's flat order plus the family's
+``FamilyBlock`` tuple, so block b's n_b x n_b matrix is ``flat[b.rows]`` read
+row-major.  Block sizes may differ (omission families have ragged degrees).
+The transform and its inverse are ``coefficients`` and ``expand`` with that
+layout attached; sequences on different layouts never combine.
 """
 from __future__ import annotations
 
@@ -17,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .groups import require_same_group
 from .hilbert import (
+    FamilyBlock,
     L2Function,
     OrthonormalFamily,
     coefficients,
@@ -29,62 +32,56 @@ from .hilbert import (
 
 @dataclass(eq=False)
 class MatrixSequence:
-    """An element of L2(A): one square complex matrix per block label.
+    """An element of L2(A): one square complex matrix per block, stored flat.
 
+    ``flat`` holds every entry in the flat order of ``blocks``.
     ``transform_H`` makes one against any family; ``fourier.fourier_transform``
-    makes the one against the Peter-Weyl family, keyed by catalog label.
+    makes the one against the Peter-Weyl family, whose blocks are the catalog's.
     """
 
-    labels: tuple[str, ...]
-    matrices: dict[str, np.ndarray]
+    blocks: tuple[FamilyBlock, ...]
+    flat: np.ndarray
 
     def __post_init__(self):
-        for key in self.labels:
-            m = np.ascontiguousarray(self.matrices[key], dtype=np.complex128)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"block {key!r} must hold a square matrix, got {m.shape}")
-            self.matrices[key] = m
+        self.blocks = tuple(self.blocks)
+        self.flat = np.ascontiguousarray(self.flat, dtype=np.complex128)
+        n = sum(b.size * b.size for b in self.blocks)
+        if self.flat.shape != (n,):
+            raise ValueError(
+                f"blocks hold {n} entries, got a flat vector of shape {self.flat.shape}"
+            )
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(b.label for b in self.blocks)
+
+    def matrix(self, label: str) -> np.ndarray:
+        """The square matrix of block ``label``: a writable view of ``flat``."""
+        for b in self.blocks:
+            if b.label == label:
+                return self.flat[b.rows].reshape(b.size, b.size)
+        raise KeyError(f"no block {label!r} in the matrix sequence")
 
     def norm_sq(self) -> float:
         """Squared Hilbert-Schmidt norm summed over all blocks."""
-        return float(
-            sum(np.sum(np.abs(self.matrices[key]) ** 2) for key in self.labels)
-        )
-
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(self.matrices[key].shape[0] for key in self.labels)
+        return float(np.sum(np.abs(self.flat) ** 2))
 
 
 def zero_sequence(family: OrthonormalFamily) -> MatrixSequence:
-    return MatrixSequence(
-        labels=family.labels,
-        matrices={
-            b.label: np.zeros((b.size, b.size), dtype=np.complex128) for b in family.blocks
-        },
-    )
+    return MatrixSequence(family.blocks, np.zeros(family.n_members, dtype=np.complex128))
 
 
 def basis_sequence(family: OrthonormalFamily, label: str, i: int, j: int) -> MatrixSequence:
     seq = zero_sequence(family)
-    seq.matrices[label][i, j] = 1.0
+    seq.matrix(label)[i, j] = 1.0
     return seq
-
-
-def require_structure(
-    seq: MatrixSequence, labels: tuple[str, ...], sizes: tuple[int, ...]
-) -> None:
-    """Raise unless ``seq`` has exactly these block labels and sizes, in order."""
-    if seq.labels != labels or seq.block_sizes() != sizes:
-        raise ValueError("matrix sequence does not match the expected block labels and sizes")
 
 
 def hs_inner(a: MatrixSequence, b: MatrixSequence) -> complex:
     """Hilbert-Schmidt inner product sum_alpha tr(a(alpha) b(alpha)^*)."""
-    require_structure(b, a.labels, a.block_sizes())
-    total = 0.0 + 0.0j
-    for key in a.labels:
-        total += complex(np.sum(a.matrices[key] * np.conj(b.matrices[key])))
-    return total
+    if a.blocks != b.blocks:
+        raise ValueError("matrix sequences have different block layouts")
+    return complex(np.sum(a.flat * np.conj(b.flat)))
 
 
 @dataclass(frozen=True)
@@ -122,23 +119,14 @@ def membership(
 
 def transform_H(f: L2Function, family: OrthonormalFamily) -> MatrixSequence:
     """Coefficient matrices fhat(alpha)_ij = <f, chi_(i,j)> per block."""
-    require_same_group(f.group, family.group)
-    flat = coefficients(f, family)
-    matrices = {}
-    for b in family.blocks:
-        matrices[b.label] = flat[b.offset : b.offset + b.size * b.size].reshape(
-            b.size, b.size
-        )
-    return MatrixSequence(labels=family.labels, matrices=matrices)
+    return MatrixSequence(family.blocks, coefficients(f, family))
 
 
 def inverse_H(seq: MatrixSequence, family: OrthonormalFamily) -> L2Function:
     """Synthesis sum_alpha sum_ij seq(alpha)_ij chi_(i,j)."""
-    require_structure(seq, family.labels, tuple(b.size for b in family.blocks))
-    flat = np.concatenate(
-        [seq.matrices[b.label].reshape(b.size * b.size) for b in family.blocks]
-    ) if family.blocks else np.zeros(0, dtype=np.complex128)
-    return expand(flat, family)
+    if seq.blocks != family.blocks:
+        raise ValueError("matrix sequence does not have the family's block layout")
+    return expand(seq.flat, family)
 
 
 def isometry_defect(f: L2Function, family: OrthonormalFamily) -> float:
@@ -154,14 +142,12 @@ def block_decompose(
     The components are mutually orthogonal and sum to the projection of f onto
     the family span.
     """
-    require_same_group(f.group, family.group)
     flat = coefficients(f, family)
     out = []
     for b in family.blocks:
+        members, block = family.members[b.rows], flat[b.rows]
         for i in range(b.size):
-            row = np.ascontiguousarray(
-                family.members[b.offset + i * b.size : b.offset + (i + 1) * b.size]
-            )
-            row_coeffs = flat[b.offset + i * b.size : b.offset + (i + 1) * b.size]
-            out.append((b.label, i, L2Function(f.group, _kernels.combine(row_coeffs, row))))
+            row = slice(i * b.size, (i + 1) * b.size)
+            part = _kernels.combine(block[row], members[row])
+            out.append((b.label, i, L2Function(f.group, part)))
     return out

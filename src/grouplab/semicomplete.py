@@ -41,18 +41,15 @@ def build_riemann_lebesgue_family(cat: RepCatalog, omit: OmissionSpec) -> Orthon
     unknown = [k for k in omit.omitted if k not in known]
     if unknown:
         raise ValueError(f"omitted labels not in catalog: {unknown}")
-    retained = [lab for lab in cat.labels if lab.key not in omit.omitted]
+    retained = [b for b in cat.blocks if b.label not in omit.omitted]
     if not retained:
         raise ValueError("omission would leave an empty family")
     return _sqrt_degree_family(cat, retained)
 
 
-def _label_tails(fhat: MatrixSequence, cat: RepCatalog) -> list[float]:
-    """sqrt(d) * sum_ij |fhat_ij| = d * sum_ij |<f, u_ij>| per catalog label."""
-    return [
-        math.sqrt(lab.degree) * float(np.sum(np.abs(fhat.matrices[lab.key])))
-        for lab in cat.labels
-    ]
+def _label_tails(fhat: MatrixSequence) -> list[float]:
+    """sqrt(d) * sum_ij |fhat_ij| = d * sum_ij |<f, u_ij>| per block of ``fhat``."""
+    return [math.sqrt(b.size) * float(np.sum(np.abs(fhat.flat[b.rows]))) for b in fhat.blocks]
 
 
 def omission_tail_bound(f: L2Function, cat: RepCatalog, omit: OmissionSpec) -> float:
@@ -62,7 +59,7 @@ def omission_tail_bound(f: L2Function, cat: RepCatalog, omit: OmissionSpec) -> f
     and its expansion over the retained family.
     """
     require_same_group(f.group, cat.group)
-    tails = _label_tails(fourier_transform(f, cat), cat)
+    tails = _label_tails(fourier_transform(f, cat))
     return sum((t for lab, t in zip(cat.labels, tails) if lab.key in omit.omitted), 0.0)
 
 
@@ -81,7 +78,7 @@ def choose_omissions(
     if not testset:
         raise ValueError("test set must be nonempty")
     contributions = np.array(       # (n_fns, n_labels)
-        [_label_tails(fourier_transform(f, cat), cat) for f in testset]
+        [_label_tails(fourier_transform(f, cat)) for f in testset]
     )
     n_labels = len(cat.labels)
     cumulative = np.zeros(len(testset))

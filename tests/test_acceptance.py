@@ -137,12 +137,12 @@ def test_criterion_5_membership_isometry_consistency():
         for _ in range(50):
             seq = zero_sequence(fam)
             for b in fam.blocks:
-                seq.matrices[b.label] = rng.standard_normal(
+                seq.matrix(b.label)[...] = rng.standard_normal(
                     (b.size, b.size)
                 ) + 1j * rng.standard_normal((b.size, b.size))
             back = transform_H(inverse_H(seq, fam), fam)
             err = max(
-                np.max(np.abs(back.matrices[b.label] - seq.matrices[b.label]))
+                np.max(np.abs(back.matrix(b.label) - seq.matrix(b.label)))
                 for b in fam.blocks
             )
             assert err <= 1e-10

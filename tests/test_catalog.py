@@ -259,15 +259,17 @@ def test_grids_are_views_of_the_store_in_member_layout(spec):
     cat = build_catalog(make_group(spec))
     n = cat.group.n_nodes
     assert cat.store.shape == (sum(lab.degree**2 for lab in cat.labels), n)
-    for lab in cat.labels:
+    assert len(cat.blocks) == len(cat.labels)
+    for lab, b in zip(cat.labels, cat.blocks):
         d = lab.degree
+        assert (b.label, b.size) == (lab.key, d)
         grid = cat.grids[lab.key]
         assert grid.shape == (n, d, d) and np.shares_memory(grid, cat.store)
         rows = grid.reshape(n, d * d).T
         assert rows.flags.c_contiguous and np.shares_memory(rows, cat.store)
-        assert np.array_equal(rows, cat.rows(lab.key))
+        assert np.array_equal(rows, cat.store[b.rows])
         # u_ij sits at row offset + i*d + j
-        assert np.array_equal(cat.store[cat.offsets[lab.key] + (d - 1) * d], grid[:, d - 1, 0])
+        assert np.array_equal(cat.store[b.offset + (d - 1) * d], grid[:, d - 1, 0])
 
 
 @pytest.mark.parametrize(

@@ -677,3 +677,24 @@ def test_family_gram_check_holds_the_coefficients_once(tmp_path):
         tracemalloc.stop()
     assert family.n_members == 1021 and gram.shape == (1021, 1021)
     assert peak <= 50 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("group, omit", [("su2:j=4", ["j:4"]), ("circle:64", [])])
+def test_bessel_coefficient_sums_equal_per_row_sums_bitwise(tmp_path, group, omit):
+    # the parseval and isometry CSVs print these sums with 17 digits, so the one
+    # reduction over the stacked coefficients must add in each row's own order
+    from grouplab import _kernels
+    from grouplab.cli import _bessel_columns
+    from grouplab.semicomplete import OmissionSpec, build_riemann_lebesgue_family
+
+    path = write_config(tmp_path, group=group, omit=omit, test_set="random:count=8,seed=3")
+    cfg = cfgmod.load_config(path)
+    coeff_sum = _bessel_columns(cfg)[2]
+    grp = make_group(group)
+    fam = build_riemann_lebesgue_family(build_catalog(grp), OmissionSpec(omitted=tuple(omit)))
+    fns = build_test_set(cfg.test_set_spec, grp, fam)[1]
+    coeffs = _kernels.coefficients_against(
+        fam.members, grp.weights, np.array([f.values for f in fns])
+    )
+    want = np.array([np.sum(np.abs(c) ** 2) for c in coeffs])
+    assert coeff_sum.tobytes() == want.tobytes()

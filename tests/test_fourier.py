@@ -4,16 +4,23 @@ import pytest
 from grouplab.catalog import build_catalog, peter_weyl_basis
 from grouplab.fourier import fourier_transform, inversion_defect, synthesize
 from grouplab.groups import circle_group, cyclic_group, make_group
-from grouplab.hilbert import L2Function, coefficients, expand, inner, random_function
-from grouplab.parseval import block_decompose, hs_inner, transform_H
+from grouplab.hilbert import (
+    L2Function,
+    block_layout,
+    coefficients,
+    expand,
+    inner,
+    random_function,
+)
+from grouplab.parseval import MatrixSequence, block_decompose, hs_inner, transform_H
 
 
 def test_constant_function_hits_only_trivial_block(sym3, sym3_catalog):
     f = L2Function(sym3, np.ones(6))
     fhat = fourier_transform(f, sym3_catalog)
-    assert abs(fhat.matrices["irrep:0"][0, 0] - 1.0) < 1e-12
+    assert abs(fhat.matrix("irrep:0")[0, 0] - 1.0) < 1e-12
     for lab in sym3_catalog.labels[1:]:
-        assert np.max(np.abs(fhat.matrices[lab.key])) < 1e-10
+        assert np.max(np.abs(fhat.matrix(lab.key))) < 1e-10
 
 
 def test_identity_indicator_on_cyclic4():
@@ -24,7 +31,7 @@ def test_identity_indicator_on_cyclic4():
     values[g.identity] = 1.0
     fhat = fourier_transform(L2Function(g, values), cat)
     for lab in cat.labels:
-        assert abs(fhat.matrices[lab.key][0, 0] - 0.25) < 1e-12
+        assert abs(fhat.matrix(lab.key)[0, 0] - 0.25) < 1e-12
 
 
 def test_matrix_coefficient_transforms_to_schur_integral(sym3, sym3_catalog):
@@ -34,7 +41,7 @@ def test_matrix_coefficient_transforms_to_schur_integral(sym3, sym3_catalog):
     grid = sym3_catalog.grids[lab.key]
     f = L2Function(sym3, grid[:, 0, 0])
     fhat = fourier_transform(f, sym3_catalog)
-    raw = fhat.matrices[lab.key] / np.sqrt(lab.degree)
+    raw = fhat.matrix(lab.key) / np.sqrt(lab.degree)
     for i in range(2):
         for j in range(2):
             oracle = sum(
@@ -43,7 +50,7 @@ def test_matrix_coefficient_transforms_to_schur_integral(sym3, sym3_catalog):
             assert abs(raw[i, j] - oracle) < 1e-12
     assert abs(raw[0, 0] - 0.5) < 1e-10
     for key in ("irrep:0", "irrep:1"):
-        assert np.max(np.abs(fhat.matrices[key])) < 1e-10
+        assert np.max(np.abs(fhat.matrix(key))) < 1e-10
 
 
 def test_synthesize_zero(sym3_catalog):
@@ -99,8 +106,8 @@ def test_transform_linearity(sym3, sym3_catalog):
     fh = fourier_transform(f, sym3_catalog)
     hh = fourier_transform(h, sym3_catalog)
     for lab in sym3_catalog.labels:
-        want = a * fh.matrices[lab.key] + b * hh.matrices[lab.key]
-        assert np.max(np.abs(lhs.matrices[lab.key] - want)) < 1e-10
+        want = a * fh.matrix(lab.key) + b * hh.matrix(lab.key)
+        assert np.max(np.abs(lhs.matrix(lab.key) - want)) < 1e-10
 
 
 def _row_projections(f, cat):
@@ -137,8 +144,11 @@ def test_block_projections_mutually_orthogonal(sym3, sym3_catalog):
 
 
 def test_synthesize_shape_mismatch(sym3_catalog):
-    fhat = fourier_transform(random_function(sym3_catalog.group, 0), sym3_catalog)
-    fhat.matrices["irrep:2"] = np.zeros((3, 3))
+    # same labels, irrep:2 resized from 2 x 2 to 3 x 3
+    blocks = block_layout(
+        (b.label, 3 if b.label == "irrep:2" else b.size) for b in sym3_catalog.blocks
+    )
+    fhat = MatrixSequence(blocks, np.zeros(11))
     with pytest.raises(ValueError):
         synthesize(fhat, sym3_catalog)
 
@@ -146,7 +156,7 @@ def test_synthesize_shape_mismatch(sym3_catalog):
 def test_block_norms_summary(sym3_catalog):
     f = peter_weyl_basis(sym3_catalog).member(2, 0, 0)
     seq = fourier_transform(f, sym3_catalog)
-    norms = {key: np.linalg.norm(seq.matrices[key]) for key in seq.labels}
+    norms = {key: np.linalg.norm(seq.matrix(key)) for key in seq.labels}
     assert set(norms) == {lab.key for lab in sym3_catalog.labels}
     assert norms["irrep:2"] > 0
     assert norms["irrep:0"] < 1e-10
@@ -154,7 +164,15 @@ def test_block_norms_summary(sym3_catalog):
 
 @pytest.mark.parametrize(
     "spec,truncation",
-    [("sym:3", None), ("dihedral:5", None), ("circle:16", 5), ("su2:j=1.5", None)],
+    [
+        ("sym:3", None),
+        ("dihedral:5", None),
+        ("circle:16", 5),
+        ("su2:j=1.5", None),
+        ("sym:4", None),
+        ("zn:12", None),
+        ("circle:16", None),
+    ],
 )
 def test_transform_is_transform_H_against_peter_weyl(spec, truncation):
     group = make_group(spec)
@@ -163,8 +181,10 @@ def test_transform_is_transform_H_against_peter_weyl(spec, truncation):
     seq = fourier_transform(f, cat)
     oracle = transform_H(f, peter_weyl_basis(cat))
     assert seq.labels == oracle.labels == tuple(lab.key for lab in cat.labels)
+    # one block layout: the transform, the Peter-Weyl family and the catalog store
+    assert seq.blocks == peter_weyl_basis(cat).blocks == cat.blocks
     for key in seq.labels:
-        assert np.max(np.abs(seq.matrices[key] - oracle.matrices[key])) < 1e-13
+        assert np.max(np.abs(seq.matrix(key) - oracle.matrix(key))) < 1e-13
 
 
 def test_hs_inner_of_transforms_is_l2_inner(sym3, sym3_catalog):

@@ -17,6 +17,7 @@ from grouplab.iwasawa import (
     reproduction_residual,
 )
 from grouplab.semicomplete import OmissionSpec, build_riemann_lebesgue_family
+from grouplab.spec import ConfigError
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +92,38 @@ def test_bad_profiles_rejected(tmp_path):
     np.savetxt(path, np.zeros((2, 2)))
     with pytest.raises(ValueError):
         make_iwasawa_model("circle:16", (-1, 1), (-1, 1), 4, 4, profile=f"table:{path}")
+
+
+BAD_MODEL_INPUTS = {
+    "range-excludes-identity": dict(a_range=(0.5, 1.5)),
+    "degenerate-range": dict(n_range=(1.0, 1.0)),
+    "no-nodes": dict(n_size=0),
+    "non-circle-k": dict(k_spec="sym:3"),
+    "sigma-zero": dict(profile="gauss:sigma=0"),
+    "sigma-negative": dict(profile="gauss:sigma=-0.5"),
+    "unknown-profile": dict(profile="banana"),
+    "unknown-profile-key": dict(profile="gauss:width=1"),
+    "missing-table": dict(table=None),
+    "misshaped-table": dict(table="0 0\n0 0\n"),
+    "non-numeric-table": dict(table="a b c d\n" * 4),
+    "unnormalizable-table": dict(table="0 0 0 0\n" * 2 + "0 0 0 inf\n0 0 0 0\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_MODEL_INPUTS))
+def test_bad_model_inputs_raise_config_error(case, tmp_path):
+    args = dict(
+        k_spec="circle:16", a_range=(-1.0, 1.0), n_range=(-1.0, 1.0), a_size=4, n_size=4
+    )
+    args.update(BAD_MODEL_INPUTS[case])
+    if "table" in args:
+        path = tmp_path / "profile.txt"
+        text = args.pop("table")
+        if text is not None:
+            path.write_text(text)
+        args["profile"] = f"table:{path}"
+    with pytest.raises(ConfigError):
+        make_iwasawa_model(**args)
 
 
 def test_lift_constant_family_uniform_profile():

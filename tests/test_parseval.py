@@ -5,6 +5,7 @@ from grouplab.catalog import build_catalog, peter_weyl_basis
 from grouplab.groups import circle_group
 from grouplab.hilbert import (
     L2Function,
+    block_layout,
     coefficients,
     expand,
     inner,
@@ -86,8 +87,8 @@ def test_membership_tol_validation(sym3, rl_family):
 def test_transform_single_member(rl_family):
     f = rl_family.member(1, 0, 0)   # second retained block, 1x1
     seq = transform_H(f, rl_family)
-    assert abs(seq.matrices[rl_family.blocks[1].label][0, 0] - 1.0) < 1e-12
-    assert abs(seq.matrices[rl_family.blocks[0].label][0, 0]) < 1e-12
+    assert abs(seq.matrix(rl_family.blocks[1].label)[0, 0] - 1.0) < 1e-12
+    assert abs(seq.matrix(rl_family.blocks[0].label)[0, 0]) < 1e-12
 
 
 def test_transform_norm_on_span(rl_family):
@@ -119,12 +120,12 @@ def test_transform_inverse_round_trip(rl_family):
     for _ in range(20):
         seq = zero_sequence(rl_family)
         for b in rl_family.blocks:
-            seq.matrices[b.label] = rng.standard_normal(
+            seq.matrix(b.label)[...] = rng.standard_normal(
                 (b.size, b.size)
             ) + 1j * rng.standard_normal((b.size, b.size))
         back = transform_H(inverse_H(seq, rl_family), rl_family)
         err = max(
-            np.max(np.abs(back.matrices[b.label] - seq.matrices[b.label]))
+            np.max(np.abs(back.matrix(b.label) - seq.matrix(b.label)))
             for b in rl_family.blocks
         )
         assert err < 1e-12
@@ -133,6 +134,14 @@ def test_transform_inverse_round_trip(rl_family):
 def test_inverse_shape_mismatch(rl_family, full_family):
     with pytest.raises(ValueError):
         inverse_H(zero_sequence(full_family), rl_family)
+    # same labels, different block sizes
+    wide = block_layout((b.label, b.size + 1) for b in rl_family.blocks)
+    with pytest.raises(ValueError):
+        inverse_H(MatrixSequence(wide, np.zeros(8)), rl_family)
+    # same sizes and length, other labels
+    renamed = block_layout((b.label + "'", b.size) for b in rl_family.blocks)
+    with pytest.raises(ValueError):
+        inverse_H(MatrixSequence(renamed, np.zeros(2)), rl_family)
 
 
 def test_hs_inner_unit_entries(rl_family):
@@ -152,7 +161,7 @@ def test_hs_inner_matches_synthesis_inner(full_family):
     def rand_seq():
         seq = zero_sequence(full_family)
         for b in full_family.blocks:
-            seq.matrices[b.label] = rng.standard_normal(
+            seq.matrix(b.label)[...] = rng.standard_normal(
                 (b.size, b.size)
             ) + 1j * rng.standard_normal((b.size, b.size))
         return seq
@@ -168,7 +177,7 @@ def test_hs_inner_conjugate_symmetry_and_norm(full_family):
     rng = np.random.default_rng(4)
     seq = zero_sequence(full_family)
     for b in full_family.blocks:
-        seq.matrices[b.label] = rng.standard_normal(
+        seq.matrix(b.label)[...] = rng.standard_normal(
             (b.size, b.size)
         ) + 1j * rng.standard_normal((b.size, b.size))
     assert abs(hs_inner(seq, seq) - seq.norm_sq()) < 1e-12
@@ -180,7 +189,7 @@ def test_hs_inner_polarization(full_family):
     def rand_seq():
         seq = zero_sequence(full_family)
         for b in full_family.blocks:
-            seq.matrices[b.label] = rng.standard_normal(
+            seq.matrix(b.label)[...] = rng.standard_normal(
                 (b.size, b.size)
             ) + 1j * rng.standard_normal((b.size, b.size))
         return seq
@@ -188,7 +197,7 @@ def test_hs_inner_polarization(full_family):
     def norm_sq_of_combo(a, b, scalar):
         combo = zero_sequence(full_family)
         for blk in full_family.blocks:
-            combo.matrices[blk.label] = a.matrices[blk.label] + scalar * b.matrices[blk.label]
+            combo.matrix(blk.label)[...] = a.matrix(blk.label) + scalar * b.matrix(blk.label)
         return norm_sq(combo)
 
     def norm_sq(seq):
@@ -209,8 +218,8 @@ def test_hs_inner_structure_mismatch(rl_family, full_family):
     with pytest.raises(ValueError):
         hs_inner(zero_sequence(rl_family), zero_sequence(full_family))
     # same labels, different block sizes: a (1, 1) block would broadcast silently
-    one = MatrixSequence(labels=("x",), matrices={"x": np.ones((1, 1))})
-    two = MatrixSequence(labels=("x",), matrices={"x": np.ones((2, 2))})
+    one = MatrixSequence(block_layout([("x", 1)]), np.ones(1))
+    two = MatrixSequence(block_layout([("x", 2)]), np.ones(4))
     with pytest.raises(ValueError):
         hs_inner(one, two)
 
@@ -219,20 +228,31 @@ def test_matrix_sequence_norm_recomputed_entrywise(full_family):
     rng = np.random.default_rng(5)
     seq = zero_sequence(full_family)
     for b in full_family.blocks:
-        seq.matrices[b.label] = rng.standard_normal(
+        seq.matrix(b.label)[...] = rng.standard_normal(
             (b.size, b.size)
         ) + 1j * rng.standard_normal((b.size, b.size))
     total = 0.0
     for b in full_family.blocks:
         for i in range(b.size):
             for j in range(b.size):
-                total += abs(seq.matrices[b.label][i, j]) ** 2
+                total += abs(seq.matrix(b.label)[i, j]) ** 2
     assert abs(seq.norm_sq() - total) < 1e-12
 
 
-def test_matrix_sequence_rejects_non_square():
+def test_matrix_sequence_rejects_flat_length_mismatch():
     with pytest.raises(ValueError):
-        MatrixSequence(labels=("a",), matrices={"a": np.zeros((2, 3))})
+        MatrixSequence(block_layout([("a", 2)]), np.zeros(6))
+
+
+def test_matrix_is_a_writable_view_of_flat(full_family):
+    seq = zero_sequence(full_family)
+    b = full_family.blocks[2]       # irrep:2, a 2 x 2 block
+    seq.matrix(b.label)[1, 0] = 3.0 - 1.0j
+    assert seq.flat[b.offset + 1 * b.size + 0] == 3.0 - 1.0j
+    assert np.count_nonzero(seq.flat) == 1
+    assert np.shares_memory(seq.matrix(b.label), seq.flat)
+    with pytest.raises(KeyError):
+        seq.matrix("irrep:7")
 
 
 def test_isometry_defect_span_and_complement(sym3_catalog, rl_family):

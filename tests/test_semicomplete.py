@@ -3,7 +3,7 @@ import pytest
 
 from grouplab.catalog import build_catalog, peter_weyl_basis
 from grouplab.fourier import fourier_transform, synthesize
-from grouplab.groups import circle_group, cyclic_group
+from grouplab.groups import circle_group, cyclic_group, make_group
 from grouplab.hilbert import (
     ExpansionWeights,
     L2Function,
@@ -78,6 +78,20 @@ def test_tail_bound_matches_coefficient_cyclic12(zn12, zn12_catalog):
     grid = zn12_catalog.grids[key][:, 0, 0]
     oracle = abs(sum(zn12.weights[k] * f.values[k] * np.conj(grid[k]) for k in range(12)))
     assert abs(bound - oracle) < 1e-12
+
+
+@pytest.mark.parametrize("spec", ["sym:3", "dihedral:5", "zn:12", "circle:16", "su2:j=1.5"])
+def test_tail_bound_per_label_is_sqrt_degree_sum_over_its_block(spec):
+    cat = build_catalog(make_group(spec))
+    f = random_function(cat.group, 9)
+    c = coefficients(f, peter_weyl_basis(cat))     # <f, sqrt(d) u_ij>, every label in one row
+    start = 0
+    for lab in cat.labels:
+        d = lab.degree
+        bound = omission_tail_bound(f, cat, OmissionSpec(omitted=(lab.key,)))
+        assert abs(bound - np.sqrt(d) * np.sum(np.abs(c[start : start + d * d]))) < 1e-12
+        start += d * d
+    assert start == len(c)
 
 
 def test_tail_bound_dominates_actual_defect(sym3_catalog, zn12_catalog):
