@@ -1,13 +1,20 @@
 """Weighted dot-product kernels behind every L2 operation in the package.
 
 All inner products here reduce to sums of the form sum_k w_k a_k conj(b_k)
-over quadrature nodes, so the whole package funnels through the four kernels
-in this module: a single weighted inner product, coefficients of functions
-against a family, the Gram matrix of a family, and linear combinations of
-family members.  Each is one BLAS-backed matrix product; ``gram`` evaluates
-its product in row slabs of ``GRAM_SLAB_ROWS`` members, straight into the
-preallocated result, so its only temporary is one slab rather than two
-copies of the member matrix.
+over quadrature nodes, so the whole package funnels through this module: a
+single weighted inner product, coefficients of functions against a family,
+linear combinations of family members, and two kernels over a family's Gram
+matrix.  Each product is one BLAS-backed matrix product.
+
+The Gram kernels share one slab generator.  For each slab r of
+``GRAM_SLAB_ROWS`` members it evaluates only the upper-triangle block
+G[r, r.start:], since G_ji = conj(G_ij); the square block on the diagonal is
+made exactly Hermitian, with a real diagonal.  ``gram`` writes every block
+into the result and mirrors its conjugate into the lower triangle, so it
+evaluates about half the products and returns an exactly Hermitian matrix.
+``gram_defect`` reduces each block to max |G - I| and drops it, so the
+orthonormality check never holds more than one slab of the Gram matrix, and
+it returns the same float as the dense defect of ``gram``.
 
 ``coefficients_against`` and ``combine`` take either one operand vector or a
 stack of them, one per row, and evaluate the same matrix product either way;
@@ -18,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Member rows per slab of ``gram``; a slab is GRAM_SLAB_ROWS x n_nodes complex values.
+#: Member rows per slab of the Gram kernels; a slab is GRAM_SLAB_ROWS x n_nodes complex values.
 GRAM_SLAB_ROWS = 256
 
 
@@ -50,25 +57,65 @@ def coefficients_against(members, w, f) -> np.ndarray:
     return np.conj(_c128(members) @ np.conj(_c128(f) * _f64(w)).T).T
 
 
-def gram(members, w) -> np.ndarray:
-    """out[i, j] = sum_k w_k members[i, k] conj(members[j, k]).
+def _upper_gram_blocks(members, w, out=None):
+    """Yield (rows, block) with block = G[rows, rows.start:] for each row slab.
 
-    Each slab of rows r is conj((conj(members[r]) * w) @ members.T), which
-    conjugates the slab instead of a copy of the whole member matrix.
+    Each block is conj((conj(members[rows]) * w) @ members[rows.start:].T),
+    which conjugates the slab instead of a copy of the whole member matrix.
+    Its leading square, the diagonal block, gets a real diagonal and the
+    conjugate of its upper triangle below it.  Blocks are written in place
+    into ``out[rows, rows.start:]`` when an (M, M) ``out`` is given, so
+    ``gram`` holds no block buffer beside its result; otherwise
+    each is a C-contiguous view of one reused buffer, which the caller may
+    overwrite and which is valid until the next block is yielded.
     """
     members = _c128(members)
     w = _f64(w)
     m = members.shape[0]
-    out = np.empty((m, m), dtype=np.complex128)
     slab = np.empty((min(m, GRAM_SLAB_ROWS), members.shape[1]), dtype=np.complex128)
+    if out is None:
+        buf = np.empty(min(m, GRAM_SLAB_ROWS) * m, dtype=np.complex128)
     for start in range(0, m, GRAM_SLAB_ROWS):
         rows = slice(start, min(start + GRAM_SLAB_ROWS, m))
-        part = slab[: rows.stop - start]
+        s = rows.stop - start
+        part = slab[:s]
         np.conj(members[rows], out=part)
         part *= w
-        np.matmul(part, members.T, out=out[rows])
-        np.conj(out[rows], out=out[rows])
+        if out is None:
+            block = buf[: s * (m - start)].reshape(s, m - start)
+        else:
+            block = out[rows, start:]
+        np.matmul(part, members[start:].T, out=block)
+        np.conj(block, out=block)
+        for i in range(s):
+            block[i, i] = block[i, i].real
+            np.conj(block[i, i + 1 : s], out=block[i + 1 : s, i])
+        yield rows, block
+
+
+def gram(members, w) -> np.ndarray:
+    """out[i, j] = sum_k w_k members[i, k] conj(members[j, k]), exactly Hermitian."""
+    m = members.shape[0]
+    out = np.empty((m, m), dtype=np.complex128)
+    for rows, block in _upper_gram_blocks(members, w, out):
+        np.conj(block[:, rows.stop - rows.start :].T, out=out[rows.stop :, rows])
     return out
+
+
+def gram_defect(members, w) -> float:
+    """max |G - I| over the Gram matrix G of ``members``, one slab at a time.
+
+    Equal to the max of |G_ij| off the diagonal and |G_ii - 1| on it, taken
+    over the exactly Hermitian matrix ``gram`` returns.
+    """
+    defect = 0.0
+    for rows, block in _upper_gram_blocks(members, w):
+        # row by row, so |G| never takes a block-sized array of its own;
+        # np.maximum, unlike max(), carries a NaN through to the result
+        for i, row in enumerate(block):
+            row[i] -= 1.0       # G_ii sits at column i of the block
+            defect = np.maximum(defect, np.max(np.abs(row)))
+    return float(defect)
 
 
 def combine(coeffs, members) -> np.ndarray:

@@ -40,6 +40,7 @@ import numpy as np
 
 from .groups import GroupModel, su2_matrix_from_euler
 from .hilbert import FamilyBlock, OrthonormalFamily, block_layout
+from .spec import ConfigError
 
 
 @dataclass(frozen=True)
@@ -296,12 +297,12 @@ def _bound_in_steps(truncation, group: GroupModel, per_unit: int) -> int:
         or not float(per_unit * bound).is_integer()
         or bound < 0
     ):
-        raise ValueError(
+        raise ConfigError(
             f"truncation for {group.name} must be a nonnegative multiple of "
             f"{1 / per_unit:g}, got {truncation!r}"
         )
     if bound > group.capacity + 1e-12:
-        raise ValueError(
+        raise ConfigError(
             f"truncation {bound} exceeds quadrature capacity {group.capacity:g} of {group.name}"
         )
     return int(per_unit * bound)

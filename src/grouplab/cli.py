@@ -3,7 +3,10 @@
 Subcommands build groups, catalogs and families from a JSON config, run one
 named experiment, and write defect tables and transforms under the output
 directory with experiment-name prefixes.  Exit codes: 0 success, 2 config
-error, 3 breach of a numerical invariant (Gram or Bessel).
+error (a ``ConfigError``: a bad config value, spec or referenced file), 3
+breach of a numerical invariant (Gram or Bessel).  Any other exception is an
+internal failure: it is not caught, so the process exits 1 with its
+traceback.
 """
 from __future__ import annotations
 
@@ -25,17 +28,23 @@ BESSEL_SLACK = 1e-9
 
 
 def _family(cfg: ExperimentConfig, cat):
-    """The family without the omitted labels (Peter-Weyl when none) and its
-    Gram matrix, which must lie within the tolerance of the identity."""
+    """The family without the omitted labels (Peter-Weyl when none), checked
+    to be orthonormal within the tolerance; the check streams its Gram
+    matrix and keeps none of it."""
     family = build_riemann_lebesgue_family(cat, OmissionSpec(omitted=cfg.omit))
+    _check_gram(cfg, family)
+    return family
+
+
+def _check_gram(cfg: ExperimentConfig, family, gram=None) -> None:
+    """Raise InvariantBreach unless max |G - I| is within the tolerance; a
+    given Gram matrix ``gram`` is checked instead of streaming one."""
     limit = cfg.tol if cfg.tol is not None else gram_tol(family.group)
-    gram = family.gram_matrix()
     defect = family.gram_defect(gram)
-    if defect > limit:
+    if not defect <= limit:  # a NaN defect fails too
         raise InvariantBreach(
             f"family Gram defect {defect:.3e} exceeds tolerance {limit:.3e}"
         )
-    return family, gram
 
 
 def _bessel_columns(cfg: ExperimentConfig):
@@ -46,7 +55,7 @@ def _bessel_columns(cfg: ExperimentConfig):
     """
     group = make_group(cfg.group_spec)
     cat = build_catalog(group, truncation=cfg.truncation)
-    family = _family(cfg, cat)[0]
+    family = _family(cfg, cat)
     ids, fns, _ = cfgmod.build_test_set(
         cfg.test_set_spec, group, family, seed_override=cfg.seed_override
     )
@@ -90,10 +99,12 @@ def cmd_parseval(cfg: ExperimentConfig) -> int:
 def cmd_semicomplete(cfg: ExperimentConfig) -> int:
     group = make_group(cfg.group_spec)
     cat = build_catalog(group, truncation=cfg.truncation)
-    family = _family(cfg, cat)[0]
+    family = _family(cfg, cat)
     weights = cfgmod.build_weights(
         cfg.weights_spec, family.max_block_size, seed_override=cfg.seed_override
     )
+    if np.any(weights.gamma == 0) or np.any(weights.beta == 0):
+        raise ConfigError(f"expansion weights {cfg.weights_spec!r} have a zero entry")
     ids, fns, descriptor = cfgmod.build_test_set(
         cfg.test_set_spec, group, family, seed_override=cfg.seed_override
     )
@@ -138,7 +149,10 @@ def cmd_lift(cfg: ExperimentConfig) -> int:
         iw.k_spec, iw.a_range, iw.n_range, iw.a_size, iw.n_size, profile=iw.profile
     )
     cat_k = build_catalog(model.K, truncation=iw.truncation)
-    xi, xi_gram = _family(cfg, cat_k)
+    xi = build_riemann_lebesgue_family(cat_k, OmissionSpec(omitted=cfg.omit))
+    # the lift compares against xi's Gram matrix, so check that one matrix
+    xi_gram = xi.gram_matrix()
+    _check_gram(cfg, xi, xi_gram)
     lifted = lift_family(model, xi)
 
     restricted = lifted.restrict_to_k()
@@ -196,9 +210,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         return COMMANDS[args.command](cfg)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except InvariantBreach as exc:

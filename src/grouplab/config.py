@@ -33,7 +33,7 @@ from .hilbert import (
     unit_weights,
 )
 from .semicomplete import SemicompletenessReport, validate_weights
-from .spec import ConfigError, parse_params, split_spec
+from .spec import ConfigError, parse_params, parse_value, split_spec
 
 
 class InvariantBreach(RuntimeError):
@@ -112,7 +112,7 @@ def load_config(
     _require(path.is_file(), f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require(isinstance(raw, dict), "config must be a JSON object")
 
@@ -208,7 +208,7 @@ def build_weights(spec, n: int, seed_override: int | None = None) -> ExpansionWe
         parse_params(rest, "unit weights")
         return unit_weights(n)
     if head == "diag-reciprocal":
-        seed = parse_params(rest, "weights", seed=int).get("seed", 0)
+        seed = parse_params(rest, "weights", seed=_seed).get("seed", 0)
         if seed_override is not None:
             seed = seed_override
         return diag_reciprocal_weights(n, seed)
@@ -226,8 +226,20 @@ def build_weights(spec, n: int, seed_override: int | None = None) -> ExpansionWe
             "weights table needs gamma (n,) and beta (n, n)",
         )
         _require(len(gamma) >= n, f"weights table dimension {len(gamma)} < required {n}")
+        _require(
+            np.isfinite(gamma).all() and np.isfinite(beta).all(),
+            f"weights table {path} has a non-finite entry",
+        )
         return ExpansionWeights(gamma, beta)
     raise ConfigError(f"unknown weights spec {spec!r}")
+
+
+def _seed(text: str) -> int:
+    """A spec seed: a nonnegative integer, as numpy's generators require."""
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"negative seed {seed}")
+    return seed
 
 
 def _complex_array(obj) -> np.ndarray:
@@ -254,7 +266,7 @@ def build_function(
     """
     head, rest = split_spec(spec)
     if head == "random":
-        seed = parse_params(rest, "function", seed=int).get("seed", 0)
+        seed = parse_params(rest, "function", seed=_seed).get("seed", 0)
         return f"random:{seed}", random_function(group, seed)
     if head == "member":
         _require(family is not None, "member function spec needs a family in context")
@@ -301,7 +313,7 @@ def build_test_set(
         return ids, fns, f"list:{len(spec)}"
     head, rest = split_spec(spec)
     if head == "random":
-        params = parse_params(rest, "test set", count=int, seed=int)
+        params = parse_params(rest, "test set", count=int, seed=_seed)
         count, seed = params.get("count", 16), params.get("seed", 0)
         _require(count >= 0, "test set count must be nonnegative")
         if seed_override is not None:
@@ -419,7 +431,7 @@ def l2_from_csv(group: GroupModel, path: str | Path) -> L2Function:
     values = np.zeros(group.n_nodes, dtype=np.complex128)
     seen = 0
     for row in _read_csv_rows(path, 3):
-        k = int(row[0])
+        k = parse_value(row[0], int, f"node index in {path}")
         _require(0 <= k < group.n_nodes, f"node index {k} out of range in {path}")
         values[k] = _parse_sample(row[1], row[2], path)
         seen += 1
@@ -445,7 +457,7 @@ def functions_from_csv(group: GroupModel, path: str | Path) -> tuple[list[str], 
         if fid not in by_id:
             by_id[fid] = np.zeros(group.n_nodes, dtype=np.complex128)
             counts[fid] = 0
-        k = int(row[1])
+        k = parse_value(row[1], int, f"node index in {path}")
         _require(0 <= k < group.n_nodes, f"node index {k} out of range in {path}")
         by_id[fid][k] = _parse_sample(row[2], row[3], path)
         counts[fid] += 1
@@ -457,27 +469,29 @@ def functions_from_csv(group: GroupModel, path: str | Path) -> tuple[list[str], 
 
 def _parse_sample(re: str, im: str, path) -> complex:
     """One sample value; NaN or infinity would slip past every defect check."""
-    z = float(re) + 1j * float(im)
-    _require(np.isfinite(z), f"{path}: sample value ({re}, {im}) is not finite")
-    return z
+    what = f"sample value in {path}"
+    return parse_value(re, float, what) + 1j * parse_value(im, float, what)
 
 
 def _read_csv_rows(path: Path, n_cols: int):
     with open(path, newline="") as fh:
         first = True
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if first:
-                first = False
-                try:
-                    float(parts[-1])
-                except ValueError:
-                    continue  # header row
-            _require(len(parts) == n_cols, f"{path}: expected {n_cols} columns, got {len(parts)}")
-            yield parts
+        try:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                parts = line.split(",")
+                if first:
+                    first = False
+                    try:
+                        float(parts[-1])
+                    except ValueError:
+                        continue  # header row
+                _require(len(parts) == n_cols, f"{path}: expected {n_cols} columns, got {len(parts)}")
+                yield parts
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not a text file: {exc}") from exc
 
 
 def lifted_family_to_csv(lifted, path: str | Path) -> None:

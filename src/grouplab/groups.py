@@ -14,7 +14,8 @@ Three families are supported:
 
 Weights are always stored explicitly and sum to 1, so every L2 inner product
 downstream is a plain weighted dot product over the node grid.  ``make_group``
-reads these spec strings with the grammar of ``spec.py``.
+reads these spec strings with the grammar of ``spec.py``; a size or spin
+outside a constructor's range is a ``ConfigError``.
 """
 from __future__ import annotations
 
@@ -111,14 +112,14 @@ def _finite_model(name: str, elements: list, compose, identity_elem) -> GroupMod
 
 def cyclic_group(n: int) -> GroupModel:
     if n < 1:
-        raise ValueError(f"cyclic group needs n >= 1, got {n}")
+        raise ConfigError(f"cyclic group needs n >= 1, got {n}")
     return _finite_model(f"zn:{n}", list(range(n)), lambda a, b: (a + b) % n, 0)
 
 
 def dihedral_group(n: int) -> GroupModel:
     """Dihedral group of order 2n; elements are (flip, rotation) pairs."""
     if n < 3:
-        raise ValueError(f"dihedral group needs n >= 3, got {n}")
+        raise ConfigError(f"dihedral group needs n >= 3, got {n}")
     elements = [(f, r) for f in (0, 1) for r in range(n)]
 
     def compose(x, y):
@@ -134,7 +135,7 @@ def dihedral_group(n: int) -> GroupModel:
 def symmetric_group(n: int) -> GroupModel:
     """Symmetric group on n letters, n in {3, 4}; elements are permutation tuples."""
     if n not in (3, 4):
-        raise ValueError(f"symmetric group supported for n in {{3, 4}}, got {n}")
+        raise ConfigError(f"symmetric group supported for n in {{3, 4}}, got {n}")
     elements = sorted(permutations(range(n)))
 
     def compose(p, q):
@@ -150,7 +151,7 @@ def symmetric_group(n: int) -> GroupModel:
 
 def circle_group(n_nodes: int) -> GroupModel:
     if n_nodes < 1:
-        raise ValueError(f"circle needs at least one node, got {n_nodes}")
+        raise ConfigError(f"circle needs at least one node, got {n_nodes}")
     thetas = TWO_PI * np.arange(n_nodes) / n_nodes
     return GroupModel(
         kind="circle",
@@ -186,11 +187,11 @@ def su2_group(jmax: float, quad: int | None = None) -> GroupModel:
     """
     two_j = int(round(2 * jmax))
     if two_j < 0 or abs(2 * jmax - two_j) > 1e-12:
-        raise ValueError(f"su2 jmax must be a nonnegative half-integer, got {jmax}")
+        raise ConfigError(f"su2 jmax must be a nonnegative half-integer, got {jmax}")
     n_beta = quad if quad is not None else two_j + 1
     n_torus = max(2 * n_beta - 1, 2 * two_j + 1)
     if n_beta < two_j + 1:
-        raise ValueError(
+        raise ConfigError(
             f"su2 quadrature order {n_beta} too small for jmax={jmax}; need >= {two_j + 1}"
         )
     x, glw = np.polynomial.legendre.leggauss(n_beta)

@@ -8,7 +8,10 @@ order fixed as: blocks in catalog order, row-major (i outer, j inner) within
 a block.  ``block_layout`` is the one constructor of that layout; the catalog
 store and the L2(A) matrix sequences use it too.  The member matrix may be a
 read-only view of a catalog's coefficient store (see ``catalog``); operations
-here only read it.
+here only read it.  A family's orthonormality defect max |G - I| is reduced
+slab by slab over the upper triangle of its Gram matrix G, so checking a
+family never allocates an (M, M) array; ``gram_matrix`` builds G only for
+callers that need the matrix itself.
 """
 from __future__ import annotations
 
@@ -173,14 +176,19 @@ class OrthonormalFamily:
         return _kernels.gram(self.members, self.group.weights)
 
     def gram_defect(self, gram: np.ndarray | None = None) -> float:
-        """max |G - I| over the Gram matrix G (computed here unless given)."""
+        """max |G - I| over the Gram matrix G.
+
+        With no ``gram`` the Gram matrix is reduced slab by slab and never
+        built; the result is the same float as ``gram_defect(gram_matrix())``.
+        """
         if self.n_members == 0:
             return 0.0
-        g = self.gram_matrix() if gram is None else gram
+        if gram is None:
+            return _kernels.gram_defect(self.members, self.group.weights)
         # max over |G_ij| off the diagonal and |G_ii - 1| on it, with no identity
         # or difference matrix: one abs array whose diagonal is overwritten
-        dev = np.abs(g)
-        np.fill_diagonal(dev, np.abs(np.diagonal(g) - 1.0))
+        dev = np.abs(gram)
+        np.fill_diagonal(dev, np.abs(np.diagonal(gram) - 1.0))
         return float(np.max(dev))
 
 

@@ -131,7 +131,8 @@ def make_iwasawa_model(
         raise ConfigError(f"unknown profile {profile!r}")
 
     shifted = raw - raw[id_index]          # condition (i), exact
-    mass = float(np.dot(an_weights, np.exp(2.0 * np.real(shifted))))
+    with np.errstate(over="ignore"):  # an overflowing mass is reported just below
+        mass = float(np.dot(an_weights, np.exp(2.0 * np.real(shifted))))
     if not math.isfinite(mass) or mass <= 0:
         raise ConfigError(f"profile {profile!r} is not normalizable on the range")
     return IwasawaModel(

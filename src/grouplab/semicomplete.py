@@ -26,6 +26,7 @@ from .hilbert import (
     expand,
 )
 from .parseval import MatrixSequence
+from .spec import ConfigError
 
 
 @dataclass(frozen=True)
@@ -40,10 +41,10 @@ def build_riemann_lebesgue_family(cat: RepCatalog, omit: OmissionSpec) -> Orthon
     known = {lab.key for lab in cat.labels}
     unknown = [k for k in omit.omitted if k not in known]
     if unknown:
-        raise ValueError(f"omitted labels not in catalog: {unknown}")
+        raise ConfigError(f"omitted labels not in catalog: {unknown}")
     retained = [b for b in cat.blocks if b.label not in omit.omitted]
     if not retained:
-        raise ValueError("omission would leave an empty family")
+        raise ConfigError("omission would leave an empty family")
     return _sqrt_degree_family(cat, retained)
 
 

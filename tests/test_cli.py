@@ -662,8 +662,9 @@ def test_cmd_lift_computes_each_gram_matrix_once(tmp_path, monkeypatch):
 
 def test_family_gram_check_holds_the_coefficients_once(tmp_path):
     # circle:1024 without its top pair: the 1021 retained members are a view of
-    # the 16.7 MB store, and the Gram check adds the 16.7 MB Gram matrix, one
-    # slab and one real |G| array; three member-sized copies would pass 80 MB
+    # the 16.7 MB store, and the streamed Gram check adds one member slab, one
+    # block of Gram rows and its |G| values, about 10 MB; the 16.7 MB Gram
+    # matrix the check used to build would pass 30 MB on its own with the store
     from grouplab.cli import _family
 
     path = write_config(tmp_path, group="circle:1024", omit=["m:511", "m:-511"])
@@ -671,12 +672,12 @@ def test_family_gram_check_holds_the_coefficients_once(tmp_path):
     tracemalloc.start()
     try:
         cat = build_catalog(make_group(cfg.group_spec), truncation=cfg.truncation)
-        family, gram = _family(cfg, cat)
+        family = _family(cfg, cat)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert family.n_members == 1021 and gram.shape == (1021, 1021)
-    assert peak <= 50 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MB"
+    assert family.n_members == 1021
+    assert peak <= 30 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MB"
 
 
 @pytest.mark.parametrize("group, omit", [("su2:j=4", ["j:4"]), ("circle:64", [])])
@@ -698,3 +699,88 @@ def test_bessel_coefficient_sums_equal_per_row_sums_bitwise(tmp_path, group, omi
     )
     want = np.array([np.sum(np.abs(c) ** 2) for c in coeffs])
     assert coeff_sum.tobytes() == want.tobytes()
+
+
+BAD_INPUTS = {
+    "circle-no-nodes": ("catalog", dict(group="circle:0")),
+    "sym-5": ("catalog", dict(group="sym:5")),
+    "zn-0": ("catalog", dict(group="zn:0")),
+    "dihedral-2": ("catalog", dict(group="dihedral:2")),
+    "su2-fractional-spin": ("catalog", dict(group="su2:j=1.3")),
+    "su2-negative-spin": ("catalog", dict(group="su2:j=-1")),
+    "su2-small-quadrature": ("catalog", dict(group="su2:j=2,quad=3")),
+    "fractional-truncation": ("catalog", dict(group="circle:16", truncation=2.7)),
+    "unknown-omitted-label": ("parseval", dict(omit=["irrep:9"])),
+    "every-label-omitted": ("parseval", dict(omit=["irrep:0", "irrep:1", "irrep:2"])),
+    "infinite-table-weight": ("semicomplete", dict(weights="table:{tmp}/inf.json")),
+    "zero-table-weight": ("semicomplete", dict(weights="table:{tmp}/zero.json")),
+    "negative-test-set-seed": ("parseval", dict(test_set="random:count=2,seed=-1")),
+    "negative-function-seed": ("isometry", dict(test_set=["random:seed=-1"])),
+    "negative-weights-seed": ("semicomplete", dict(weights="diag-reciprocal:seed=-3")),
+    "non-numeric-sample": ("parseval", dict(test_set="samples:{tmp}/words.csv")),
+    "non-integer-sample-node": ("parseval", dict(test_set="samples:{tmp}/node.csv")),
+    "binary-samples-file": ("parseval", dict(test_set="samples:{tmp}/binary.csv")),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_inputs_exit_2_as_config_errors(tmp_path, capsys, case):
+    (tmp_path / "inf.json").write_text(
+        '{"gamma": [1, Infinity], "beta": [[1, 1], [1, 1]]}'
+    )
+    (tmp_path / "zero.json").write_text('{"gamma": [1, 1], "beta": [[1, 0], [1, 1]]}')
+    samples = "fn,node,re,im\n" + "".join(f"f,{k},1,0\n" for k in range(6))
+    (tmp_path / "words.csv").write_text(samples.replace("f,3,1,0", "f,3,one,0"))
+    (tmp_path / "node.csv").write_text(samples.replace("f,3,1,0", "f,3.5,1,0"))
+    (tmp_path / "binary.csv").write_bytes(samples.encode() + b"f,\xff,1,0\n")
+    command, fields = BAD_INPUTS[case]
+    fields = {
+        k: v.replace("{tmp}", str(tmp_path)) if isinstance(v, str) else v
+        for k, v in fields.items()
+    }
+    cfg = write_config(tmp_path, **fields)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"group": "\xff"}')
+    assert main(["catalog", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_a_config_error(tmp_path):
+    # a ValueError from inside a command is a failure of the program: the
+    # process exits 1 with the traceback instead of blaming the config
+    cfg = write_config(tmp_path, test_set="random:count=2,seed=0")
+    script = (
+        "import sys\n"
+        "from grouplab import cli\n"
+        "def broken(*args, **kwargs):\n"
+        "    raise ValueError('kernel shapes disagree')\n"
+        "cli._kernels.coefficients_against = broken\n"
+        f"sys.exit(cli.main(['parseval', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 1
+    assert "Traceback" in result.stderr and "kernel shapes disagree" in result.stderr
+    assert "config error" not in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_gram_check_fails_on_a_nan_defect(tmp_path):
+    # NaN compares false with everything, so "defect > limit" would pass it
+    from grouplab.cli import _check_gram
+    from grouplab.config import InvariantBreach
+
+    fam = peter_weyl_basis(build_catalog(make_group("zn:4")))
+    members = fam.members.copy()
+    members[2, 1] = np.nan
+    broken = type(fam)(group=fam.group, blocks=fam.blocks, members=members)
+    cfg = cfgmod.load_config(write_config(tmp_path, group="zn:4"))
+    _check_gram(cfg, fam)
+    with pytest.raises(InvariantBreach):
+        _check_gram(cfg, broken)

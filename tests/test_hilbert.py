@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from grouplab import _kernels
 from grouplab.catalog import build_catalog, peter_weyl_basis
 from grouplab.groups import circle_group, cyclic_group, make_group
 from grouplab.hilbert import (
@@ -257,3 +258,31 @@ def test_gram_defect_sees_one_perturbed_member(spec):
     members[1, 2] += 1e-6
     broken = OrthonormalFamily(group=g, blocks=fam.blocks, members=members)
     assert broken.gram_defect() > gram_tol(g)
+
+
+@pytest.mark.parametrize("spec", ["sym:4", "dihedral:5", "zn:12", "circle:1024", "su2:j=1.5"])
+def test_streamed_gram_defect_equals_dense_defect_bitwise(spec):
+    fam = peter_weyl_basis(build_catalog(make_group(spec)))
+    if spec == "circle:1024":
+        assert fam.n_members > 3 * _kernels.GRAM_SLAB_ROWS
+    dense = fam.gram_defect(fam.gram_matrix())
+    assert fam.gram_defect() == dense
+    assert 0 < dense < gram_tol(fam.group)
+
+
+def test_streamed_gram_defect_sees_the_last_slab():
+    fam = peter_weyl_basis(build_catalog(make_group("circle:1024")))
+    limit = gram_tol(fam.group)
+    last = fam.n_members - 1
+    assert (last - 1) // _kernels.GRAM_SLAB_ROWS == last // _kernels.GRAM_SLAB_ROWS == 3
+    # each breach sits only in the last slab's block: the entry of two of its
+    # members, or the diagonal entry of one of them
+    for change in ("tilt", "norm"):
+        members = fam.members.copy()
+        if change == "tilt":
+            members[last] += 1e-6 * members[last - 1]
+        else:
+            members[last] *= 1 + 1e-7
+        broken = OrthonormalFamily(group=fam.group, blocks=fam.blocks, members=members)
+        assert broken.gram_defect() > limit, change
+        assert broken.gram_defect() == broken.gram_defect(broken.gram_matrix())

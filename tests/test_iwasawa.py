@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,8 @@ BAD_MODEL_INPUTS = {
     "misshaped-table": dict(table="0 0\n0 0\n"),
     "non-numeric-table": dict(table="a b c d\n" * 4),
     "unnormalizable-table": dict(table="0 0 0 0\n" * 2 + "0 0 0 inf\n0 0 0 0\n"),
+    # exp(2 * 1000) overflows: still the same config error, and no numpy warning
+    "overflowing-table": dict(table="0 0 0 0\n" * 2 + "0 0 0 1000\n0 0 0 0\n"),
 }
 
 
@@ -124,6 +127,16 @@ def test_bad_model_inputs_raise_config_error(case, tmp_path):
         args["profile"] = f"table:{path}"
     with pytest.raises(ConfigError):
         make_iwasawa_model(**args)
+
+
+@pytest.mark.parametrize("entry", ["inf", "1000"])
+def test_unnormalizable_table_is_one_config_error_without_warnings(entry, tmp_path):
+    path = tmp_path / "profile.txt"
+    path.write_text("0 0 0 0\n" * 2 + f"0 0 0 {entry}\n0 0 0 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="is not normalizable on the range"):
+            make_iwasawa_model("circle:16", (-1, 1), (-1, 1), 4, 4, profile=f"table:{path}")
 
 
 def test_lift_constant_family_uniform_profile():

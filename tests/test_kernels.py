@@ -77,6 +77,11 @@ def test_slabbed_gram_matches_unslabbed_formula(rows):
     want = _old_gram(members, w)
     scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
     assert np.max(np.abs(g - want), initial=0.0) <= 1e-13 * scale
+    # the upper triangle is mirrored: exactly Hermitian, with a real diagonal
+    assert np.array_equal(g, g.conj().T)
+    # and the streamed defect reads the same numbers as the dense one
+    dense = float(np.max(np.abs(g - np.eye(rows)), initial=0.0))
+    assert _kernels.gram_defect(members, w) == dense
 
 
 def test_gram_allocates_result_and_slabs_only():
@@ -95,3 +100,29 @@ def test_gram_allocates_result_and_slabs_only():
     assert g.shape == (1023, 1023)
     # the unslabbed formula peaks at three member-sized arrays
     assert peak <= result_bytes + 2 * slab_bytes, f"gram peak {peak / 2**20:.1f} MB"
+
+
+def test_streamed_gram_defect_carries_nan():
+    members = np.eye(2 * SLAB + 3, 2 * SLAB + 8, dtype=np.complex128)
+    w = np.ones(2 * SLAB + 8)
+    assert _kernels.gram_defect(members, w) == 0.0
+    # a NaN must fail the check, not vanish in a max() comparison
+    members[-1, 5] = np.nan
+    assert np.isnan(_kernels.gram_defect(members, w))
+
+
+def test_streamed_gram_defect_holds_a_few_slabs_not_the_gram_matrix():
+    rng = np.random.default_rng(3)
+    members = rng.standard_normal((1023, 1024)) + 1j * rng.standard_normal((1023, 1024))
+    w = rng.random(1024)
+    slab_bytes = 16 * SLAB * 1024
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _kernels.gram_defect(members, w)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # one member slab, one block of Gram rows and its real |G| values; the
+    # (1023, 1023) Gram matrix alone would be 16 MB, four slabs
+    assert peak <= 3 * slab_bytes, f"gram_defect peak {peak / 2**20:.1f} MB"
