@@ -6,10 +6,13 @@ single weighted inner product, coefficients of functions against a family,
 linear combinations of family members, and two kernels over a family's Gram
 matrix.  Each product is one BLAS-backed matrix product.
 
-The Gram kernels share one slab generator.  For each slab r of
-``GRAM_SLAB_ROWS`` members it evaluates only the upper-triangle block
-G[r, r.start:], since G_ji = conj(G_ij); the square block on the diagonal is
-made exactly Hermitian, with a real diagonal.  ``gram`` writes every block
+The Gram kernels share one slab generator.  A family's member m is
+``scale[m] * members[m]`` for one real scale per row, so the Gram matrix is
+G_ij = s_i s_j sum_k w_k u_ik conj(u_jk).  For each slab r of
+``GRAM_SLAB_ROWS`` members the generator evaluates only the upper-triangle
+block G[r, r.start:], since G_ji = conj(G_ij), scaling the slab's rows and
+the block's columns; the square block on the diagonal is made exactly
+Hermitian, with a real diagonal.  ``gram`` writes every block
 into the result and mirrors its conjugate into the lower triangle, so it
 evaluates about half the products and returns an exactly Hermitian matrix.
 ``gram_defect`` reduces each block to max |G - I| and drops it, so the
@@ -57,11 +60,12 @@ def coefficients_against(members, w, f) -> np.ndarray:
     return np.conj(_c128(members) @ np.conj(_c128(f) * _f64(w)).T).T
 
 
-def _upper_gram_blocks(members, w, out=None):
+def _upper_gram_blocks(members, w, scale, out=None):
     """Yield (rows, block) with block = G[rows, rows.start:] for each row slab.
 
-    Each block is conj((conj(members[rows]) * w) @ members[rows.start:].T),
-    which conjugates the slab instead of a copy of the whole member matrix.
+    Each block is conj((conj(members[rows]) * w * s[rows]) @ members[rows.start:].T)
+    with its columns times s[rows.start:], for the row scale s = ``scale``; it
+    conjugates the slab instead of a copy of the whole member matrix.
     Its leading square, the diagonal block, gets a real diagonal and the
     conjugate of its upper triangle below it.  Blocks are written in place
     into ``out[rows, rows.start:]`` when an (M, M) ``out`` is given, so
@@ -71,6 +75,7 @@ def _upper_gram_blocks(members, w, out=None):
     """
     members = _c128(members)
     w = _f64(w)
+    scale = _f64(scale)
     m = members.shape[0]
     slab = np.empty((min(m, GRAM_SLAB_ROWS), members.shape[1]), dtype=np.complex128)
     if out is None:
@@ -81,11 +86,13 @@ def _upper_gram_blocks(members, w, out=None):
         part = slab[:s]
         np.conj(members[rows], out=part)
         part *= w
+        part *= scale[rows, None]
         if out is None:
             block = buf[: s * (m - start)].reshape(s, m - start)
         else:
             block = out[rows, start:]
         np.matmul(part, members[start:].T, out=block)
+        block *= scale[start:]
         np.conj(block, out=block)
         for i in range(s):
             block[i, i] = block[i, i].real
@@ -93,23 +100,23 @@ def _upper_gram_blocks(members, w, out=None):
         yield rows, block
 
 
-def gram(members, w) -> np.ndarray:
-    """out[i, j] = sum_k w_k members[i, k] conj(members[j, k]), exactly Hermitian."""
+def gram(members, w, scale) -> np.ndarray:
+    """out[i, j] = s_i s_j sum_k w_k members[i, k] conj(members[j, k]), exactly Hermitian."""
     m = members.shape[0]
     out = np.empty((m, m), dtype=np.complex128)
-    for rows, block in _upper_gram_blocks(members, w, out):
+    for rows, block in _upper_gram_blocks(members, w, scale, out):
         np.conj(block[:, rows.stop - rows.start :].T, out=out[rows.stop :, rows])
     return out
 
 
-def gram_defect(members, w) -> float:
-    """max |G - I| over the Gram matrix G of ``members``, one slab at a time.
+def gram_defect(members, w, scale) -> float:
+    """max |G - I| over the Gram matrix G of the scaled ``members``, one slab at a time.
 
     Equal to the max of |G_ij| off the diagonal and |G_ii - 1| on it, taken
     over the exactly Hermitian matrix ``gram`` returns.
     """
     defect = 0.0
-    for rows, block in _upper_gram_blocks(members, w):
+    for rows, block in _upper_gram_blocks(members, w, scale):
         # row by row, so |G| never takes a block-sized array of its own;
         # np.maximum, unlike max(), carries a NaN through to the result
         for i, row in enumerate(block):

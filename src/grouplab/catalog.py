@@ -26,9 +26,12 @@ one read-only ``(sum d^2, n_nodes)`` store in member layout, described by
 per label, keyed by label): label block b keeps u_ij at row
 b.offset + i*d + j, its rows are ``store[b.rows]``, and ``grids[key]`` is an
 ``(n_nodes, d, d)`` view of them.  The Peter-Weyl family and the matrix
-sequence of a Fourier transform have the same ``blocks``.  Peter-Weyl and
-omission families share the store where no sqrt(d) scaling or gather is
-needed, so an analysis run holds the coefficient grid once.
+sequence of a Fourier transform have the same ``blocks``.  The normalization
+sqrt(d) of the Peter-Weyl family {sqrt(d) u_ij} is one read-only per-row
+vector, ``scale``.  A family whose retained blocks form one contiguous run
+of store rows (every Peter-Weyl family and every tail omission) has members
+and scale that are views of ``store`` and ``scale``; only a retained set with
+a gap gathers its rows.  So an analysis run holds the coefficient grid once.
 """
 from __future__ import annotations
 
@@ -68,13 +71,16 @@ class RepCatalog:
 
     ``store`` is the read-only (sum d^2, n_nodes) coefficient matrix; label
     block b of ``blocks`` owns rows ``store[b.rows]`` and ``grids[b.label]``
-    is the same numbers as an (n_nodes, d, d) view.
+    is the same numbers as an (n_nodes, d, d) view.  ``scale`` is the
+    read-only (sum d^2,) Peter-Weyl normalization, sqrt(d) on every row of a
+    degree-d block.
     """
 
     group: GroupModel
     labels: tuple[IrrepLabel, ...]
     store: np.ndarray                      # (sum d^2, n_nodes), member layout
     blocks: tuple[FamilyBlock, ...] = field(init=False)   # Peter-Weyl layout
+    scale: np.ndarray = field(init=False)                # (sum d^2,) sqrt(d) per row
     grids: dict[str, np.ndarray] = field(init=False)   # key -> (n_nodes, d, d) view
 
     def __post_init__(self):
@@ -87,6 +93,9 @@ class RepCatalog:
                 f"{rows} coefficients on {n} nodes"
             )
         self.store.flags.writeable = False
+        sizes = np.array([b.size for b in self.blocks], dtype=np.float64)
+        self.scale = np.repeat(np.sqrt(sizes), [b.size**2 for b in self.blocks])
+        self.scale.flags.writeable = False
         self.grids = {
             b.label: self.store[b.rows].T.reshape(n, b.size, b.size) for b in self.blocks
         }
@@ -124,22 +133,17 @@ def peter_weyl_basis(cat: RepCatalog) -> OrthonormalFamily:
 def _sqrt_degree_family(cat: RepCatalog, retained) -> OrthonormalFamily:
     """{sqrt(d) u_ij} over the ``retained`` blocks of ``cat.blocks``, in catalog order.
 
-    Degree-1 labels on one contiguous run of store rows need neither scaling
-    nor a gather, so their members are a read-only view of the catalog store.
-    Any other family is gathered into one new array and scaled in place.
+    The members are the store rows of the retained blocks and the scale their
+    rows of ``cat.scale``.  Blocks on one contiguous run of store rows make
+    both read-only views of the catalog; a retained set with a gap gathers.
     """
     blocks = block_layout((b.label, b.size) for b in retained)
-    if not retained:
-        members = np.zeros((0, cat.group.n_nodes), np.complex128)
-    elif all(b.size == 1 for b in retained) and all(
-        a.rows.stop == b.offset for a, b in zip(retained, retained[1:])
-    ):
-        members = cat.store[retained[0].offset : retained[-1].rows.stop]
+    runs = [b.rows for b in retained] or [slice(0, 0)]
+    if all(a.stop == b.start for a, b in zip(runs, runs[1:])):
+        rows = slice(runs[0].start, runs[-1].stop)
     else:
-        members = np.concatenate([cat.store[b.rows] for b in retained])
-        for b in blocks:
-            members[b.rows] *= math.sqrt(b.size)
-    return OrthonormalFamily(group=cat.group, blocks=blocks, members=members)
+        rows = np.concatenate([np.arange(r.start, r.stop) for r in runs])
+    return OrthonormalFamily(cat.group, blocks, cat.store[rows], cat.scale[rows])
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,11 @@ import sys
 
 import numpy as np
 
-from . import _kernels
 from . import config as cfgmod
 from .catalog import build_catalog
 from .config import ConfigError, ExperimentConfig, InvariantBreach
 from .groups import make_group
-from .hilbert import gram_tol
+from .hilbert import coefficients, gram_tol
 from .iwasawa import lift_family, make_iwasawa_model, max_reproduction_residual, reproduction_residual
 from .semicomplete import OmissionSpec, build_riemann_lebesgue_family, semicompleteness_defect
 
@@ -36,11 +35,10 @@ def _family(cfg: ExperimentConfig, cat):
     return family
 
 
-def _check_gram(cfg: ExperimentConfig, family, gram=None) -> None:
-    """Raise InvariantBreach unless max |G - I| is within the tolerance; a
-    given Gram matrix ``gram`` is checked instead of streaming one."""
+def _check_gram(cfg: ExperimentConfig, family) -> None:
+    """Raise InvariantBreach unless max |G - I| is within the tolerance."""
     limit = cfg.tol if cfg.tol is not None else gram_tol(family.group)
-    defect = family.gram_defect(gram)
+    defect = family.gram_defect()
     if not defect <= limit:  # a NaN defect fails too
         raise InvariantBreach(
             f"family Gram defect {defect:.3e} exceeds tolerance {limit:.3e}"
@@ -59,8 +57,7 @@ def _bessel_columns(cfg: ExperimentConfig):
     ids, fns, _ = cfgmod.build_test_set(
         cfg.test_set_spec, group, family, seed_override=cfg.seed_override
     )
-    values = np.reshape([f.values for f in fns], (len(fns), group.n_nodes))
-    coeffs = _kernels.coefficients_against(family.members, group.weights, values)
+    coeffs = coefficients(fns, family)
     norm_sq = np.array([f.norm_sq() for f in fns], dtype=float)
     # the kernel returns coeffs in Fortran order; C-ordered rows keep each row's
     # pairwise summation, so the sums equal the per-row np.sum bit for bit
@@ -148,17 +145,13 @@ def cmd_lift(cfg: ExperimentConfig) -> int:
     model = make_iwasawa_model(
         iw.k_spec, iw.a_range, iw.n_range, iw.a_size, iw.n_size, profile=iw.profile
     )
-    cat_k = build_catalog(model.K, truncation=iw.truncation)
-    xi = build_riemann_lebesgue_family(cat_k, OmissionSpec(omitted=cfg.omit))
-    # the lift compares against xi's Gram matrix, so check that one matrix
-    xi_gram = xi.gram_matrix()
-    _check_gram(cfg, xi, xi_gram)
+    xi = _family(cfg, build_catalog(model.K, truncation=iw.truncation))
     lifted = lift_family(model, xi)
 
     restricted = lifted.restrict_to_k()
     restriction_residual = float(np.max(np.abs(restricted.members - xi.members))) if xi.n_members else 0.0
     lifted_gram = lifted.gram_matrix()
-    gram_residual = float(np.max(np.abs(lifted_gram - xi_gram)))
+    gram_residual = float(np.max(np.abs(lifted_gram - xi.gram_matrix())))
     norm_residual = float(np.max(np.abs(np.diag(lifted_gram) - 1.0)))
     obj = {
         "group": model.K.name,

@@ -217,20 +217,11 @@ def build_weights(spec, n: int, seed_override: int | None = None) -> ExpansionWe
         _require(path.is_file(), f"weights table not found: {path}")
         try:
             data = json.loads(path.read_text())
-            gamma = _complex_array(data["gamma"])
-            beta = _complex_array(data["beta"])
+            weights = ExpansionWeights(_complex_array(data["gamma"]), _complex_array(data["beta"]))
         except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"malformed weights table {path}: {exc}") from exc
-        _require(
-            gamma.ndim == 1 and beta.shape == (len(gamma), len(gamma)),
-            "weights table needs gamma (n,) and beta (n, n)",
-        )
-        _require(len(gamma) >= n, f"weights table dimension {len(gamma)} < required {n}")
-        _require(
-            np.isfinite(gamma).all() and np.isfinite(beta).all(),
-            f"weights table {path} has a non-finite entry",
-        )
-        return ExpansionWeights(gamma, beta)
+        _require(weights.n >= n, f"weights table dimension {weights.n} < required {n}")
+        return weights
     raise ConfigError(f"unknown weights spec {spec!r}")
 
 

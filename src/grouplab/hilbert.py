@@ -2,16 +2,19 @@
 
 Functions are complex vectors on the group's quadrature grid; "closed span"
 statements from the continuous theory become span statements on the grid.
-Orthonormal families are stored as a dense member matrix plus one
-``FamilyBlock`` (label, square size, flat offset) per block, with the flat
-order fixed as: blocks in catalog order, row-major (i outer, j inner) within
-a block.  ``block_layout`` is the one constructor of that layout; the catalog
-store and the L2(A) matrix sequences use it too.  The member matrix may be a
-read-only view of a catalog's coefficient store (see ``catalog``); operations
-here only read it.  A family's orthonormality defect max |G - I| is reduced
-slab by slab over the upper triangle of its Gram matrix G, so checking a
-family never allocates an (M, M) array; ``gram_matrix`` builds G only for
-callers that need the matrix itself.
+Orthonormal families are stored as a dense member matrix, one real scale per
+member row, and one ``FamilyBlock`` (label, square size, flat offset) per
+block, with the flat order fixed as: blocks in catalog order, row-major
+(i outer, j inner) within a block.  ``block_layout`` is the one constructor
+of that layout; the catalog store and the L2(A) matrix sequences use it too.
+Member m is ``scale[m] * members[m]``: the Peter-Weyl family keeps the
+catalog's unscaled coefficients u_ij and its sqrt(d) in ``scale``, so both
+may be read-only views of the catalog (see ``catalog``).  The scale is
+applied only where members meet arithmetic: ``coefficients``, ``expand``,
+``member`` and the Gram kernels.  A family's orthonormality defect max |G - I|
+is reduced slab by slab over the upper triangle of its Gram matrix G, so
+checking a family never allocates an (M, M) array; ``gram_matrix`` builds G
+only for callers that need the matrix itself.
 """
 from __future__ import annotations
 
@@ -122,21 +125,23 @@ def block_layout(sizes) -> tuple[FamilyBlock, ...]:
 class OrthonormalFamily:
     """An indexed family of functions with square block structure.
 
-    ``members`` holds one function per row; block b's members are the rows
-    ``b.rows``, in-block position (i, j) at row b.offset + i*b.size + j.
+    Member m is the function ``scale[m] * members[m]``; block b's members are
+    the rows ``b.rows``, in-block position (i, j) at row b.offset + i*b.size + j.
     """
 
     group: GroupModel
     blocks: tuple[FamilyBlock, ...]
-    members: np.ndarray             # (n_members, n_nodes) complex
+    members: np.ndarray             # (n_members, n_nodes) complex, unscaled
+    scale: np.ndarray               # (n_members,) real, one factor per row
 
     def __post_init__(self):
         self.members = np.ascontiguousarray(self.members, dtype=np.complex128)
+        self.scale = np.ascontiguousarray(self.scale, dtype=np.float64)
         expected = sum(b.size * b.size for b in self.blocks)
-        if self.members.shape != (expected, self.group.n_nodes):
+        if self.members.shape != (expected, self.group.n_nodes) or self.scale.shape != (expected,):
             raise ValueError(
-                f"member matrix shape {self.members.shape} does not match blocks "
-                f"({expected} members on {self.group.n_nodes} nodes)"
+                f"member matrix {self.members.shape} and scale {self.scale.shape} do not "
+                f"match blocks ({expected} members on {self.group.n_nodes} nodes)"
             )
 
     @property
@@ -158,10 +163,10 @@ class OrthonormalFamily:
         return b.offset + i * b.size + j
 
     def member(self, block: int, i: int, j: int) -> L2Function:
-        return L2Function(self.group, self.members[self.flat_index(block, i, j)].copy())
+        return self.member_flat(self.flat_index(block, i, j))
 
     def member_flat(self, k: int) -> L2Function:
-        return L2Function(self.group, self.members[k].copy())
+        return L2Function(self.group, self.scale[k] * self.members[k])
 
     def flat_positions(self) -> list[tuple[str, int, int]]:
         """(block label, i, j) for every member in flat order."""
@@ -173,23 +178,12 @@ class OrthonormalFamily:
         return out
 
     def gram_matrix(self) -> np.ndarray:
-        return _kernels.gram(self.members, self.group.weights)
+        return _kernels.gram(self.members, self.group.weights, self.scale)
 
-    def gram_defect(self, gram: np.ndarray | None = None) -> float:
-        """max |G - I| over the Gram matrix G.
-
-        With no ``gram`` the Gram matrix is reduced slab by slab and never
-        built; the result is the same float as ``gram_defect(gram_matrix())``.
-        """
-        if self.n_members == 0:
-            return 0.0
-        if gram is None:
-            return _kernels.gram_defect(self.members, self.group.weights)
-        # max over |G_ij| off the diagonal and |G_ii - 1| on it, with no identity
-        # or difference matrix: one abs array whose diagonal is overwritten
-        dev = np.abs(gram)
-        np.fill_diagonal(dev, np.abs(np.diagonal(gram) - 1.0))
-        return float(np.max(dev))
+    def gram_defect(self) -> float:
+        """max |G - I| over the Gram matrix G, reduced slab by slab and never
+        built; the same float as the dense max |gram_matrix() - I|."""
+        return _kernels.gram_defect(self.members, self.group.weights, self.scale)
 
 
 @dataclass(eq=False)
@@ -207,8 +201,7 @@ class ExpansionWeights:
     def __post_init__(self):
         self.gamma = np.ascontiguousarray(self.gamma, dtype=np.complex128)
         self.beta = np.ascontiguousarray(self.beta, dtype=np.complex128)
-        n = self.gamma.shape[0]
-        if self.gamma.ndim != 1 or self.beta.shape != (n, n):
+        if self.gamma.ndim != 1 or self.beta.shape != (self.gamma.size,) * 2:
             raise ValueError(
                 f"weights need gamma (n,) and beta (n, n); got {self.gamma.shape} and {self.beta.shape}"
             )
@@ -251,12 +244,22 @@ def inner(f: L2Function, h: L2Function) -> complex:
     return _kernels.weighted_inner(f.values, h.values, f.group.weights)
 
 
-def coefficients(f: L2Function, family: OrthonormalFamily) -> np.ndarray:
-    """<f, chi> for every family member, in the family's flat order."""
-    require_same_group(f.group, family.group)
-    if family.n_members == 0:
-        return np.zeros(0, dtype=np.complex128)
-    return _kernels.coefficients_against(family.members, f.group.weights, f.values)
+def coefficients(f, family: OrthonormalFamily) -> np.ndarray:
+    """<f, chi> for every family member, in the family's flat order.
+
+    ``f`` is one function, giving (n_members,), or a list of F functions,
+    stacked into one kernel call that gives (F, n_members).
+    """
+    if isinstance(f, L2Function):
+        fns, values = [f], f.values
+    else:
+        fns = list(f)
+        values = np.reshape([fn.values for fn in fns], (len(fns), family.group.n_nodes))
+    for fn in fns:
+        require_same_group(fn.group, family.group)
+    out = _kernels.coefficients_against(family.members, family.group.weights, values)
+    out *= family.scale
+    return out
 
 
 def expand(coeffs, family: OrthonormalFamily) -> L2Function:
@@ -266,9 +269,7 @@ def expand(coeffs, family: OrthonormalFamily) -> L2Function:
         raise ValueError(
             f"expected {family.n_members} coefficients, got shape {coeffs.shape}"
         )
-    if family.n_members == 0:
-        return zero_function(family.group)
-    return L2Function(family.group, _kernels.combine(coeffs, family.members))
+    return L2Function(family.group, _kernels.combine(coeffs * family.scale, family.members))
 
 
 def project(f: L2Function, family: OrthonormalFamily) -> L2Function:

@@ -152,9 +152,10 @@ class LiftedFamily:
     stored as their two factors.
 
     ``members`` is the (n_members, nK) K factor, the source family's own
-    member matrix, and ``envelope`` = exp(profile) the (nAN,) AN factor.
-    Product nodes are ordered K-major: member m at flat node k * n_an + an
-    has the value members[m, k] * envelope[an].
+    unscaled member matrix with row scale s = ``source.scale``, and
+    ``envelope`` = exp(profile) the (nAN,) AN factor.  Product nodes are
+    ordered K-major: member m at flat node k * n_an + an has the value
+    s[m] * members[m, k] * envelope[an].
     """
 
     model: IwasawaModel
@@ -164,21 +165,17 @@ class LiftedFamily:
 
     def gram_matrix(self) -> np.ndarray:
         """Gram(xi) times the AN mass sum_an w_an |exp f(an)|^2."""
-        from . import _kernels
-
         an_mass = float(np.dot(self.model.an_weights, np.abs(self.envelope) ** 2))
-        return _kernels.gram(self.members, self.model.K.weights) * an_mass
+        return self.source.gram_matrix() * an_mass
 
     def product_values(self, m: int) -> np.ndarray:
         """Member m over the whole product grid, (nK * nAN,) in K-major order."""
-        return np.outer(self.members[m], self.envelope).reshape(-1)
+        return np.outer(self.source.scale[m] * self.members[m], self.envelope).reshape(-1)
 
     def restrict_to_k(self) -> OrthonormalFamily:
         """The family of restrictions chi(., identity AN node) on K."""
         values = self.members * self.envelope[self.model.id_index]
-        return OrthonormalFamily(
-            group=self.model.K, blocks=self.source.blocks, members=values
-        )
+        return OrthonormalFamily(self.model.K, self.source.blocks, values, self.source.scale)
 
 
 def lift_family(model: IwasawaModel, xi: OrthonormalFamily) -> LiftedFamily:

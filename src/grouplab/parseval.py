@@ -142,7 +142,7 @@ def block_decompose(
     The components are mutually orthogonal and sum to the projection of f onto
     the family span.
     """
-    flat = coefficients(f, family)
+    flat = coefficients(f, family) * family.scale   # coefficients of the unscaled rows
     out = []
     for b in family.blocks:
         members, block = family.members[b.rows], flat[b.rows]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -225,13 +226,11 @@ def test_peter_weyl_gram_sym3_brute_force(sym3, sym3_catalog):
     fam = peter_weyl_basis(sym3_catalog)
     assert fam.n_members == 6
     # gram by explicit double sum, independent of the kernel path
+    chi = fam.scale[:, None] * fam.members
     g = np.empty((6, 6), dtype=complex)
     for a in range(6):
         for b in range(6):
-            g[a, b] = sum(
-                sym3.weights[k] * fam.members[a, k] * np.conj(fam.members[b, k])
-                for k in range(6)
-            )
+            g[a, b] = sum(sym3.weights[k] * chi[a, k] * np.conj(chi[b, k]) for k in range(6))
     assert np.max(np.abs(g - np.eye(6))) < 1e-12
     assert fam.gram_defect() < 1e-12
 
@@ -273,7 +272,7 @@ def test_grids_are_views_of_the_store_in_member_layout(spec):
 
 
 @pytest.mark.parametrize(
-    "spec, omit, shared",
+    "spec, omit, unit_view",
     [
         ("circle:16", (), True),
         ("zn:12", (), True),
@@ -285,22 +284,47 @@ def test_grids_are_views_of_the_store_in_member_layout(spec):
         ("dihedral:5", ("irrep:2",), False),
         ("su2:j=1.5", (), False),
         ("su2:j=1.5", ("j:0.5",), False),
+        ("dihedral:5", ("irrep:3",), False),            # tail omissions of degree 2
+        ("su2:j=1.5", ("j:1.5", "j:1"), False),
     ],
 )
-def test_families_share_the_store_or_bit_equal_per_label_vstack(spec, omit, shared):
+def test_families_share_the_store_or_bit_equal_per_label_vstack(spec, omit, unit_view):
+    # a retained set on one run of store rows is a view of the store and of
+    # cat.scale, a set with a gap is gathered; ``unit_view`` families are views
+    # with a unit scale, whose store rows are their member functions
     from grouplab.semicomplete import OmissionSpec, build_riemann_lebesgue_family
 
     cat = build_catalog(make_group(spec))
     fam = build_riemann_lebesgue_family(cat, OmissionSpec(omitted=omit))
-    assert np.shares_memory(fam.members, cat.store) == shared
+    runs = [b.rows for b in cat.blocks if b.label not in omit]
+    contiguous = all(a.stop == b.start for a, b in zip(runs, runs[1:]))
+    assert np.shares_memory(fam.members, cat.store) == contiguous
+    assert np.shares_memory(fam.scale, cat.scale) == contiguous
+    assert (contiguous and bool(np.all(fam.scale == 1.0))) == unit_view
     if not omit:
-        assert np.shares_memory(peter_weyl_basis(cat).members, cat.store) == shared
+        pw = peter_weyl_basis(cat)
+        assert np.shares_memory(pw.members, cat.store) and np.shares_memory(pw.scale, cat.scale)
     retained = [lab for lab in cat.labels if lab.key not in omit]
     want = _vstack_family_members(cat, retained)
-    if shared:   # sqrt(1) * u may differ from u in the sign of a zero
+    assert (fam.scale[:, None] * fam.members).tobytes() == want.tobytes()
+    if unit_view:   # 1.0 * u may differ from u in the sign of a zero
         assert np.array_equal(fam.members, want)
-    else:
-        assert fam.members.tobytes() == want.tobytes()
+
+
+def test_omitting_the_top_spin_allocates_no_family_copy():
+    # su2:j=4 without j:4 keeps the contiguous blocks j:0 .. j:3.5: a view, where
+    # a gathered and scaled copy of those rows would be 8.1 MiB of the 11.3 MiB store
+    from grouplab.semicomplete import OmissionSpec, build_riemann_lebesgue_family
+
+    cat = build_catalog(make_group("su2:j=4"))
+    tracemalloc.start()
+    try:
+        fam = build_riemann_lebesgue_family(cat, OmissionSpec(omitted=("j:4",)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fam.n_members == cat.store.shape[0] - 81
+    assert peak < 0.01 * cat.store.nbytes, f"family build allocated {peak} B"
 
 
 def test_store_grids_and_shared_members_are_read_only():

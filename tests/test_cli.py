@@ -654,8 +654,8 @@ def test_cmd_lift_computes_each_gram_matrix_once(tmp_path, monkeypatch):
         },
     )
     assert main(["lift", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    # one Gram of xi (the family check, reused for gram_residual), one of the
-    # lift's K factor, which the lift scales by its AN mass
+    # the family check streams its defect and builds no Gram matrix; one Gram
+    # of xi for gram_residual, and the lift's, which is xi's scaled by the AN mass
     assert calls == [(7, 16), (7, 16)]
     assert json.loads((tmp_path / "exp_lift.json").read_text())["gram_residual"] < 1e-10
 
@@ -684,8 +684,8 @@ def test_family_gram_check_holds_the_coefficients_once(tmp_path):
 def test_bessel_coefficient_sums_equal_per_row_sums_bitwise(tmp_path, group, omit):
     # the parseval and isometry CSVs print these sums with 17 digits, so the one
     # reduction over the stacked coefficients must add in each row's own order
-    from grouplab import _kernels
     from grouplab.cli import _bessel_columns
+    from grouplab.hilbert import coefficients
     from grouplab.semicomplete import OmissionSpec, build_riemann_lebesgue_family
 
     path = write_config(tmp_path, group=group, omit=omit, test_set="random:count=8,seed=3")
@@ -694,9 +694,7 @@ def test_bessel_coefficient_sums_equal_per_row_sums_bitwise(tmp_path, group, omi
     grp = make_group(group)
     fam = build_riemann_lebesgue_family(build_catalog(grp), OmissionSpec(omitted=tuple(omit)))
     fns = build_test_set(cfg.test_set_spec, grp, fam)[1]
-    coeffs = _kernels.coefficients_against(
-        fam.members, grp.weights, np.array([f.values for f in fns])
-    )
+    coeffs = coefficients(fns, fam)
     want = np.array([np.sum(np.abs(c) ** 2) for c in coeffs])
     assert coeff_sum.tobytes() == want.tobytes()
 
@@ -714,6 +712,8 @@ BAD_INPUTS = {
     "every-label-omitted": ("parseval", dict(omit=["irrep:0", "irrep:1", "irrep:2"])),
     "infinite-table-weight": ("semicomplete", dict(weights="table:{tmp}/inf.json")),
     "zero-table-weight": ("semicomplete", dict(weights="table:{tmp}/zero.json")),
+    "scalar-table-gamma": ("semicomplete", dict(weights="table:{tmp}/scalar.json")),
+    "non-square-table-beta": ("semicomplete", dict(weights="table:{tmp}/ragged.json")),
     "negative-test-set-seed": ("parseval", dict(test_set="random:count=2,seed=-1")),
     "negative-function-seed": ("isometry", dict(test_set=["random:seed=-1"])),
     "negative-weights-seed": ("semicomplete", dict(weights="diag-reciprocal:seed=-3")),
@@ -729,6 +729,8 @@ def test_bad_inputs_exit_2_as_config_errors(tmp_path, capsys, case):
         '{"gamma": [1, Infinity], "beta": [[1, 1], [1, 1]]}'
     )
     (tmp_path / "zero.json").write_text('{"gamma": [1, 1], "beta": [[1, 0], [1, 1]]}')
+    (tmp_path / "scalar.json").write_text('{"gamma": 1, "beta": [[1]]}')
+    (tmp_path / "ragged.json").write_text('{"gamma": [1, 1], "beta": [[1, 1]]}')
     samples = "fn,node,re,im\n" + "".join(f"f,{k},1,0\n" for k in range(6))
     (tmp_path / "words.csv").write_text(samples.replace("f,3,1,0", "f,3,one,0"))
     (tmp_path / "node.csv").write_text(samples.replace("f,3,1,0", "f,3.5,1,0"))
@@ -758,10 +760,10 @@ def test_internal_value_error_is_not_a_config_error(tmp_path):
     cfg = write_config(tmp_path, test_set="random:count=2,seed=0")
     script = (
         "import sys\n"
-        "from grouplab import cli\n"
+        "from grouplab import _kernels, cli\n"
         "def broken(*args, **kwargs):\n"
         "    raise ValueError('kernel shapes disagree')\n"
-        "cli._kernels.coefficients_against = broken\n"
+        "_kernels.coefficients_against = broken\n"
         f"sys.exit(cli.main(['parseval', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]))\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
@@ -779,7 +781,7 @@ def test_gram_check_fails_on_a_nan_defect(tmp_path):
     fam = peter_weyl_basis(build_catalog(make_group("zn:4")))
     members = fam.members.copy()
     members[2, 1] = np.nan
-    broken = type(fam)(group=fam.group, blocks=fam.blocks, members=members)
+    broken = type(fam)(group=fam.group, blocks=fam.blocks, members=members, scale=fam.scale)
     cfg = cfgmod.load_config(write_config(tmp_path, group="zn:4"))
     _check_gram(cfg, fam)
     with pytest.raises(InvariantBreach):

@@ -78,7 +78,8 @@ def test_coefficients_match_change_of_basis_solve(sym3, sym3_basis):
     # oracle: the family is a basis of C^6, solve the 6x6 linear system
     f = random_function(sym3, 99)
     c = coefficients(f, sym3_basis)
-    solved = np.linalg.solve(sym3_basis.members.T, f.values)
+    chi = sym3_basis.scale[:, None] * sym3_basis.members
+    solved = np.linalg.solve(chi.T, f.values)
     assert np.max(np.abs(c - solved)) < 1e-10
 
 
@@ -180,7 +181,7 @@ def test_projection_idempotent_self_adjoint(sym3_catalog):
 
 def test_empty_family_degenerate_case(sym3):
     # both subspaces are too small: defect is the full norm, only 0 is accepted
-    fam = OrthonormalFamily(group=sym3, blocks=(), members=np.zeros((0, 6)))
+    fam = OrthonormalFamily(group=sym3, blocks=(), members=np.zeros((0, 6)), scale=np.zeros(0))
     for k in range(6):
         e = np.zeros(6)
         e[k] = 1.0
@@ -236,17 +237,27 @@ def test_expansion_weights_reject_non_finite(bad):
         ExpansionWeights(np.ones(2), np.array([[1.0, bad], [1.0, 1.0]]))
 
 
+def _dense_defect(fam):
+    # the oracle: max |G - I| over the whole Gram matrix
+    return float(np.max(np.abs(fam.gram_matrix() - np.eye(fam.n_members)), initial=0.0))
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 40])
 def test_gram_defect_bitwise_equals_dense_formula(n):
     fam = peter_weyl_basis(build_catalog(make_group(f"zn:{n}")))
     rng = np.random.default_rng(n)
-    for scale in (1e-14, 1e-3, 2.0):
-        g = np.eye(n) + scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        assert fam.gram_defect(g) == float(np.max(np.abs(g - np.eye(n))))
+    shape = fam.members.shape
+    for size in (1e-14, 1e-3, 2.0):
+        noise = size * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        broken = OrthonormalFamily(fam.group, fam.blocks, fam.members + noise, fam.scale)
+        assert broken.gram_defect() == _dense_defect(broken)
     if n > 1:
-        g = np.eye(n, dtype=np.complex128)
-        g[0, -1] = 3e-7j            # the maximum sits off the diagonal
-        assert fam.gram_defect(g) == 3e-7
+        members = fam.members.copy()
+        members[-1] += 3e-7j * members[0]       # the maximum sits off the diagonal
+        broken = OrthonormalFamily(fam.group, fam.blocks, members, fam.scale)
+        g = broken.gram_matrix()
+        assert broken.gram_defect() == _dense_defect(broken) == float(np.max(np.abs(g[0, 1:])))
+        assert abs(broken.gram_defect() - 3e-7) < 1e-15
 
 
 @pytest.mark.parametrize("spec", ["sym:3", "circle:64"])
@@ -256,8 +267,28 @@ def test_gram_defect_sees_one_perturbed_member(spec):
     assert fam.gram_defect() < gram_tol(g)
     members = fam.members.copy()
     members[1, 2] += 1e-6
-    broken = OrthonormalFamily(group=g, blocks=fam.blocks, members=members)
+    broken = OrthonormalFamily(group=g, blocks=fam.blocks, members=members, scale=fam.scale)
     assert broken.gram_defect() > gram_tol(g)
+
+
+@pytest.mark.parametrize("spec", ["sym:3", "su2:j=1.5"])
+def test_gram_defect_sees_one_perturbed_scale(spec):
+    fam = peter_weyl_basis(build_catalog(make_group(spec)))
+    limit = gram_tol(fam.group)
+    assert fam.gram_defect() < limit
+    for row in (0, fam.n_members - 1):
+        scale = fam.scale.copy()
+        scale[row] += 1e-7
+        broken = OrthonormalFamily(fam.group, fam.blocks, fam.members, scale)
+        assert broken.gram_defect() > limit, row
+        assert broken.gram_defect() == _dense_defect(broken)
+
+
+def test_gram_defect_sees_a_missing_sqrt_degree():
+    # the unscaled coefficients u_ij of a degree-2 irrep have norm 1/2, not 1
+    fam = peter_weyl_basis(build_catalog(make_group("sym:3")))
+    unscaled = OrthonormalFamily(fam.group, fam.blocks, fam.members, np.ones(fam.n_members))
+    assert unscaled.gram_defect() > gram_tol(fam.group)
 
 
 @pytest.mark.parametrize("spec", ["sym:4", "dihedral:5", "zn:12", "circle:1024", "su2:j=1.5"])
@@ -265,7 +296,7 @@ def test_streamed_gram_defect_equals_dense_defect_bitwise(spec):
     fam = peter_weyl_basis(build_catalog(make_group(spec)))
     if spec == "circle:1024":
         assert fam.n_members > 3 * _kernels.GRAM_SLAB_ROWS
-    dense = fam.gram_defect(fam.gram_matrix())
+    dense = _dense_defect(fam)
     assert fam.gram_defect() == dense
     assert 0 < dense < gram_tol(fam.group)
 
@@ -283,6 +314,6 @@ def test_streamed_gram_defect_sees_the_last_slab():
             members[last] += 1e-6 * members[last - 1]
         else:
             members[last] *= 1 + 1e-7
-        broken = OrthonormalFamily(group=fam.group, blocks=fam.blocks, members=members)
+        broken = OrthonormalFamily(fam.group, fam.blocks, members, fam.scale)
         assert broken.gram_defect() > limit, change
-        assert broken.gram_defect() == broken.gram_defect(broken.gram_matrix())
+        assert broken.gram_defect() == _dense_defect(broken)

@@ -9,7 +9,7 @@ from grouplab import _kernels
 from grouplab.catalog import build_catalog, peter_weyl_basis
 from grouplab.config import _labelled_samples, _member_ids, lifted_family_to_csv, write_csv
 from grouplab.groups import circle_group
-from grouplab.hilbert import L2Function, random_function, unit_weights
+from grouplab.hilbert import L2Function, OrthonormalFamily, random_function, unit_weights
 from grouplab.iwasawa import (
     check_K_semicomplete,
     lift_family,
@@ -176,6 +176,19 @@ def test_lift_of_omission_family_restricts_exactly(gauss_model, k_catalog):
     assert np.array_equal(restricted.members, xi.members)
 
 
+def test_lift_depends_on_the_member_functions_not_their_row_scale(gauss_model, k_catalog):
+    # the same functions stored as halved rows with a doubled scale (both exact)
+    xi = peter_weyl_basis(k_catalog)
+    halved = OrthonormalFamily(xi.group, xi.blocks, xi.members / 2, 2 * xi.scale)
+    lifted, lifted_halved = lift_family(gauss_model, xi), lift_family(gauss_model, halved)
+    for m in range(xi.n_members):
+        assert np.array_equal(lifted_halved.product_values(m), lifted.product_values(m))
+    restricted = lifted_halved.restrict_to_k()
+    for m in range(xi.n_members):
+        assert np.array_equal(restricted.member_flat(m).values, lifted.restrict_to_k().member_flat(m).values)
+    assert np.array_equal(lifted_halved.gram_matrix(), lifted.gram_matrix())
+
+
 def test_lift_family_group_mismatch(gauss_model):
     cat = build_catalog(circle_group(32), truncation=2)
     xi = peter_weyl_basis(cat)
@@ -251,11 +264,13 @@ def test_lifted_family_csv_export(gauss_model, k_catalog, tmp_path):
 
 
 def _dense_lift(model, xi):
-    """The lift as a dense members x (nK * nAN) matrix and its product measure."""
+    """The lift as a dense members x (nK * nAN) matrix, its product measure and
+    its unit row scale."""
     envelope = np.exp(model.profile)
-    members = (xi.members[:, :, None] * envelope[None, None, :]).reshape(xi.n_members, -1)
+    chi = xi.scale[:, None] * xi.members
+    members = (chi[:, :, None] * envelope[None, None, :]).reshape(xi.n_members, -1)
     weights = (xi.group.weights[:, None] * model.an_weights[None, :]).reshape(-1)
-    return members, weights
+    return members, weights, np.ones(xi.n_members)
 
 
 @pytest.mark.parametrize("k_spec,an_size", [("circle:16", 4), ("circle:64", 32)])
@@ -266,10 +281,10 @@ def test_factored_lift_matches_dense_oracle(k_spec, an_size, tmp_path):
     xi = peter_weyl_basis(build_catalog(model.K, truncation=3))
     lifted = lift_family(model, xi)
     assert lifted.members is xi.members
-    dense, weights = _dense_lift(model, xi)
+    dense, weights, unit = _dense_lift(model, xi)
 
     gram = lifted.gram_matrix()
-    assert np.max(np.abs(gram - _kernels.gram(dense, weights))) < 1e-14
+    assert np.max(np.abs(gram - _kernels.gram(dense, weights, unit))) < 1e-14
     restricted = lifted.restrict_to_k()
     assert np.array_equal(restricted.members, dense[:, model.id_index :: model.n_an])
     for m in range(xi.n_members):
@@ -288,8 +303,8 @@ def test_misnormalised_profile_breaks_gram_residual(gauss_model, k_catalog):
     gram = lifted.gram_matrix()
     assert np.max(np.abs(gram - xi.gram_matrix())) > 1e-3          # gram_residual
     assert np.max(np.abs(np.diag(gram) - 1.0)) > 1e-3              # norm_residual
-    dense, weights = _dense_lift(broken, xi)
-    assert np.max(np.abs(gram - _kernels.gram(dense, weights))) < 1e-12
+    dense, weights, unit = _dense_lift(broken, xi)
+    assert np.max(np.abs(gram - _kernels.gram(dense, weights, unit))) < 1e-12
 
 
 def test_lift_memory_bounded_by_factors():

@@ -33,10 +33,23 @@ def test_coefficients_matches_loop(random_inputs):
 
 def test_gram_hermitian_and_correct(random_inputs):
     members, w, _ = random_inputs
-    g = _kernels.gram(members, w)
+    g = _kernels.gram(members, w, np.ones(9))
     assert np.max(np.abs(g - g.conj().T)) < 1e-14
     direct = (members * w) @ members.conj().T
     assert np.max(np.abs(g - direct)) < 1e-13
+
+
+def test_gram_and_defect_apply_the_row_scale(random_inputs):
+    members, w, _ = random_inputs
+    s = np.linspace(0.5, 3.0, 9)
+    g = _kernels.gram(members, w, s)
+    for i in range(9):
+        for j in range(9):
+            direct = s[i] * s[j] * sum(w[k] * members[i, k] * np.conj(members[j, k]) for k in range(40))
+            assert abs(g[i, j] - direct) < 1e-13
+    assert _kernels.gram_defect(members, w, s) == float(np.max(np.abs(g - np.eye(9))))
+    # the unit scale gives a different matrix: the scale is not ignored
+    assert np.max(np.abs(g - _kernels.gram(members, w, np.ones(9)))) > 1e-3
 
 
 def test_combine_matches_matmul(random_inputs):
@@ -59,9 +72,9 @@ def test_stacked_operands_match_one_at_a_time(random_inputs):
         assert np.max(np.abs(row - _kernels.combine(c, members))) < 1e-13
 
 
-def _old_gram(members, w):
+def _old_gram(members, w, s):
     # the unslabbed formula: two member-sized temporaries and the result
-    return (members * w) @ np.conj(members).T
+    return np.outer(s, s) * ((members * w) @ np.conj(members).T)
 
 
 SLAB = _kernels.GRAM_SLAB_ROWS
@@ -72,16 +85,17 @@ def test_slabbed_gram_matches_unslabbed_formula(rows):
     rng = np.random.default_rng(rows)
     members = rng.standard_normal((rows, 48)) + 1j * rng.standard_normal((rows, 48))
     w = rng.random(48) + 0.1
-    g = _kernels.gram(members, w)
+    s = rng.random(rows) + 0.5     # a row scale that differs across slabs
+    g = _kernels.gram(members, w, s)
     assert g.shape == (rows, rows) and g.dtype == np.complex128
-    want = _old_gram(members, w)
+    want = _old_gram(members, w, s)
     scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
     assert np.max(np.abs(g - want), initial=0.0) <= 1e-13 * scale
     # the upper triangle is mirrored: exactly Hermitian, with a real diagonal
     assert np.array_equal(g, g.conj().T)
     # and the streamed defect reads the same numbers as the dense one
     dense = float(np.max(np.abs(g - np.eye(rows)), initial=0.0))
-    assert _kernels.gram_defect(members, w) == dense
+    assert _kernels.gram_defect(members, w, s) == dense
 
 
 def test_gram_allocates_result_and_slabs_only():
@@ -93,7 +107,7 @@ def test_gram_allocates_result_and_slabs_only():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        g = _kernels.gram(members, w)
+        g = _kernels.gram(members, w, np.ones(1023))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -105,10 +119,14 @@ def test_gram_allocates_result_and_slabs_only():
 def test_streamed_gram_defect_carries_nan():
     members = np.eye(2 * SLAB + 3, 2 * SLAB + 8, dtype=np.complex128)
     w = np.ones(2 * SLAB + 8)
-    assert _kernels.gram_defect(members, w) == 0.0
+    s = np.ones(2 * SLAB + 3)
+    assert _kernels.gram_defect(members, w, s) == 0.0
     # a NaN must fail the check, not vanish in a max() comparison
     members[-1, 5] = np.nan
-    assert np.isnan(_kernels.gram_defect(members, w))
+    assert np.isnan(_kernels.gram_defect(members, w, s))
+    members[-1, 5] = 0.0
+    s[-1] = np.nan
+    assert np.isnan(_kernels.gram_defect(members, w, s))
 
 
 def test_streamed_gram_defect_holds_a_few_slabs_not_the_gram_matrix():
@@ -119,7 +137,7 @@ def test_streamed_gram_defect_holds_a_few_slabs_not_the_gram_matrix():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _kernels.gram_defect(members, w)
+        _kernels.gram_defect(members, w, np.ones(1023))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

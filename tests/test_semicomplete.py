@@ -8,7 +8,6 @@ from grouplab.hilbert import (
     ExpansionWeights,
     L2Function,
     coefficients,
-    diag_reciprocal_weights,
     expand,
     inner,
     project,
@@ -192,9 +191,19 @@ def test_semi_fourier_weight_distortion(sym3_catalog):
 
 def test_semi_fourier_weights_match_longhand_loop(sym3, sym3_catalog):
     # member (i, j) of every block is weighted by gamma[j] * beta[i, j]; the
-    # weights are wider than the largest block, so only their leading corner is used
+    # weights are wider than the largest block, so only their leading corner is
+    # used.  Their real and imaginary parts are dyadic, so every product
+    # gamma[j] * beta[i, j] is exact however it is evaluated, and the scalar
+    # loop below must build the same weight vector bit for bit
     fam = peter_weyl_basis(sym3_catalog)
-    w = diag_reciprocal_weights(3, 5)
+    gamma = np.array([0.5 + 0.5j, 2.0, -0.25j])
+    beta = np.array([
+        [1.0 - 1.0j, 0.75 + 0.25j, -1.5],
+        [0.5j, 0.5, 2.0 - 0.125j],
+        [-0.375, 1.0 + 1.0j, 4.0j],
+    ])
+    w = ExpansionWeights(gamma, beta)
+    assert np.array_equal(gamma * np.diag(beta), np.ones(3))
     f = random_function(sym3, 8)
     scale = [
         w.gamma[j] * w.beta[i, j] for b in fam.blocks for i in range(b.size) for j in range(b.size)
