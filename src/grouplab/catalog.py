@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import GroupModel, su2_matrix_from_euler
+from .groups import GroupModel, grid_shape, su2_matrix_from_euler
 from .hilbert import FamilyBlock, OrthonormalFamily, block_layout
 from .spec import ConfigError
 
@@ -366,6 +366,28 @@ def build_catalog(group: GroupModel, truncation: float | None = None) -> RepCata
     else:
         raise ValueError(f"unsupported group kind {group.kind!r}")
     return RepCatalog(group=group, labels=tuple(labels), store=store)
+
+
+def store_bytes(spec: str, truncation: float | None = None) -> int:
+    """Bytes of the coefficient store that ``build_catalog(make_group(spec),
+    truncation)`` allocates, computed from the spec alone: sum d^2 rows of
+    n_nodes complex128 values.
+
+    A finite group has sum d^2 = |G| rows, the circle one row per frequency
+    |m| <= M, and SU(2) (2j+1)^2 rows per spin j <= jmax, where the bound is
+    the truncation capped at the capacity.
+    """
+    kind, n_nodes, capacity = grid_shape(spec)
+    if kind == "finite":
+        rows = n_nodes
+    else:
+        bound = capacity if truncation is None else min(truncation, capacity)
+        if kind == "circle":
+            rows = 2 * math.floor(bound) + 1
+        else:
+            d = math.floor(2 * bound) + 1          # degree of the top spin
+            rows = d * (d + 1) * (2 * d + 1) // 6  # sum of d'^2 for d' <= d
+    return max(rows, 0) * max(n_nodes, 0) * np.dtype(np.complex128).itemsize
 
 
 def _empty_store(labels, n_nodes: int) -> tuple[tuple[FamilyBlock, ...], np.ndarray]:

@@ -74,13 +74,9 @@ def cmd_catalog(cfg: ExperimentConfig) -> int:
     cat = build_catalog(group, truncation=cfg.truncation)
     cfgmod.write_json(cfg.out_dir / f"{cfg.name}_catalog.json", cfgmod.catalog_json_obj(cat))
     if cfg.dump_coefficients:
-        for lab in cat.labels:
-            safe = lab.key.replace(":", "-")
-            cfgmod.write_csv(
-                cfg.out_dir / f"{cfg.name}_coeffs_{safe}.csv",
-                ["node", "i", "j", "re", "im"],
-                cfgmod.coefficient_grid_columns(cat, lab.key),
-            )
+        from .dump import write_coefficient_dump  # compiled only by the runs that dump
+
+        write_coefficient_dump(cat, cfg.out_dir, cfg.name)
     return 0
 
 
@@ -150,8 +146,10 @@ def cmd_lift(cfg: ExperimentConfig) -> int:
 
     restricted = lifted.restrict_to_k()
     restriction_residual = float(np.max(np.abs(restricted.members - xi.members))) if xi.n_members else 0.0
-    lifted_gram = lifted.gram_matrix()
-    gram_residual = float(np.max(np.abs(lifted_gram - xi.gram_matrix())))
+    # the lift's Gram matrix is xi's times the AN mass, so one Gram matrix serves both
+    gram = xi.gram_matrix()
+    lifted_gram = gram * lifted.an_mass
+    gram_residual = float(np.max(np.abs(lifted_gram - gram)))
     norm_residual = float(np.max(np.abs(np.diag(lifted_gram) - 1.0)))
     obj = {
         "group": model.K.name,

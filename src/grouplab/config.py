@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import RepCatalog
+from .catalog import RepCatalog, store_bytes
 from .groups import GroupModel
 from .hilbert import (
     ExpansionWeights,
@@ -41,6 +41,16 @@ class InvariantBreach(RuntimeError):
 
 
 _MAX_SEED = 2**64 - 1
+
+#: The top-level config keys the README's config reference documents; any
+#: other key (a misspelling, or a ``seed``, which only ``--seed`` sets) is a
+#: ConfigError rather than being dropped.
+CONFIG_KEYS = frozenset({
+    "name", "group", "truncation", "omit", "weights", "test_set",
+    "epsilon", "tol", "out", "dump_coefficients", "iwasawa",
+})
+IWASAWA_KEYS = frozenset({"K", "A", "N", "profile", "truncation"})
+AXIS_KEYS = frozenset({"range", "nodes"})
 
 
 @dataclass
@@ -84,6 +94,35 @@ def _is_finite(value) -> bool:
     )
 
 
+def _require_known_keys(obj: dict, known: frozenset, where: str) -> None:
+    unknown = sorted(set(obj) - known)
+    _require(
+        not unknown,
+        f"unknown {where} key(s) {', '.join(map(repr, unknown))} "
+        f"(accepted: {', '.join(sorted(known))})",
+    )
+
+
+def physical_memory_bytes() -> int | None:
+    """The host's physical memory, or None where the platform cannot report it."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _require_store_fits(group_spec: str, truncation, what: str) -> None:
+    """The catalog's coefficient store must fit in physical memory; it is sized
+    from the spec before the group or the store is allocated."""
+    need, limit = store_bytes(group_spec, truncation), physical_memory_bytes()
+    if limit is not None and need > limit:
+        size = f"{need:.3g} B" if need < 10**300 else "over 1e300 B"  # an int beyond float range
+        raise ConfigError(
+            f"{what} {group_spec!r} needs {size} for its coefficient store, more "
+            f"than the {limit:.3g} B of physical memory"
+        )
+
+
 def _require_truncation(value, what: str) -> None:
     """A truncation is absent or a JSON number; a string or bool is never coerced."""
     _require(
@@ -115,6 +154,7 @@ def load_config(
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require(isinstance(raw, dict), "config must be a JSON object")
+    _require_known_keys(raw, CONFIG_KEYS, "config")
 
     name = raw.get("name", path.stem)
     _require(isinstance(name, str) and name != "", "config 'name' must be a nonempty string")
@@ -126,17 +166,14 @@ def load_config(
         isinstance(omit, list) and all(isinstance(k, str) for k in omit),
         "config 'omit' must be a list of label strings",
     )
-    seed = raw.get("seed", None)
-    if seed_override is not None:
-        seed = seed_override
-    if seed is not None:
-        _require(
-            isinstance(seed, int) and 0 <= seed <= _MAX_SEED,
-            "seed must be an unsigned 64-bit integer",
-        )
+    _require(
+        seed_override is None or 0 <= seed_override <= _MAX_SEED,
+        "seed must be an unsigned 64-bit integer",
+    )
 
     truncation = raw.get("truncation")
     _require_truncation(truncation, "'truncation'")
+    _require_store_fits(group_spec, truncation, "group")
 
     tol = tol_override if tol_override is not None else raw.get("tol")
     _require_positive(tol, "'tol'")
@@ -168,10 +205,12 @@ def _iwasawa_config(blk) -> IwasawaConfig:
     and per axis ``A``/``N`` an integer ``nodes`` >= 1 and a ``range`` of two
     finite numbers."""
     _require(isinstance(blk, dict), "'iwasawa' must be an object")
+    _require_known_keys(blk, IWASAWA_KEYS, "'iwasawa'")
     axes = []
     for axis in ("A", "N"):
         sub = blk.get(axis, {})
         _require(isinstance(sub, dict), f"'iwasawa.{axis}' must be an object")
+        _require_known_keys(sub, AXIS_KEYS, f"'iwasawa.{axis}'")
         rng = sub.get("range", [-2.0, 2.0])
         _require(
             isinstance(rng, list) and len(rng) == 2 and all(map(_is_finite, rng)),
@@ -191,6 +230,7 @@ def _iwasawa_config(blk) -> IwasawaConfig:
     )
     truncation = blk.get("truncation")
     _require_truncation(truncation, "'iwasawa.truncation'")
+    _require_store_fits(k_spec, truncation, "'iwasawa.K'")
     (a_range, a_size), (n_range, n_size) = axes
     return IwasawaConfig(k_spec, a_range, n_range, a_size, n_size, profile, truncation)
 

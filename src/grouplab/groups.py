@@ -159,8 +159,13 @@ def circle_group(n_nodes: int) -> GroupModel:
         weights=np.full(n_nodes, 1.0 / n_nodes),
         identity=0.0,
         thetas=thetas,
-        capacity=float((n_nodes - 1) // 2),
+        capacity=_circle_capacity(n_nodes),
     )
+
+
+def _circle_capacity(n_nodes: int) -> float:
+    """The largest frequency |m| that N uniform nodes integrate exactly."""
+    return float((n_nodes - 1) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +190,7 @@ def su2_group(jmax: float, quad: int | None = None) -> GroupModel:
     matrix-coefficient products up to jmax exactly: 2*jmax+1 Gauss nodes and
     4*jmax+1 uniform nodes per torus angle.
     """
-    two_j = int(round(2 * jmax))
-    if two_j < 0 or abs(2 * jmax - two_j) > 1e-12:
-        raise ConfigError(f"su2 jmax must be a nonnegative half-integer, got {jmax}")
-    n_beta = quad if quad is not None else two_j + 1
-    n_torus = max(2 * n_beta - 1, 2 * two_j + 1)
-    if n_beta < two_j + 1:
-        raise ConfigError(
-            f"su2 quadrature order {n_beta} too small for jmax={jmax}; need >= {two_j + 1}"
-        )
+    n_beta, n_torus = _su2_grid_sizes(jmax, quad)
     x, glw = np.polynomial.legendre.leggauss(n_beta)
     betas = np.arccos(x)
     alphas = TWO_PI * np.arange(n_torus) / n_torus
@@ -226,6 +223,21 @@ def su2_group(jmax: float, quad: int | None = None) -> GroupModel:
     )
 
 
+def _su2_grid_sizes(jmax: float, quad: int | None) -> tuple[int, int]:
+    """(Gauss nodes in cos(beta), uniform nodes per torus angle) of the SU(2)
+    grid for ``jmax``; a spin that is not a nonnegative half-integer, or a
+    quadrature order below 2*jmax + 1, is a ConfigError."""
+    two_j = int(round(2 * jmax)) if math.isfinite(2 * jmax) else -1
+    if two_j < 0 or abs(2 * jmax - two_j) > 1e-12:
+        raise ConfigError(f"su2 jmax must be a nonnegative half-integer, got {jmax}")
+    n_beta = quad if quad is not None else two_j + 1
+    if n_beta < two_j + 1:
+        raise ConfigError(
+            f"su2 quadrature order {n_beta} too small for jmax={jmax}; need >= {two_j + 1}"
+        )
+    return n_beta, max(2 * n_beta - 1, 2 * two_j + 1)
+
+
 def _fmt_spin(j: float) -> str:
     return str(int(j)) if float(j).is_integer() else str(j)
 
@@ -234,22 +246,50 @@ def _fmt_spin(j: float) -> str:
 # spec parsing and integration
 
 
+#: Spec heads that take one integer size N, and the model each one builds.
+_SIZED = {"zn": cyclic_group, "dihedral": dihedral_group, "sym": symmetric_group, "circle": circle_group}
+
+
+def _parse_group_spec(spec: str) -> tuple[str, tuple]:
+    """``(head, constructor arguments)`` of a group spec."""
+    head, rest = split_spec(spec)
+    if head in _SIZED:
+        return head, (parse_value(rest, int, f"{head} size"),)
+    if head != "su2":
+        raise ConfigError(f"unsupported group spec {spec!r}")
+    params = parse_params(rest, "su2", j=float, quad=int)
+    if "j" not in params:
+        raise ConfigError("su2 spec needs j=<spin>")
+    return head, (params["j"], params.get("quad"))
+
+
 def make_group(spec: str) -> GroupModel:
     """Build a group from a spec string.
 
     Accepted forms: ``zn:N``, ``dihedral:N``, ``sym:N``, ``circle:N``,
     ``su2:j=J[,quad=Q]``; ``spec.py`` holds the grammar.
     """
-    head, rest = split_spec(spec)
-    sized = dict(zn=cyclic_group, dihedral=dihedral_group, sym=symmetric_group, circle=circle_group)
-    if head in sized:
-        return sized[head](parse_value(rest, int, f"{head} size"))
-    if head != "su2":
-        raise ConfigError(f"unsupported group spec {spec!r}")
-    params = parse_params(rest, "su2", j=float, quad=int)
-    if "j" not in params:
-        raise ConfigError("su2 spec needs j=<spin>")
-    return su2_group(params["j"], params.get("quad"))
+    head, args = _parse_group_spec(spec)
+    return su2_group(*args) if head == "su2" else _SIZED[head](*args)
+
+
+def grid_shape(spec: str) -> tuple[str, int, float | None]:
+    """``(kind, n_nodes, capacity)`` of the model ``make_group(spec)`` builds,
+    read from the spec alone, so a caller can size a run before it allocates.
+
+    The spec is parsed and an SU(2) spin checked as ``make_group`` does; for
+    a size N that its constructor rejects the node count is meaningless
+    (``make_group`` raises).
+    """
+    head, args = _parse_group_spec(spec)
+    if head == "su2":
+        n_beta, n_torus = _su2_grid_sizes(*args)
+        return "su2", n_torus * n_torus * n_beta, float(args[0])
+    (n,) = args
+    if head == "circle":
+        return "circle", n, _circle_capacity(n)
+    order = {"zn": n, "dihedral": 2 * n, "sym": math.factorial(n) if n in (3, 4) else 0}
+    return "finite", order[head], None
 
 
 def haar_integrate(group: GroupModel, phi) -> complex:

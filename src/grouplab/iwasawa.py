@@ -163,10 +163,14 @@ class LiftedFamily:
     members: np.ndarray          # (n_members, nK), the K factor xi
     envelope: np.ndarray         # (nAN,), the AN factor exp(f)
 
+    @property
+    def an_mass(self) -> float:
+        """The AN mass sum_an w_an |exp f(an)|^2 (1 for a normalized profile)."""
+        return float(np.dot(self.model.an_weights, np.abs(self.envelope) ** 2))
+
     def gram_matrix(self) -> np.ndarray:
-        """Gram(xi) times the AN mass sum_an w_an |exp f(an)|^2."""
-        an_mass = float(np.dot(self.model.an_weights, np.abs(self.envelope) ** 2))
-        return self.source.gram_matrix() * an_mass
+        """Gram(xi) times the AN mass."""
+        return self.source.gram_matrix() * self.an_mass
 
     def product_values(self, m: int) -> np.ndarray:
         """Member m over the whole product grid, (nK * nAN,) in K-major order."""

@@ -9,9 +9,10 @@ from grouplab.catalog import (
     build_catalog,
     matrix_coefficient,
     peter_weyl_basis,
+    store_bytes,
     su2_irrep_matrix,
 )
-from grouplab.groups import circle_group, cyclic_group, make_group, su2_group
+from grouplab.groups import circle_group, cyclic_group, grid_shape, make_group, su2_group
 
 
 def test_cyclic4_characters_match_brute_force():
@@ -339,3 +340,26 @@ def test_store_grids_and_shared_members_are_read_only():
     su2 = build_catalog(make_group("su2:j=1"))
     with pytest.raises(ValueError, match="read-only"):
         su2.grids["j:1"][0] *= 2.0
+
+
+@pytest.mark.parametrize(
+    "spec, truncation",
+    [
+        ("zn:5", None),
+        ("dihedral:4", 1),
+        ("sym:3", None),
+        ("sym:4", None),
+        ("circle:16", None),
+        ("circle:16", 3),
+        ("circle:17", 2.0),
+        ("su2:j=1.5", None),
+        ("su2:j=2", 1),
+        ("su2:j=2", 0.5),
+        ("su2:j=1,quad=4", None),
+    ],
+)
+def test_store_size_from_the_spec_matches_the_built_catalog(spec, truncation):
+    # the preflight sizes a run from the spec alone; the built models are its oracle
+    group = make_group(spec)
+    assert grid_shape(spec) == (group.kind, group.n_nodes, group.capacity)
+    assert store_bytes(spec, truncation) == build_catalog(group, truncation).store.nbytes

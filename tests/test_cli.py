@@ -1,7 +1,9 @@
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -654,9 +656,9 @@ def test_cmd_lift_computes_each_gram_matrix_once(tmp_path, monkeypatch):
         },
     )
     assert main(["lift", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    # the family check streams its defect and builds no Gram matrix; one Gram
-    # of xi for gram_residual, and the lift's, which is xi's scaled by the AN mass
-    assert calls == [(7, 16), (7, 16)]
+    # the family check streams its defect and builds no Gram matrix; the one Gram
+    # matrix of xi gives gram_residual, and the lift's is it times the AN mass
+    assert calls == [(7, 16)]
     assert json.loads((tmp_path / "exp_lift.json").read_text())["gram_residual"] < 1e-10
 
 
@@ -720,6 +722,12 @@ BAD_INPUTS = {
     "non-numeric-sample": ("parseval", dict(test_set="samples:{tmp}/words.csv")),
     "non-integer-sample-node": ("parseval", dict(test_set="samples:{tmp}/node.csv")),
     "binary-samples-file": ("parseval", dict(test_set="samples:{tmp}/binary.csv")),
+    "boolean-config-seed": ("parseval", dict(seed=True)),
+    "unknown-iwasawa-key": ("lift", dict(iwasawa={"K": "circle:16", "trunction": 3})),
+    "unknown-iwasawa-axis-key": ("lift", dict(iwasawa={"A": {"node": 4}})),
+    "su2-spin-beyond-float-range": ("catalog", dict(group="su2:j=1e308")),
+    "su2-store-beyond-float-range": ("catalog", dict(group="su2:j=1e100")),
+    "lift-store-beyond-memory": ("lift", dict(iwasawa={"K": "circle:100000000000"})),
 }
 
 
@@ -786,3 +794,57 @@ def test_gram_check_fails_on_a_nan_defect(tmp_path):
     _check_gram(cfg, fam)
     with pytest.raises(InvariantBreach):
         _check_gram(cfg, broken)
+
+
+@pytest.mark.parametrize("key", ["dump_coeficients", "seed"])
+def test_unknown_config_key_is_named_and_writes_nothing(tmp_path, capsys, key):
+    # a misspelled key used to be dropped (no dump, exit 0), and a config seed
+    # passed validation and was then ignored; --seed is the one way to set it
+    cfg = write_config(tmp_path, group="zn:4", **{key: True})
+    out = tmp_path / "out"
+    assert main(["catalog", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown config key(s) {key!r}" in err and "dump_coefficients" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("group", ["circle:100000000000", "su2:j=1000"])
+def test_store_beyond_physical_memory_exits_2_without_allocating(tmp_path, capsys, group):
+    cfg = write_config(tmp_path, group=group, dump_coefficients=True)
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = main(["catalog", "--config", str(cfg), "--out", str(out)])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "B of physical memory" in capsys.readouterr().err
+    assert peak < 2**20 and elapsed < 1.0, (peak, elapsed)
+    assert not out.exists()
+
+
+def test_store_limit_is_the_physical_memory(tmp_path, monkeypatch):
+    # the limit is measured on the host: a store one byte over it is refused
+    monkeypatch.setattr(cfgmod, "physical_memory_bytes", lambda: 16 * 16 * 16 - 1)
+    with pytest.raises(ConfigError, match="physical memory"):
+        cfgmod.load_config(write_config(tmp_path, group="zn:16"))
+    monkeypatch.setattr(cfgmod, "physical_memory_bytes", lambda: 16 * 16 * 16)
+    assert cfgmod.load_config(write_config(tmp_path, group="zn:16")).group_spec == "zn:16"
+
+
+def test_readme_example_config_loads_and_lists_every_key(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("### Config reference"):]
+    example = section[section.index("```json\n") + 8:section.index("```", section.index("```json") + 7)]
+    raw = json.loads(example)
+    assert set(raw) == cfgmod.CONFIG_KEYS
+    assert set(raw["iwasawa"]) == cfgmod.IWASAWA_KEYS
+    assert set(raw["iwasawa"]["A"]) == set(raw["iwasawa"]["N"]) == cfgmod.AXIS_KEYS
+    path = tmp_path / "demo.json"
+    path.write_text(example)
+    cfg = cfgmod.load_config(path)
+    assert (cfg.name, cfg.group_spec, cfg.omit) == ("demo", "sym:3", ("irrep:2",))
+    assert cfg.iwasawa.profile == "gauss:sigma=0.7"
