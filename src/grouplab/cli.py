@@ -7,14 +7,38 @@ error (a ``ConfigError``: a bad config value, spec or referenced file), 3
 breach of a numerical invariant (Gram or Bessel).  Any other exception is an
 internal failure: it is not caught, so the process exits 1 with its
 traceback.
+
+BLAS idle policy: numpy's bundled OpenBLAS starts a pool of worker threads
+when numpy loads, and by default an idle worker busy-waits for 2**28 cycles
+after init and after each parallel product before it sleeps, which a short
+CLI run pays for in CPU time it never uses.  Before numpy is first imported
+this module therefore sets ``OPENBLAS_THREAD_TIMEOUT`` to
+``BLAS_THREAD_TIMEOUT``, unless ``OPENBLAS_THREAD_TIMEOUT`` or
+``GOTO_THREAD_TIMEOUT`` is already set (a value in the environment wins).
+The workers stay, so the few large products a run makes (the Gram slabs,
+the stacked coefficient call) still use every BLAS thread.  OpenBLAS reads
+the variable once, when numpy loads it, so the setting takes effect only
+when this module is imported before numpy, as ``python -m grouplab.cli``
+and the ``grouplab`` script do; BLAS builds other than OpenBLAS ignore it.
+A library ``import grouplab`` leaves the environment alone.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-import numpy as np
+#: OpenBLAS's idle-worker timeout: a worker spins 2**4 cycles once idle and
+#: then sleeps.  4 is OpenBLAS's minimum; its default is 28.
+BLAS_THREAD_TIMEOUT = "4"
 
+if "OPENBLAS_THREAD_TIMEOUT" not in os.environ and "GOTO_THREAD_TIMEOUT" not in os.environ:
+    os.environ["OPENBLAS_THREAD_TIMEOUT"] = BLAS_THREAD_TIMEOUT
+
+import numpy as np  # only now: OpenBLAS reads the policy above when numpy loads it
+
+# perfbench/traced.py wraps names in the grouplab modules it finds loaded
+# right after importing this one, so these imports stay at module level
 from . import config as cfgmod
 from .catalog import build_catalog
 from .config import ConfigError, ExperimentConfig, InvariantBreach

@@ -32,6 +32,7 @@ from .hilbert import (
     random_functions,
     unit_weights,
 )
+from .iwasawa import an_grid_bytes
 from .semicomplete import SemicompletenessReport, validate_weights
 from .spec import ConfigError, parse_params, parse_value, split_spec
 
@@ -111,16 +112,18 @@ def physical_memory_bytes() -> int | None:
         return None
 
 
-def _require_store_fits(group_spec: str, truncation, what: str) -> None:
-    """The catalog's coefficient store must fit in physical memory; it is sized
-    from the spec before the group or the store is allocated."""
-    need, limit = store_bytes(group_spec, truncation), physical_memory_bytes()
+def _require_fits(need: int, what: str) -> None:
+    """``need`` bytes, sized from the config before anything is allocated,
+    must fit in physical memory."""
+    limit = physical_memory_bytes()
     if limit is not None and need > limit:
         size = f"{need:.3g} B" if need < 10**300 else "over 1e300 B"  # an int beyond float range
-        raise ConfigError(
-            f"{what} {group_spec!r} needs {size} for its coefficient store, more "
-            f"than the {limit:.3g} B of physical memory"
-        )
+        raise ConfigError(f"{what} needs {size}, more than the {limit:.3g} B of physical memory")
+
+
+def _require_store_fits(group_spec: str, truncation, what: str) -> None:
+    """The catalog's coefficient store must fit in physical memory."""
+    _require_fits(store_bytes(group_spec, truncation), f"the coefficient store of {what} {group_spec!r}")
 
 
 def _require_truncation(value, what: str) -> None:
@@ -232,6 +235,7 @@ def _iwasawa_config(blk) -> IwasawaConfig:
     _require_truncation(truncation, "'iwasawa.truncation'")
     _require_store_fits(k_spec, truncation, "'iwasawa.K'")
     (a_range, a_size), (n_range, n_size) = axes
+    _require_fits(an_grid_bytes(a_size, n_size), f"the {a_size} x {n_size} 'iwasawa' AN grid")
     return IwasawaConfig(k_spec, a_range, n_range, a_size, n_size, profile, truncation)
 
 

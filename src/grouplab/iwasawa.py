@@ -68,6 +68,19 @@ class IwasawaModel:
         return float(abs(np.dot(self.an_weights, density) - 1.0))
 
 
+#: Bytes per AN grid node that a lift holds at most at once: the model's
+#: float64 weights and complex128 profile and the lift's complex128 envelope
+#: (40 B), plus 40 B of temporaries in the reproduction residuals.
+#: ``make_iwasawa_model`` itself peaks at 72 B per node.
+AN_NODE_BYTES = 80
+
+
+def an_grid_bytes(a_size: int, n_size: int) -> int:
+    """Bytes of the AN grid arrays of an ``a_size`` x ``n_size`` lift, from the
+    sizes alone, so a grid can be refused before anything is allocated."""
+    return a_size * n_size * AN_NODE_BYTES
+
+
 def _grid(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     if not (lo < hi):
         raise ConfigError(f"degenerate range [{lo}, {hi}]")

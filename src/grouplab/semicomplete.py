@@ -149,9 +149,10 @@ def semicompleteness_defect(
         raise ValueError("test set must be nonempty")
     if function_ids is None:
         function_ids = [f"fn:{k}" for k in range(len(testset))]
-    # every weighted expansion first: each is one large BLAS call, and running
-    # them apart from the many small per-label calls below keeps idle BLAS
-    # worker threads from spinning through the per-label loop
+    # every weighted expansion (one large BLAS call each) first, then the many
+    # small per-label calls; each defect is independent of the order.  Idle
+    # BLAS workers no longer spin through the per-label loop either way: the
+    # CLI sets OpenBLAS's idle timeout to its minimum (see cli.py)
     weighted = [semi_fourier_expand(f, family, weights) for f in testset]
     per_function = [
         (fid, (synthesize(fourier_transform(f, cat), cat) - w).norm())

@@ -835,6 +835,49 @@ def test_store_limit_is_the_physical_memory(tmp_path, monkeypatch):
     assert cfgmod.load_config(write_config(tmp_path, group="zn:16")).group_spec == "zn:16"
 
 
+def lift_config(tmp_path, a_nodes, n_nodes):
+    iwasawa = {"K": "circle:8", "A": {"nodes": a_nodes}, "N": {"nodes": n_nodes}}
+    return write_config(tmp_path, group="circle:8", iwasawa=iwasawa)
+
+
+def test_an_grid_beyond_physical_memory_exits_2_without_allocating(tmp_path, capsys):
+    # np.outer used to fail with "Unable to allocate 7.28 TiB" and exit 1
+    cfg = lift_config(tmp_path, 1000000, 1000000)
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = main(["lift", "--config", str(cfg), "--out", str(out)])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "1000000 x 1000000 'iwasawa' AN grid" in capsys.readouterr().err
+    assert peak < 2**20 and elapsed < 1.0, (peak, elapsed)
+    assert not out.exists()
+
+
+def test_an_grid_one_node_over_physical_memory_is_refused(tmp_path):
+    from grouplab.iwasawa import AN_NODE_BYTES
+
+    nodes = cfgmod.physical_memory_bytes() // AN_NODE_BYTES
+    with pytest.raises(ConfigError, match="AN grid needs .* physical memory"):
+        cfgmod.load_config(lift_config(tmp_path, nodes + 1, 1))
+
+
+def test_an_grid_limit_is_the_physical_memory(tmp_path, monkeypatch):
+    from grouplab.iwasawa import an_grid_bytes
+
+    need = an_grid_bytes(16, 8)
+    assert need > 16 * 8 * 16  # above circle:8's coefficient store, so the grid decides
+    monkeypatch.setattr(cfgmod, "physical_memory_bytes", lambda: need - 1)
+    with pytest.raises(ConfigError, match="16 x 8 'iwasawa' AN grid"):
+        cfgmod.load_config(lift_config(tmp_path, 16, 8))
+    monkeypatch.setattr(cfgmod, "physical_memory_bytes", lambda: need)
+    assert cfgmod.load_config(lift_config(tmp_path, 16, 8)).iwasawa.a_size == 16
+
+
 def test_readme_example_config_loads_and_lists_every_key(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme[readme.index("### Config reference"):]

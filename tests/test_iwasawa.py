@@ -11,6 +11,7 @@ from grouplab.config import _labelled_samples, _member_ids, lifted_family_to_csv
 from grouplab.groups import circle_group
 from grouplab.hilbert import L2Function, OrthonormalFamily, random_function, unit_weights
 from grouplab.iwasawa import (
+    an_grid_bytes,
     check_K_semicomplete,
     lift_family,
     make_iwasawa_model,
@@ -327,3 +328,25 @@ def test_lift_memory_bounded_by_factors():
     assert np.array_equal(restricted.members, xi.members)
     assert residual > 1e-2
     assert peak < 64 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("profile", ["uniform", "gauss:sigma=0.7"])
+def test_an_grid_bytes_bound_what_the_lift_allocates(profile):
+    # the config preflight refuses a grid by an_grid_bytes, so it must cover
+    # the lift's own AN arrays: model, envelope and the residual temporaries
+    xi = peter_weyl_basis(build_catalog(circle_group(8)))
+    tracemalloc.start()
+    try:
+        model = make_iwasawa_model("circle:8", (-2.0, 2.0), (-2.0, 2.0), 512, 256, profile=profile)
+        lifted = lift_family(model, xi)
+        lifted.gram_matrix()
+        lifted.restrict_to_k()
+        model.condition_i_residual()
+        model.condition_ii_residual()
+        reproduction_residual(model)
+        max_reproduction_residual(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need = an_grid_bytes(512, 256)
+    assert 0.9 * need < peak < need + 2**16, (peak, need)

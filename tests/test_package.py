@@ -1,0 +1,118 @@
+"""The lazy package, the CLI's BLAS idle policy, and what ``import grouplab.cli``
+loads.  Everything that depends on a fresh interpreter runs in a subprocess."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import grouplab
+
+SRC = Path(grouplab.__file__).resolve().parents[1]
+TRACED = SRC.parent / "perfbench" / "traced.py"
+BLAS_VARS = ("OPENBLAS_THREAD_TIMEOUT", "GOTO_THREAD_TIMEOUT")
+
+
+def fresh(script: str, **preset: str):
+    """Run ``script`` in a new interpreter whose environment has no BLAS
+    timeout variable except ``preset``; return what it prints, as JSON."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.update(preset)
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+ENV_AFTER = (
+    "import json, os, sys\n"
+    "import {module}\n"
+    "print(json.dumps({{k: os.environ.get(k) for k in {names!r}}}))\n"
+)
+
+
+def test_import_grouplab_loads_neither_numpy_nor_a_submodule():
+    loaded = fresh(
+        "import json, sys\n"
+        "import grouplab\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('grouplab.'))))\n"
+    )
+    assert loaded == []
+
+
+@pytest.mark.parametrize("name", grouplab.__all__)
+def test_every_public_name_is_its_submodules_own_object(name):
+    obj = getattr(grouplab, name)
+    home = sys.modules[f"grouplab.{grouplab._EXPORTS[name]}"]
+    assert obj is getattr(home, name)
+
+
+def test_dir_lists_every_public_name():
+    assert set(grouplab.__all__) <= set(dir(grouplab))
+    assert grouplab.__version__ == "0.1.0" and "__version__" in dir(grouplab)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        grouplab.no_such_name
+    assert not hasattr(grouplab, "su2_irrep_matrix")  # public in catalog, not here
+
+
+def test_from_import_of_a_submodule_still_works():
+    from grouplab import config
+
+    assert config.load_config is sys.modules["grouplab.config"].load_config
+
+
+def test_cli_sets_the_blas_idle_timeout():
+    env = fresh(ENV_AFTER.format(module="grouplab.cli", names=BLAS_VARS))
+    assert env == {"OPENBLAS_THREAD_TIMEOUT": "4", "GOTO_THREAD_TIMEOUT": None}
+
+
+def test_preset_openblas_timeout_wins():
+    env = fresh(ENV_AFTER.format(module="grouplab.cli", names=BLAS_VARS), OPENBLAS_THREAD_TIMEOUT="28")
+    assert env == {"OPENBLAS_THREAD_TIMEOUT": "28", "GOTO_THREAD_TIMEOUT": None}
+
+
+def test_preset_goto_timeout_wins():
+    env = fresh(ENV_AFTER.format(module="grouplab.cli", names=BLAS_VARS), GOTO_THREAD_TIMEOUT="28")
+    assert env == {"OPENBLAS_THREAD_TIMEOUT": None, "GOTO_THREAD_TIMEOUT": "28"}
+
+
+def test_library_import_leaves_the_environment_alone():
+    env = fresh(ENV_AFTER.format(module="grouplab", names=BLAS_VARS))
+    assert env == {"OPENBLAS_THREAD_TIMEOUT": None, "GOTO_THREAD_TIMEOUT": None}
+
+
+def test_cli_sets_the_timeout_before_numpy_loads():
+    # OpenBLAS reads the variable once, when numpy loads it
+    seen = fresh(
+        "import json, os, sys\n"
+        "class Probe:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not hasattr(self, 'env'):\n"
+        "            self.env = os.environ.get('OPENBLAS_THREAD_TIMEOUT')\n"
+        "probe = Probe()\n"
+        "sys.meta_path.insert(0, probe)\n"
+        "import grouplab.cli\n"
+        "print(json.dumps(probe.env))\n"
+    )
+    assert seen == "4"
+
+
+def test_cli_import_loads_every_module_the_tracer_wraps():
+    # perfbench/traced.py looks each module up in sys.modules right after
+    # ``import grouplab.cli``; with a lazy package nothing else loads them
+    namespace = {"__name__": "traced_hooks"}
+    exec(compile(TRACED.read_text(), str(TRACED), "exec"), namespace)
+    wanted = sorted({m for m, *_ in namespace["FUNCTIONS"]} | {m for m, *_ in namespace["METHODS"]})
+    loaded = fresh(
+        "import json, sys\n"
+        "import grouplab.cli\n"
+        f"print(json.dumps([m for m in {wanted!r} if m in sys.modules]))\n"
+    )
+    assert loaded == wanted
