@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import GroupModel, grid_shape, su2_matrix_from_euler
+from .groups import GroupModel, _fmt_spin, grid_shape, su2_matrix_from_euler
 from .hilbert import FamilyBlock, OrthonormalFamily, block_layout
 from .spec import ConfigError
 
@@ -61,8 +61,7 @@ class IrrepLabel:
             return f"irrep:{self.payload}"
         if self.kind == "circle":
             return f"m:{self.payload}"
-        j = self.payload
-        return f"j:{int(j)}" if float(j).is_integer() else f"j:{j}"
+        return f"j:{_fmt_spin(self.payload)}"
 
 
 @dataclass(eq=False)
@@ -189,6 +188,8 @@ def su2_irrep_matrix(two_j: int, g: np.ndarray) -> np.ndarray:
 
 _FINITE_SEED = 0x5EED
 _CHAR_ROUND = 6
+#: Random commutant draws before the decomposition of a regular representation fails.
+_FINITE_TRIES = 12
 
 
 def _averaged_commutant(table: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -214,7 +215,7 @@ def _cluster_eigs(vals: np.ndarray, tol: float) -> list[np.ndarray]:
     return [np.array(c) for c in clusters]
 
 
-def _finite_irreps(table: np.ndarray, max_tries: int = 12) -> list[np.ndarray]:
+def _finite_irreps(table: np.ndarray) -> list[np.ndarray]:
     """Distinct unitary irreps of a finite group as (|G|, d, d) grids.
 
     Returns one representative per equivalence class, each entry grid[g] being
@@ -222,7 +223,7 @@ def _finite_irreps(table: np.ndarray, max_tries: int = 12) -> list[np.ndarray]:
     """
     n = table.shape[0]
     rng = np.random.default_rng(_FINITE_SEED + 977 * n)
-    for _ in range(max_tries):
+    for _ in range(_FINITE_TRIES):
         t = _averaged_commutant(table, rng)
         vals, vecs = np.linalg.eigh(t)
         spread = max(float(vals[-1] - vals[0]), 1.0)
@@ -281,7 +282,7 @@ def _finite_irreps(table: np.ndarray, max_tries: int = 12) -> list[np.ndarray]:
 
         classes.sort(key=sort_key)
         return [grid for grid, _, _ in classes]
-    raise RuntimeError("failed to decompose the regular representation; increase max_tries")
+    raise RuntimeError(f"failed to decompose the regular representation in {_FINITE_TRIES} tries")
 
 
 # ---------------------------------------------------------------------------

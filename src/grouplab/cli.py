@@ -69,18 +69,23 @@ def _check_gram(cfg: ExperimentConfig, family) -> None:
         )
 
 
+def _analysis(cfg: ExperimentConfig):
+    """The catalog, the checked family and the test set (ids, functions,
+    descriptor) of an analysis command."""
+    group = make_group(cfg.group_spec)
+    cat = build_catalog(group, truncation=cfg.truncation)
+    family = _family(cfg, cat)
+    test_set = cfgmod.build_test_set(cfg.test_set_spec, group, family, seed_override=cfg.seed_override)
+    return cat, family, test_set
+
+
 def _bessel_columns(cfg: ExperimentConfig):
     """Columns (fn ids, ||f||^2, sum |<f, chi>|^2, defect) over the test set.
 
     The test set is stacked once and its coefficients come from one kernel
     call.  A defect below -BESSEL_SLACK breaks Bessel's inequality.
     """
-    group = make_group(cfg.group_spec)
-    cat = build_catalog(group, truncation=cfg.truncation)
-    family = _family(cfg, cat)
-    ids, fns, _ = cfgmod.build_test_set(
-        cfg.test_set_spec, group, family, seed_override=cfg.seed_override
-    )
+    _, family, (ids, fns, _) = _analysis(cfg)
     coeffs = coefficients(fns, family)
     norm_sq = np.array([f.norm_sq() for f in fns], dtype=float)
     # the kernel returns coeffs in Fortran order; C-ordered rows keep each row's
@@ -114,17 +119,12 @@ def cmd_parseval(cfg: ExperimentConfig) -> int:
 
 
 def cmd_semicomplete(cfg: ExperimentConfig) -> int:
-    group = make_group(cfg.group_spec)
-    cat = build_catalog(group, truncation=cfg.truncation)
-    family = _family(cfg, cat)
+    cat, family, (ids, fns, descriptor) = _analysis(cfg)
     weights = cfgmod.build_weights(
         cfg.weights_spec, family.max_block_size, seed_override=cfg.seed_override
     )
     if np.any(weights.gamma == 0) or np.any(weights.beta == 0):
         raise ConfigError(f"expansion weights {cfg.weights_spec!r} have a zero entry")
-    ids, fns, descriptor = cfgmod.build_test_set(
-        cfg.test_set_spec, group, family, seed_override=cfg.seed_override
-    )
     if not fns:
         raise ConfigError("semicomplete needs a nonempty test set")
     report = semicompleteness_defect(
@@ -172,7 +172,7 @@ def cmd_lift(cfg: ExperimentConfig) -> int:
     restriction_residual = float(np.max(np.abs(restricted.members - xi.members))) if xi.n_members else 0.0
     # the lift's Gram matrix is xi's times the AN mass, so one Gram matrix serves both
     gram = xi.gram_matrix()
-    lifted_gram = gram * lifted.an_mass
+    lifted_gram = gram * model.an_mass
     gram_residual = float(np.max(np.abs(lifted_gram - gram)))
     norm_residual = float(np.max(np.abs(np.diag(lifted_gram) - 1.0)))
     obj = {
@@ -212,7 +212,9 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, default=None, help="override config seeds")
+        p.add_argument("--seed", type=int, default=None, help=(
+            "override the seed of diag-reciprocal weights and of a random:count=N test set "
+            "(random:seed=S list entries keep theirs)"))
         p.add_argument("--tol", type=float, default=None, help="override config tolerance")
     args = parser.parse_args(argv)
 

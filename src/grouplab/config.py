@@ -56,29 +56,31 @@ AXIS_KEYS = frozenset({"range", "nodes"})
 
 @dataclass
 class IwasawaConfig:
-    k_spec: str = "circle:64"
-    a_range: tuple[float, float] = (-2.0, 2.0)
-    n_range: tuple[float, float] = (-2.0, 2.0)
-    a_size: int = 32
-    n_size: int = 32
-    profile: str = "uniform"
-    truncation: float | None = None
+    k_spec: str
+    a_range: tuple[float, float]
+    n_range: tuple[float, float]
+    a_size: int
+    n_size: int
+    profile: str
+    truncation: float | None
 
 
 @dataclass
 class ExperimentConfig:
+    """A loaded config; ``load_config`` supplies every default."""
+
     name: str
     group_spec: str
-    truncation: float | None = None
-    omit: tuple[str, ...] = ()
-    weights_spec: str = "unit"
-    test_set_spec: object = "random:count=16,seed=0"
-    epsilon: float | None = None
-    tol: float | None = None
-    out_dir: Path = Path(".")
-    dump_coefficients: bool = False
-    iwasawa: IwasawaConfig | None = None
-    seed_override: int | None = None
+    truncation: float | None
+    omit: tuple[str, ...]
+    weights_spec: str
+    test_set_spec: object
+    epsilon: float | None
+    tol: float | None
+    out_dir: Path
+    dump_coefficients: bool
+    iwasawa: IwasawaConfig | None
+    seed_override: int | None
 
 
 def _require(condition: bool, message: str) -> None:
@@ -245,8 +247,6 @@ def _iwasawa_config(blk) -> IwasawaConfig:
 
 def build_weights(spec, n: int, seed_override: int | None = None) -> ExpansionWeights:
     """Parse a weights spec: 'unit' | 'diag-reciprocal:seed=S' | 'table:PATH'."""
-    if isinstance(spec, ExpansionWeights):
-        return spec
     head, rest = split_spec(spec)
     if head == "unit":
         parse_params(rest, "unit weights")
@@ -338,6 +338,8 @@ def build_test_set(
 
     Forms: 'random:count=N,seed=S', 'members', 'samples:PATH' (CSV with
     fn,node,re,im rows), or a JSON list of single-function specs.
+    ``seed_override`` replaces only the seed of the 'random:count=N,seed=S'
+    form; the 'random:seed=S' entries of a list keep theirs.
     """
     if isinstance(spec, list):
         ids, fns = [], []
@@ -361,9 +363,7 @@ def build_test_set(
         fns = [family.member_flat(k) for k in range(family.n_members)]
         return _member_ids(family), fns, "members"
     if head == "samples":
-        path = Path(rest)
-        _require(path.is_file(), f"samples file not found: {path}")
-        ids, fns = functions_from_csv(group, path)
+        ids, fns = functions_from_csv(group, rest)
         return ids, fns, f"samples:{rest}"
     raise ConfigError(f"unknown test set spec {spec!r}")
 
@@ -461,17 +461,8 @@ def l2_to_csv(f: L2Function, path: str | Path) -> None:
 
 
 def l2_from_csv(group: GroupModel, path: str | Path) -> L2Function:
-    path = Path(path)
-    _require(path.is_file(), f"function file not found: {path}")
-    values = np.zeros(group.n_nodes, dtype=np.complex128)
-    seen = 0
-    for row in _read_csv_rows(path, 3):
-        k = parse_value(row[0], int, f"node index in {path}")
-        _require(0 <= k < group.n_nodes, f"node index {k} out of range in {path}")
-        values[k] = _parse_sample(row[1], row[2], path)
-        seen += 1
-    _require(seen == group.n_nodes, f"{path} has {seen} rows, expected {group.n_nodes}")
-    return L2Function(group, values)
+    """The function in a CSV of node,re,im rows, one row per node."""
+    return _samples_from_csv(group, path, named=False)[""]
 
 
 def functions_to_csv(ids: list[str], fns: list[L2Function], path: str | Path) -> None:
@@ -485,21 +476,37 @@ def _labelled_samples(ids, rows):
 
 
 def functions_from_csv(group: GroupModel, path: str | Path) -> tuple[list[str], list[L2Function]]:
+    """The functions in a CSV of fn,node,re,im rows, one row per function and node."""
+    by_id = _samples_from_csv(group, path, named=True)
+    return list(by_id), list(by_id.values())
+
+
+def _samples_from_csv(group: GroupModel, path: str | Path, named: bool) -> dict[str, L2Function]:
+    """Functions by id from ``[fn,]node,re,im`` rows; without the fn column the
+    file holds one function, with id "".  Every function must give each node
+    exactly once: a missing or repeated node index is a ConfigError."""
+    path = Path(path)
+    _require(path.is_file(), f"samples file not found: {path}")
+
+    def where(fid: str) -> str:
+        return f"function {fid!r} of {path}" if named else str(path)
+
     by_id: dict[str, np.ndarray] = {}
-    counts: dict[str, int] = {}
-    for row in _read_csv_rows(Path(path), 4):
-        fid = row[0]
+    if not named:
+        by_id[""] = np.full(group.n_nodes, np.nan, np.complex128)
+    for row in _read_csv_rows(path, 4 if named else 3):
+        fid = row[0] if named else ""
         if fid not in by_id:
-            by_id[fid] = np.zeros(group.n_nodes, dtype=np.complex128)
-            counts[fid] = 0
-        k = parse_value(row[1], int, f"node index in {path}")
+            by_id[fid] = np.full(group.n_nodes, np.nan, np.complex128)
+        k = parse_value(row[-3], int, f"node index in {path}")
         _require(0 <= k < group.n_nodes, f"node index {k} out of range in {path}")
-        by_id[fid][k] = _parse_sample(row[2], row[3], path)
-        counts[fid] += 1
-    for fid, c in counts.items():
-        _require(c == group.n_nodes, f"function {fid!r} has {c} rows, expected {group.n_nodes}")
-    ids = list(by_id)
-    return ids, [L2Function(group, by_id[fid]) for fid in ids]
+        # NaN marks a node not read yet: every sample read is finite
+        _require(np.isnan(by_id[fid][k]), f"node index {k} repeated in {where(fid)}")
+        by_id[fid][k] = _parse_sample(row[-2], row[-1], path)
+    for fid, values in by_id.items():
+        missing = int(np.count_nonzero(np.isnan(values)))
+        _require(not missing, f"{where(fid)} misses {missing} of {group.n_nodes} nodes")
+    return {fid: L2Function(group, values) for fid, values in by_id.items()}
 
 
 def _parse_sample(re: str, im: str, path) -> complex:
@@ -527,16 +534,6 @@ def _read_csv_rows(path: Path, n_cols: int):
                 yield parts
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path} is not a text file: {exc}") from exc
-
-
-def lifted_family_to_csv(lifted, path: str | Path) -> None:
-    """Export lifted members over the K x AN product grid (member,node,re,im).
-
-    Each member's product values are formed and written one member at a time.
-    """
-    ids = _member_ids(lifted.source)
-    rows = (lifted.product_values(m) for m in range(len(lifted.members)))
-    write_csv(path, ["member", "node", "re", "im"], _labelled_samples(ids, rows))
 
 
 def _member_ids(family: OrthonormalFamily) -> list[str]:

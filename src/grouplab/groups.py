@@ -35,10 +35,12 @@ class GroupModel:
     """A compact group discretized on a fixed quadrature grid.
 
     The per-kind payload fields are mutually exclusive: finite groups carry a
-    multiplication ``table``, the circle carries ``thetas``, SU(2) carries the
-    node ``matrices`` (and their Euler angles).  ``capacity`` is the largest
-    irrep magnitude the quadrature integrates exactly (None for finite groups,
-    whose integration is exact outright).
+    multiplication ``table``, the circle carries ``thetas``, SU(2) carries
+    each node's z-y-z Euler angles ``eulers``, from which ``node_element``
+    makes the node's 2x2 matrix with ``su2_matrix_from_euler``; no node
+    matrix is stored.  ``capacity`` is the largest irrep magnitude the
+    quadrature integrates exactly (None for finite groups, whose integration
+    is exact outright).
     """
 
     kind: str                     # "finite" | "circle" | "su2"
@@ -46,9 +48,7 @@ class GroupModel:
     weights: np.ndarray           # (n_nodes,) normalized Haar weights
     identity: object
     table: np.ndarray | None = None           # finite: (n, n) index table
-    element_names: tuple[str, ...] | None = None
     thetas: np.ndarray | None = None          # circle: (n_nodes,) angles
-    matrices: np.ndarray | None = None        # su2: (n_nodes, 2, 2)
     eulers: np.ndarray | None = None          # su2: (n_nodes, 3)
     capacity: float | None = None
 
@@ -69,7 +69,7 @@ class GroupModel:
             return int(k)
         if self.kind == "circle":
             return float(self.thetas[k])
-        return self.matrices[k]
+        return su2_matrix_from_euler(*self.eulers[k])
 
     def multiply(self, a, b):
         """Group product a*b in the element encoding of this group kind."""
@@ -106,7 +106,6 @@ def _finite_model(name: str, elements: list, compose, identity_elem) -> GroupMod
         weights=np.full(n, 1.0 / n),
         identity=index[identity_elem],
         table=table,
-        element_names=tuple(str(e) for e in elements),
     )
 
 
@@ -196,19 +195,9 @@ def su2_group(jmax: float, quad: int | None = None) -> GroupModel:
     alphas = TWO_PI * np.arange(n_torus) / n_torus
     gammas = 2.0 * TWO_PI * np.arange(n_torus) / n_torus
 
-    # nodes run alpha-major, then beta, then gamma; every array below has
-    # shape (n_torus, n_beta, n_torus) after broadcasting
-    al = alphas[:, None, None]
-    be = betas[None, :, None]
-    ga = gammas[None, None, :]
-    # the half-angle factors use math.cos/math.sin, as su2_matrix_from_euler
-    # does, so every node equals that function's matrix bit for bit
-    c = np.array([math.cos(x / 2.0) for x in betas])[None, :, None]
-    s = np.array([math.sin(x / 2.0) for x in betas])[None, :, None]
-    a = c * np.exp(-0.5j * (al + ga))
-    b = -s * np.exp(-0.5j * (al - ga))
-    matrices = np.stack([a, b, -np.conj(b), np.conj(a)], axis=-1).reshape(-1, 2, 2)
-    eulers = np.stack(np.broadcast_arrays(al, be, ga), axis=-1).reshape(-1, 3)
+    # nodes run alpha-major, then beta, then gamma
+    grid = np.broadcast_arrays(alphas[:, None, None], betas[None, :, None], gammas[None, None, :])
+    eulers = np.stack(grid, axis=-1).reshape(-1, 3)
     weights = np.broadcast_to(
         glw[None, :, None] / (2.0 * n_torus * n_torus), (n_torus, n_beta, n_torus)
     ).reshape(-1)
@@ -217,7 +206,6 @@ def su2_group(jmax: float, quad: int | None = None) -> GroupModel:
         name=f"su2:j={_fmt_spin(jmax)},quad={n_beta}",
         weights=weights,
         identity=np.eye(2, dtype=np.complex128),
-        matrices=matrices,
         eulers=eulers,
         capacity=float(jmax),
     )

@@ -13,9 +13,12 @@ Lifted members chi(k, an) = exp(f(an)) * xi(k) then restrict to xi on K
 bitwise and inherit the Gram matrix of xi.  Each member is a rank-one
 product, so a ``LiftedFamily`` keeps its two factors, the K factor xi and the
 AN envelope exp(f), and never the members x (n_K * n_AN) product matrix:
-memory is O(members * n_K + n_AN).  The Gram matrix factors as
-Gram(xi) * sum_an w_an |exp f(an)|^2, and dense product values exist only
-one member at a time (``LiftedFamily.product_values``).
+memory is O(members * n_K + n_AN).
+
+One number carries the AN factor into every check: the AN mass
+``IwasawaModel.an_mass`` = sum_an w_an exp(2 Re f(an)), 1 up to rounding
+once (ii) holds.  Condition (ii)'s residual is |mass - 1|, the lifted Gram
+matrix is Gram(xi) * mass, and the reproduction residuals below scale by it.
 
 The pointwise reproduction identity that would force exp(f) == 1 everywhere
 is not enforced; ``reproduction_residual`` measures it for separable
@@ -60,12 +63,16 @@ class IwasawaModel:
     def n_an(self) -> int:
         return len(self.an_weights)
 
+    @property
+    def an_mass(self) -> float:
+        """The AN mass sum_an w_an exp(2 Re f(an)) (1 for a normalized profile)."""
+        return float(np.dot(self.an_weights, np.exp(2.0 * np.real(self.profile))))
+
     def condition_i_residual(self) -> float:
         return float(abs(self.profile[self.id_index]))
 
     def condition_ii_residual(self) -> float:
-        density = np.exp(2.0 * np.real(self.profile))
-        return float(abs(np.dot(self.an_weights, density) - 1.0))
+        return abs(self.an_mass - 1.0)
 
 
 #: Bytes per AN grid node that a lift holds at most at once: the model's
@@ -143,20 +150,21 @@ def make_iwasawa_model(
     else:
         raise ConfigError(f"unknown profile {profile!r}")
 
-    shifted = raw - raw[id_index]          # condition (i), exact
-    with np.errstate(over="ignore"):  # an overflowing mass is reported just below
-        mass = float(np.dot(an_weights, np.exp(2.0 * np.real(shifted))))
-    if not math.isfinite(mass) or mass <= 0:
-        raise ConfigError(f"profile {profile!r} is not normalizable on the range")
-    return IwasawaModel(
+    model = IwasawaModel(
         K=K,
         a_nodes=a_nodes,
         n_nodes=n_nodes,
-        an_weights=an_weights / mass,      # condition (ii)
-        profile=shifted,
+        an_weights=an_weights,
+        profile=raw - raw[id_index],       # condition (i), exact
         id_index=id_index,
         profile_name=name,
     )
+    with np.errstate(over="ignore"):  # an overflowing mass is reported just below
+        mass = model.an_mass
+    if not math.isfinite(mass) or mass <= 0:
+        raise ConfigError(f"profile {profile!r} is not normalizable on the range")
+    model.an_weights /= mass               # condition (ii)
+    return model
 
 
 @dataclass(eq=False)
@@ -176,18 +184,9 @@ class LiftedFamily:
     members: np.ndarray          # (n_members, nK), the K factor xi
     envelope: np.ndarray         # (nAN,), the AN factor exp(f)
 
-    @property
-    def an_mass(self) -> float:
-        """The AN mass sum_an w_an |exp f(an)|^2 (1 for a normalized profile)."""
-        return float(np.dot(self.model.an_weights, np.abs(self.envelope) ** 2))
-
     def gram_matrix(self) -> np.ndarray:
         """Gram(xi) times the AN mass."""
-        return self.source.gram_matrix() * self.an_mass
-
-    def product_values(self, m: int) -> np.ndarray:
-        """Member m over the whole product grid, (nK * nAN,) in K-major order."""
-        return np.outer(self.source.scale[m] * self.members[m], self.envelope).reshape(-1)
+        return self.source.gram_matrix() * self.model.an_mass
 
     def restrict_to_k(self) -> OrthonormalFamily:
         """The family of restrictions chi(., identity AN node) on K."""
@@ -243,10 +242,7 @@ def reproduction_residual(
     idx = model.id_index if an_index is None else int(an_index)
     if not (0 <= idx < model.n_an):
         raise IndexError(f"AN node index {idx} out of range")
-    factor = complex(
-        np.dot(model.an_weights, np.exp(model.profile + np.conj(model.profile)))
-        * np.exp(model.profile[idx])
-    )
+    factor = model.an_mass * complex(np.exp(model.profile[idx]))
     return float(np.max(np.abs(g0.values * factor - g0.values)))
 
 
@@ -259,6 +255,5 @@ def max_reproduction_residual(model: IwasawaModel, g0: L2Function | None = None)
     """
     if g0 is None:
         g0 = L2Function(model.K, np.ones(model.K.n_nodes, dtype=np.complex128))
-    mass = np.dot(model.an_weights, np.exp(model.profile + np.conj(model.profile)))
-    factors = mass * np.exp(model.profile)                       # (nAN,)
+    factors = model.an_mass * np.exp(model.profile)              # (nAN,)
     return float(np.max(np.abs(g0.values)) * np.max(np.abs(factors - 1.0)))

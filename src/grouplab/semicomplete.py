@@ -181,12 +181,17 @@ class WeightsDiagnostic:
         return not (self.diagonal_violations or self.zero_gamma or self.zero_beta)
 
 
-def validate_weights(weights: ExpansionWeights, tol: float = 1e-12) -> WeightsDiagnostic:
-    """Report indices violating gamma_i * beta_ii = 1 and any zero entries."""
+#: Largest |gamma_i * beta_ii - 1| that ``validate_weights`` accepts.
+DIAGONAL_TOL = 1e-12
+
+
+def validate_weights(weights: ExpansionWeights) -> WeightsDiagnostic:
+    """Report indices violating gamma_i * beta_ii = 1 (within ``DIAGONAL_TOL``)
+    and any zero entries."""
     diag = weights.gamma * np.diag(weights.beta)
     residuals = np.abs(diag - 1.0)
     violations = tuple(
-        (int(i), float(residuals[i])) for i in np.flatnonzero(residuals > tol)
+        (int(i), float(residuals[i])) for i in np.flatnonzero(residuals > DIAGONAL_TOL)
     )
     zero_gamma = tuple(int(i) for i in np.flatnonzero(weights.gamma == 0))
     zero_beta = tuple(

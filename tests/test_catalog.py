@@ -124,7 +124,7 @@ def test_su2_defining_representation():
     cat = build_catalog(g)
     lab = cat.label_by_key("j:0.5")
     for k in [0, 5, 17]:
-        mat = g.matrices[k]
+        mat = g.node_element(k)
         assert np.max(np.abs(cat.coefficient_matrix(lab, mat) - mat)) < 1e-12
 
 
@@ -140,7 +140,7 @@ def test_su2_spin1_is_symmetric_square_of_defining():
     )
     rng = np.random.default_rng(5)
     for k in rng.integers(0, g.n_nodes, 10):
-        mat = g.matrices[k]
+        mat = g.node_element(k)
         sym_sq = p @ np.kron(mat, mat) @ p.conj().T
         spin1 = su2_irrep_matrix(2, mat)
         assert np.max(np.abs(sym_sq - spin1)) < 1e-12
@@ -155,7 +155,7 @@ def test_su2_grid_matches_per_node_oracle(spec):
         two_j = int(round(2 * lab.payload))
         grid = cat.grids[lab.key]
         assert grid.shape == (g.n_nodes, two_j + 1, two_j + 1)
-        oracle = np.array([su2_irrep_matrix(two_j, mat) for mat in g.matrices])
+        oracle = np.array([su2_irrep_matrix(two_j, g.node_element(k)) for k in range(g.n_nodes)])
         assert np.max(np.abs(grid - oracle)) < 1e-13
 
 

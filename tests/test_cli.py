@@ -385,6 +385,24 @@ def test_l2_from_csv_rejects_non_finite(tmp_path):
         l2_from_csv(group, path)
 
 
+@pytest.mark.parametrize("form", ["list-entry", "test-set"])
+def test_repeated_sample_node_exits_2(tmp_path, capsys, form):
+    # node 0 twice and node 3 never: the last value must not win, nor node 3 read 0
+    rows = [(0, 1.0), (1, 2.0), (2, 3.0), (0, 4.0)]
+    path = tmp_path / "samples.csv"
+    if form == "list-entry":
+        path.write_text("node,re,im\n" + "".join(f"{k},{v},0\n" for k, v in rows))
+        test_set = [f"samples:{path}"]
+    else:
+        path.write_text("fn,node,re,im\n" + "".join(f"f,{k},{v},0\n" for k, v in rows))
+        test_set = f"samples:{path}"
+    cfg = write_config(tmp_path, group="zn:4", test_set=test_set)
+    out = tmp_path / "out"
+    assert main(["parseval", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "node index 0 repeated" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n_rows", [0, 1, 5])
 def test_write_csv_exact_bytes(tmp_path, n_rows):
     k = np.arange(n_rows)

@@ -111,14 +111,14 @@ def test_circle_angles_reduced():
 
 def test_su2_nodes_unitary_unit_determinant():
     g = su2_group(1.5)
-    for mat in g.matrices:
+    for mat in map(g.node_element, range(g.n_nodes)):
         assert np.max(np.abs(mat @ mat.conj().T - np.eye(2))) < 1e-12
         assert abs(np.linalg.det(mat) - 1.0) < 1e-12
     assert abs(g.weights.sum() - 1.0) < 1e-12
 
 
 def test_su2_grid_nodes_match_euler_factorization():
-    # the broadcast grid build equals su2_matrix_from_euler node by node, bit for bit
+    # node k's Euler angles and weight are the k-th point of the product grid
     from grouplab.groups import su2_matrix_from_euler
 
     g = make_group("su2:j=1.5")
@@ -128,7 +128,7 @@ def test_su2_grid_nodes_match_euler_factorization():
     for alpha in 2 * np.pi * np.arange(n_torus) / n_torus:
         for ib, beta in enumerate(np.arccos(x)):
             for gamma in 4 * np.pi * np.arange(n_torus) / n_torus:
-                assert g.matrices[k].tobytes() == su2_matrix_from_euler(alpha, beta, gamma).tobytes()
+                assert g.node_element(k).tobytes() == su2_matrix_from_euler(alpha, beta, gamma).tobytes()
                 assert g.eulers[k].tolist() == [alpha, beta, gamma]
                 assert g.weights[k] == glw[ib] / (2.0 * n_torus * n_torus)
                 k += 1
@@ -142,7 +142,7 @@ def test_su2_wigner_entry_orthogonality():
     g = su2_group(1.5)
     entries = {}
     for two_j in range(0, 4):
-        grids = np.array([su2_irrep_matrix(two_j, m) for m in g.matrices])
+        grids = np.array([su2_irrep_matrix(two_j, g.node_element(k)) for k in range(g.n_nodes)])
         entries[two_j] = grids
     for tj1 in range(0, 4):
         d1 = tj1 + 1

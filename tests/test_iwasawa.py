@@ -7,7 +7,6 @@ import pytest
 
 from grouplab import _kernels
 from grouplab.catalog import build_catalog, peter_weyl_basis
-from grouplab.config import _labelled_samples, _member_ids, lifted_family_to_csv, write_csv
 from grouplab.groups import circle_group
 from grouplab.hilbert import L2Function, OrthonormalFamily, random_function, unit_weights
 from grouplab.iwasawa import (
@@ -182,8 +181,6 @@ def test_lift_depends_on_the_member_functions_not_their_row_scale(gauss_model, k
     xi = peter_weyl_basis(k_catalog)
     halved = OrthonormalFamily(xi.group, xi.blocks, xi.members / 2, 2 * xi.scale)
     lifted, lifted_halved = lift_family(gauss_model, xi), lift_family(gauss_model, halved)
-    for m in range(xi.n_members):
-        assert np.array_equal(lifted_halved.product_values(m), lifted.product_values(m))
     restricted = lifted_halved.restrict_to_k()
     for m in range(xi.n_members):
         assert np.array_equal(restricted.member_flat(m).values, lifted.restrict_to_k().member_flat(m).values)
@@ -249,21 +246,6 @@ def test_max_reproduction_residual_is_oracle_max_over_nodes(gauss_model, g0_seed
     assert abs(max_reproduction_residual(gauss_model, g0=g0) - oracle) <= 1e-15 * oracle
 
 
-def test_lifted_family_csv_export(gauss_model, k_catalog, tmp_path):
-    xi = peter_weyl_basis(k_catalog)
-    lifted = lift_family(gauss_model, xi)
-    path = tmp_path / "lifted.csv"
-    lifted_family_to_csv(lifted, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "member,node,re,im"
-    n_nodes = gauss_model.K.n_nodes * gauss_model.n_an
-    assert len(lines) == 1 + xi.n_members * n_nodes
-    first = lines[1].split(",")
-    assert first[0] == "member:m:0[0][0]"
-    got = complex(float(first[2]), float(first[3]))
-    assert abs(got - lifted.members[0, 0] * lifted.envelope[0]) < 1e-15
-
-
 def _dense_lift(model, xi):
     """The lift as a dense members x (nK * nAN) matrix, its product measure and
     its unit row scale."""
@@ -275,7 +257,7 @@ def _dense_lift(model, xi):
 
 
 @pytest.mark.parametrize("k_spec,an_size", [("circle:16", 4), ("circle:64", 32)])
-def test_factored_lift_matches_dense_oracle(k_spec, an_size, tmp_path):
+def test_factored_lift_matches_dense_oracle(k_spec, an_size):
     model = make_iwasawa_model(
         k_spec, (-2.0, 2.0), (-1.5, 1.5), an_size, an_size, profile="gauss:sigma=0.7"
     )
@@ -288,13 +270,6 @@ def test_factored_lift_matches_dense_oracle(k_spec, an_size, tmp_path):
     assert np.max(np.abs(gram - _kernels.gram(dense, weights, unit))) < 1e-14
     restricted = lifted.restrict_to_k()
     assert np.array_equal(restricted.members, dense[:, model.id_index :: model.n_an])
-    for m in range(xi.n_members):
-        assert np.array_equal(lifted.product_values(m), dense[m])
-
-    factored_csv, dense_csv = tmp_path / "factored.csv", tmp_path / "dense.csv"
-    lifted_family_to_csv(lifted, factored_csv)
-    write_csv(dense_csv, ["member", "node", "re", "im"], _labelled_samples(_member_ids(xi), dense))
-    assert factored_csv.read_bytes() == dense_csv.read_bytes()
 
 
 def test_misnormalised_profile_breaks_gram_residual(gauss_model, k_catalog):
