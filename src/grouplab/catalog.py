@@ -41,8 +41,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .groups import GroupModel, _fmt_spin, grid_shape, su2_matrix_from_euler
-from .hilbert import FamilyBlock, OrthonormalFamily, block_layout
+from .hilbert import FamilyBlock, OrthonormalFamily, block_layout, tolerance
 from .spec import ConfigError
 
 
@@ -223,11 +224,12 @@ def _finite_irreps(table: np.ndarray) -> list[np.ndarray]:
     """
     n = table.shape[0]
     rng = np.random.default_rng(_FINITE_SEED + 977 * n)
+    char_tol = tolerance("irrep_character")
     for _ in range(_FINITE_TRIES):
         t = _averaged_commutant(table, rng)
         vals, vecs = np.linalg.eigh(t)
         spread = max(float(vals[-1] - vals[0]), 1.0)
-        clusters = _cluster_eigs(vals, 1e-6 * spread)
+        clusters = _cluster_eigs(vals, tolerance("irrep_cluster") * spread)
         reps = []
         ok = True
         for cluster in clusters:
@@ -241,7 +243,7 @@ def _finite_irreps(table: np.ndarray) -> list[np.ndarray]:
                 grid[g] = basis.conj().T @ lb
             # irreducibility: mean |character|^2 == 1
             chars = np.einsum("gii->g", grid)
-            if abs(np.mean(np.abs(chars) ** 2) - 1.0) > 1e-6:
+            if abs(np.mean(np.abs(chars) ** 2) - 1.0) > char_tol:
                 ok = False
                 break
             reps.append((grid, chars))
@@ -251,7 +253,7 @@ def _finite_irreps(table: np.ndarray) -> list[np.ndarray]:
         classes: list[tuple[np.ndarray, np.ndarray, int]] = []
         for grid, chars in reps:
             for k, (_, ref_chars, _) in enumerate(classes):
-                if ref_chars.shape == chars.shape and np.max(np.abs(ref_chars - chars)) < 1e-6:
+                if ref_chars.shape == chars.shape and np.max(np.abs(ref_chars - chars)) < char_tol:
                     classes[k] = (classes[k][0], classes[k][1], classes[k][2] + 1)
                     break
             else:
@@ -260,15 +262,9 @@ def _finite_irreps(table: np.ndarray) -> list[np.ndarray]:
             continue
         if any(mult != grid.shape[1] for grid, _, mult in classes):
             continue
-        # Schur orthogonality across the deduplicated catalog
-        rows = np.vstack(
-            [
-                math.sqrt(grid.shape[1]) * grid.reshape(n, -1).T
-                for grid, _, _ in classes
-            ]
-        )
-        gram = (rows / n) @ rows.conj().T
-        if np.max(np.abs(gram - np.eye(n))) > 1e-10:
+        # Schur orthogonality: {sqrt(d) u_ij} is orthonormal within the Gram tolerance
+        rows = np.vstack([math.sqrt(g.shape[1]) * g.reshape(n, -1).T for g, _, _ in classes])
+        if not _kernels.gram_defect(rows, np.full(n, 1.0 / n), np.ones(n)) <= tolerance("gram", "finite"):
             continue
         # deterministic order: trivial first, then by degree and character key
         def sort_key(entry):
@@ -277,7 +273,7 @@ def _finite_irreps(table: np.ndarray) -> list[np.ndarray]:
             rounded = tuple(
                 (round(c.real, _CHAR_ROUND), round(c.imag, _CHAR_ROUND)) for c in chars
             )
-            trivial = d == 1 and np.max(np.abs(chars - 1.0)) < 1e-6
+            trivial = d == 1 and np.max(np.abs(chars - 1.0)) < char_tol
             return (0 if trivial else 1, d, rounded)
 
         classes.sort(key=sort_key)

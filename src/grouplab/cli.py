@@ -4,9 +4,9 @@ Subcommands build groups, catalogs and families from a JSON config, run one
 named experiment, and write defect tables and transforms under the output
 directory with experiment-name prefixes.  Exit codes: 0 success, 2 config
 error (a ``ConfigError``: a bad config value, spec or referenced file), 3
-breach of a numerical invariant (Gram or Bessel).  Any other exception is an
-internal failure: it is not caught, so the process exits 1 with its
-traceback.
+breach of a numerical invariant (a row of ``hilbert.CLI_INVARIANTS``, each
+checked by ``_require``).  Any other exception is an internal failure: it is
+not caught, so the process exits 1 with its traceback.
 
 BLAS idle policy: numpy's bundled OpenBLAS starts a pool of worker threads
 when numpy loads, and by default an idle worker busy-waits for 2**28 cycles
@@ -43,38 +43,28 @@ from . import config as cfgmod
 from .catalog import build_catalog
 from .config import ConfigError, ExperimentConfig, InvariantBreach
 from .groups import make_group
-from .hilbert import coefficients, gram_tol
+from .hilbert import coefficients, tolerance
 from .iwasawa import lift_family, make_iwasawa_model, max_reproduction_residual, reproduction_residual
 from .semicomplete import OmissionSpec, build_riemann_lebesgue_family, semicompleteness_defect
 
-BESSEL_SLACK = 1e-9
 
-
-def _family(cfg: ExperimentConfig, cat):
-    """The family without the omitted labels (Peter-Weyl when none), checked
-    to be orthonormal within the tolerance; the check streams its Gram
-    matrix and keeps none of it."""
-    family = build_riemann_lebesgue_family(cat, OmissionSpec(omitted=cfg.omit))
-    _check_gram(cfg, family)
-    return family
-
-
-def _check_gram(cfg: ExperimentConfig, family) -> None:
-    """Raise InvariantBreach unless max |G - I| is within the tolerance."""
-    limit = cfg.tol if cfg.tol is not None else gram_tol(family.group)
-    defect = family.gram_defect()
-    if not defect <= limit:  # a NaN defect fails too
-        raise InvariantBreach(
-            f"family Gram defect {defect:.3e} exceeds tolerance {limit:.3e}"
-        )
+def _require(name: str, residual: float, group, tol: float | None = None) -> None:
+    """Raise InvariantBreach unless ``residual`` is within invariant ``name``'s
+    tolerance on ``group`` (``tol`` in its place when given); NaN fails too."""
+    limit = tolerance(name, group.kind) if tol is None else tol
+    if not residual <= limit:
+        raise InvariantBreach(f"{name} residual {residual:.3e} exceeds tolerance {limit:.3e}")
 
 
 def _analysis(cfg: ExperimentConfig):
-    """The catalog, the checked family and the test set (ids, functions,
-    descriptor) of an analysis command."""
+    """The catalog, the family and the test set (ids, functions, descriptor)
+    of an analysis command.  The family keeps every label not in ``omit``
+    (Peter-Weyl when none) and is checked to be orthonormal within the tolerance; the
+    check streams its Gram matrix and keeps none of it."""
     group = make_group(cfg.group_spec)
     cat = build_catalog(group, truncation=cfg.truncation)
-    family = _family(cfg, cat)
+    family = build_riemann_lebesgue_family(cat, OmissionSpec(omitted=cfg.omit))
+    _require("gram", family.gram_defect(), group, cfg.tol)
     test_set = cfgmod.build_test_set(cfg.test_set_spec, group, family, seed_override=cfg.seed_override)
     return cat, family, test_set
 
@@ -82,8 +72,7 @@ def _analysis(cfg: ExperimentConfig):
 def _bessel_columns(cfg: ExperimentConfig):
     """Columns (fn ids, ||f||^2, sum |<f, chi>|^2, defect) over the test set.
 
-    The test set is stacked once and its coefficients come from one kernel
-    call.  A defect below -BESSEL_SLACK breaks Bessel's inequality.
+    The test set is stacked once and its coefficients come from one kernel call.
     """
     _, family, (ids, fns, _) = _analysis(cfg)
     coeffs = coefficients(fns, family)
@@ -92,9 +81,7 @@ def _bessel_columns(cfg: ExperimentConfig):
     # pairwise summation, so the sums equal the per-row np.sum bit for bit
     coeff_sum = np.sum(np.abs(coeffs, order="C") ** 2, axis=1)
     defect = norm_sq - coeff_sum
-    for fid, d in zip(ids, defect):
-        if d < -BESSEL_SLACK:
-            raise InvariantBreach(f"Bessel inequality violated for {fid}: defect {d:.3e}")
+    _require("bessel", float(np.max(-defect, initial=-np.inf)), family.group)
     return ids, norm_sq, coeff_sum, defect
 
 
@@ -123,10 +110,6 @@ def cmd_semicomplete(cfg: ExperimentConfig) -> int:
     weights = cfgmod.build_weights(
         cfg.weights_spec, family.max_block_size, seed_override=cfg.seed_override
     )
-    if np.any(weights.gamma == 0) or np.any(weights.beta == 0):
-        raise ConfigError(f"expansion weights {cfg.weights_spec!r} have a zero entry")
-    if not fns:
-        raise ConfigError("semicomplete needs a nonempty test set")
     report = semicompleteness_defect(
         family,
         weights,
@@ -165,16 +148,22 @@ def cmd_lift(cfg: ExperimentConfig) -> int:
     model = make_iwasawa_model(
         iw.k_spec, iw.a_range, iw.n_range, iw.a_size, iw.n_size, profile=iw.profile
     )
-    xi = _family(cfg, build_catalog(model.K, truncation=iw.truncation))
-    lifted = lift_family(model, xi)
-
-    restricted = lifted.restrict_to_k()
-    restriction_residual = float(np.max(np.abs(restricted.members - xi.members))) if xi.n_members else 0.0
-    # the lift's Gram matrix is xi's times the AN mass, so one Gram matrix serves both
+    cat = build_catalog(model.K, truncation=iw.truncation)
+    xi = build_riemann_lebesgue_family(cat, OmissionSpec(omitted=cfg.omit))
+    # one Gram matrix of xi gives its defect, the same float as the streamed
+    # check's, and the lift's Gram matrix, xi's times the AN mass
     gram = xi.gram_matrix()
+    _require("gram", float(np.max(np.abs(gram - np.eye(xi.n_members)))), model.K, cfg.tol)
+    restricted = lift_family(model, xi).restrict_to_k()
+    restriction_residual = float(np.max(np.abs(restricted.members - xi.members)))
+    condition_i_residual = model.condition_i_residual()
     lifted_gram = gram * model.an_mass
     gram_residual = float(np.max(np.abs(lifted_gram - gram)))
     norm_residual = float(np.max(np.abs(np.diag(lifted_gram) - 1.0)))
+    _require("lift_restriction", restriction_residual, model.K)
+    _require("lift_condition_i", condition_i_residual, model.K)
+    _require("lift_gram", gram_residual, model.K, cfg.tol)
+    _require("lift_norm", norm_residual, model.K, cfg.tol)
     obj = {
         "group": model.K.name,
         "profile": model.profile_name,
@@ -182,7 +171,7 @@ def cmd_lift(cfg: ExperimentConfig) -> int:
         "restriction_residual": restriction_residual,
         "gram_residual": gram_residual,
         "norm_residual": norm_residual,
-        "condition_i_residual": model.condition_i_residual(),
+        "condition_i_residual": condition_i_residual,
         "condition_ii_residual": model.condition_ii_residual(),
         "reproduction": {
             "at_identity": reproduction_residual(model),

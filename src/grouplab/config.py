@@ -10,7 +10,6 @@ also defines ``ConfigError`` (re-exported here).
 """
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import os
@@ -38,7 +37,7 @@ from .spec import ConfigError, parse_params, parse_value, split_spec
 
 
 class InvariantBreach(RuntimeError):
-    """A numerical invariant (Gram, Bessel) failed at runtime (CLI exit 3)."""
+    """A numerical invariant of ``hilbert.CLI_INVARIANTS`` failed at runtime (CLI exit 3)."""
 
 
 _MAX_SEED = 2**64 - 1
@@ -188,7 +187,9 @@ def load_config(
     dump = raw.get("dump_coefficients", False)
     _require(isinstance(dump, bool), f"'dump_coefficients' must be true or false, got {dump!r}")
 
-    out_dir = Path(out_override) if out_override is not None else Path(raw.get("out", "."))
+    out = raw.get("out", ".")
+    _require(isinstance(out, str) and out != "", f"config 'out' must be a nonempty string, got {out!r}")
+    _require(out_override != "", "--out must not be empty")
     return ExperimentConfig(
         name=name,
         group_spec=group_spec,
@@ -198,7 +199,7 @@ def load_config(
         test_set_spec=raw.get("test_set", "random:count=16,seed=0"),
         epsilon=epsilon,
         tol=tol,
-        out_dir=out_dir,
+        out_dir=Path(out if out_override is None else out_override),
         dump_coefficients=dump,
         iwasawa=_iwasawa_config(raw["iwasawa"]) if "iwasawa" in raw else None,
         seed_override=seed_override,
@@ -494,7 +495,7 @@ def _samples_from_csv(group: GroupModel, path: str | Path, named: bool) -> dict[
     by_id: dict[str, np.ndarray] = {}
     if not named:
         by_id[""] = np.full(group.n_nodes, np.nan, np.complex128)
-    for row in _read_csv_rows(path, 4 if named else 3):
+    for row in _read_csv_rows(path, ["fn", "node", "re", "im"] if named else ["node", "re", "im"]):
         fid = row[0] if named else ""
         if fid not in by_id:
             by_id[fid] = np.full(group.n_nodes, np.nan, np.complex128)
@@ -515,22 +516,14 @@ def _parse_sample(re: str, im: str, path) -> complex:
     return parse_value(re, float, what) + 1j * parse_value(im, float, what)
 
 
-def _read_csv_rows(path: Path, n_cols: int):
+def _read_csv_rows(path: Path, header: list[str]):
     with open(path, newline="") as fh:
-        first = True
         try:
-            for line in fh:
-                line = line.strip()
-                if not line:
+            rows = (line.split(",") for line in map(str.strip, fh) if line)
+            for k, parts in enumerate(rows):
+                if k == 0 and parts == header:
                     continue
-                parts = line.split(",")
-                if first:
-                    first = False
-                    try:
-                        float(parts[-1])
-                    except ValueError:
-                        continue  # header row
-                _require(len(parts) == n_cols, f"{path}: expected {n_cols} columns, got {len(parts)}")
+                _require(len(parts) == len(header), f"{path}: expected {len(header)} columns, got {len(parts)}")
                 yield parts
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path} is not a text file: {exc}") from exc
@@ -542,6 +535,8 @@ def _member_ids(family: OrthonormalFamily) -> list[str]:
 
 
 def weights_hash(weights: ExpansionWeights) -> str:
+    import hashlib  # only here, so a CLI run that writes no report never loads OpenSSL
+
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(weights.gamma).tobytes())
     h.update(np.ascontiguousarray(weights.beta).tobytes())

@@ -25,14 +25,34 @@ import numpy as np
 from . import _kernels
 from .groups import GroupModel, require_same_group
 
-#: Gram tolerance for families on finite groups (exact arithmetic up to rounding).
-GRAM_TOL_FINITE = 1e-12
-#: Gram tolerance for families on quadrature groups.
-GRAM_TOL_CONTINUOUS = 1e-8
+_GRAM = {"finite": 1e-12, "circle": 1e-8, "su2": 1e-8}  # finite groups are exact up to rounding
+#: Every tolerance that decides a claim, by invariant name: one value, or one
+#: per ``GroupModel.kind``.  A residual meets its invariant when it is at most
+#: the tolerance, so a NaN residual never does.
+TOLERANCES = {
+    "gram": _GRAM,                  # max |G - I| over the Gram matrix G of a family
+    "bessel": 1e-9,                 # max of sum |<f, chi>|^2 - ||f||^2 over a test set
+    "lift_restriction": 0.0,        # max |chi(., identity AN node) - xi| on K
+    "lift_condition_i": 0.0,        # |f| at the identity AN node
+    "lift_gram": _GRAM,             # max |Gram(lift) - Gram(xi)|
+    "lift_norm": _GRAM,             # max |Gram(lift)_mm - 1|
+    "membership": {"finite": 1e-10, "circle": 1e-8, "su2": 1e-8},  # Parseval defect of a member
+    "weights_diagonal": 1e-12,      # |gamma_i beta_ii - 1| of admissible weights
+    "irrep_cluster": 1e-6,          # eigenvalue gap within one finite irrep, per unit spread
+    "irrep_character": 1e-6,        # irreducibility and equality of finite characters
+}
+#: The invariants the CLI checks; a breach of one exits 3.
+CLI_INVARIANTS = ("gram", "bessel", "lift_restriction", "lift_condition_i", "lift_gram", "lift_norm")
+
+
+def tolerance(name: str, kind: str | None = None) -> float:
+    """The tolerance of invariant ``name`` on a group of ``kind``."""
+    value = TOLERANCES[name]
+    return value[kind] if isinstance(value, dict) else value
 
 
 def gram_tol(group: GroupModel) -> float:
-    return GRAM_TOL_FINITE if group.kind == "finite" else GRAM_TOL_CONTINUOUS
+    return tolerance("gram", group.kind)
 
 
 @dataclass(eq=False)

@@ -27,6 +27,7 @@ from .hilbert import (
     coefficients,
     expand,
     parseval_defect,
+    tolerance,
 )
 
 
@@ -95,16 +96,12 @@ class MembershipVerdict:
     norm_sq: float
 
 
-def membership_tol(family: OrthonormalFamily) -> float:
-    return 1e-10 if family.group.kind == "finite" else 1e-8
-
-
 def membership(
     f: L2Function, family: OrthonormalFamily, tol: float | None = None
 ) -> MembershipVerdict:
-    """Member iff ||f||^2 - sum |<f, chi>|^2 <= tol."""
+    """Member iff ||f||^2 - sum |<f, chi>|^2 <= tol (default: the ``membership`` tolerance)."""
     if tol is None:
-        tol = membership_tol(family)
+        tol = tolerance("membership", family.group.kind)
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     defect = parseval_defect(f, family)

@@ -24,6 +24,7 @@ from .hilbert import (
     OrthonormalFamily,
     coefficients,
     expand,
+    tolerance,
 )
 from .parseval import MatrixSequence
 from .spec import ConfigError
@@ -108,7 +109,7 @@ def semi_fourier_expand(
             f"{family.max_block_size}"
         )
     if np.any(weights.gamma == 0) or np.any(weights.beta == 0):
-        raise ValueError("expansion weights must be nonzero")
+        raise ConfigError("expansion weights must be nonzero")
     # member (i, j) of a size-d block is weighted by gamma[j] * beta[i, j]
     per_size = {
         d: (weights.gamma[:d] * weights.beta[:d, :d]).reshape(-1)
@@ -146,7 +147,7 @@ def semicompleteness_defect(
 ) -> SemicompletenessReport:
     """Per-function ||PW-expansion(f) - weighted-expansion(f)||_2 over a test set."""
     if not testset:
-        raise ValueError("test set must be nonempty")
+        raise ConfigError("semicompleteness needs a nonempty test set")
     if function_ids is None:
         function_ids = [f"fn:{k}" for k in range(len(testset))]
     # every weighted expansion (one large BLAS call each) first, then the many
@@ -181,17 +182,13 @@ class WeightsDiagnostic:
         return not (self.diagonal_violations or self.zero_gamma or self.zero_beta)
 
 
-#: Largest |gamma_i * beta_ii - 1| that ``validate_weights`` accepts.
-DIAGONAL_TOL = 1e-12
-
-
 def validate_weights(weights: ExpansionWeights) -> WeightsDiagnostic:
-    """Report indices violating gamma_i * beta_ii = 1 (within ``DIAGONAL_TOL``)
-    and any zero entries."""
+    """Report indices violating gamma_i * beta_ii = 1 (beyond the
+    ``weights_diagonal`` tolerance) and any zero entries."""
     diag = weights.gamma * np.diag(weights.beta)
     residuals = np.abs(diag - 1.0)
     violations = tuple(
-        (int(i), float(residuals[i])) for i in np.flatnonzero(residuals > DIAGONAL_TOL)
+        (int(i), float(residuals[i])) for i in np.flatnonzero(residuals > tolerance("weights_diagonal"))
     )
     zero_gamma = tuple(int(i) for i in np.flatnonzero(weights.gamma == 0))
     zero_beta = tuple(

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from grouplab import _kernels, cli
 from grouplab import config as cfgmod
 from grouplab.cli import main
 from grouplab.config import (
@@ -24,7 +25,8 @@ from grouplab.config import (
 )
 from grouplab.groups import make_group
 from grouplab.catalog import build_catalog, peter_weyl_basis
-from grouplab.hilbert import random_function
+from grouplab.hilbert import CLI_INVARIANTS, random_function
+from grouplab.iwasawa import IwasawaModel, LiftedFamily
 
 
 def write_config(tmp_path, name="exp", **kwargs):
@@ -674,8 +676,8 @@ def test_cmd_lift_computes_each_gram_matrix_once(tmp_path, monkeypatch):
         },
     )
     assert main(["lift", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    # the family check streams its defect and builds no Gram matrix; the one Gram
-    # matrix of xi gives gram_residual, and the lift's is it times the AN mass
+    # the one Gram matrix of xi gives both the family's defect and gram_residual,
+    # and the lift's Gram matrix is it times the AN mass
     assert calls == [(7, 16)]
     assert json.loads((tmp_path / "exp_lift.json").read_text())["gram_residual"] < 1e-10
 
@@ -685,14 +687,13 @@ def test_family_gram_check_holds_the_coefficients_once(tmp_path):
     # the 16.7 MB store, and the streamed Gram check adds one member slab, one
     # block of Gram rows and its |G| values, about 10 MB; the 16.7 MB Gram
     # matrix the check used to build would pass 30 MB on its own with the store
-    from grouplab.cli import _family
+    from grouplab.cli import _analysis
 
     path = write_config(tmp_path, group="circle:1024", omit=["m:511", "m:-511"])
     cfg = cfgmod.load_config(path)
     tracemalloc.start()
     try:
-        cat = build_catalog(make_group(cfg.group_spec), truncation=cfg.truncation)
-        family = _family(cfg, cat)
+        family = _analysis(cfg)[1]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -746,6 +747,12 @@ BAD_INPUTS = {
     "su2-spin-beyond-float-range": ("catalog", dict(group="su2:j=1e308")),
     "su2-store-beyond-float-range": ("catalog", dict(group="su2:j=1e100")),
     "lift-store-beyond-memory": ("lift", dict(iwasawa={"K": "circle:100000000000"})),
+    # a config 'out' is checked even where --out overrides it, as here
+    "integer-out": ("catalog", dict(out=3)),
+    "null-out": ("catalog", dict(out=None)),
+    "list-out": ("catalog", dict(out=[])),
+    "boolean-out": ("catalog", dict(out=True)),
+    "empty-out": ("catalog", dict(out="")),
 }
 
 
@@ -771,6 +778,33 @@ def test_bad_inputs_exit_2_as_config_errors(tmp_path, capsys, case):
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_empty_out_flag_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # Path("") is the working directory, which an empty --out must not stand for
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, group="zn:4")
+    assert main(["catalog", "--config", str(cfg), "--out", ""]) == 2
+    assert "--out must not be empty" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
+
+
+@pytest.mark.parametrize("named", [False, True], ids=["node-re-im", "fn-node-re-im"])
+def test_only_the_column_names_make_a_first_line_a_header(tmp_path, capsys, named):
+    # a headerless file keeps its first row, so a bad value there is named
+    # instead of the row being skipped as a header and its node reported missing
+    fn = "f," if named else ""
+    path = tmp_path / "samples.csv"
+    path.write_text("".join(f"{fn}{k},{k + 1},0\n" for k in range(4)))
+    group = make_group("zn:4")
+    read = functions_from_csv(group, path)[1][0] if named else l2_from_csv(group, path)
+    assert np.array_equal(read.values, [1, 2, 3, 4])
+    path.write_text(path.read_text().replace(f"{fn}0,1,0", f"{fn}0,1,one"))
+    test_set = f"samples:{path}" if named else [f"samples:{path}"]
+    cfg = write_config(tmp_path, group="zn:4", test_set=test_set)
+    assert main(["parseval", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "'one'" in err and "misses" not in err
 
 
 def test_non_utf8_config_exits_2(tmp_path, capsys):
@@ -799,19 +833,90 @@ def test_internal_value_error_is_not_a_config_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_gram_check_fails_on_a_nan_defect(tmp_path):
+def test_gram_check_fails_on_a_nan_defect():
     # NaN compares false with everything, so "defect > limit" would pass it
-    from grouplab.cli import _check_gram
+    from grouplab.cli import _require
     from grouplab.config import InvariantBreach
 
     fam = peter_weyl_basis(build_catalog(make_group("zn:4")))
     members = fam.members.copy()
     members[2, 1] = np.nan
     broken = type(fam)(group=fam.group, blocks=fam.blocks, members=members, scale=fam.scale)
-    cfg = cfgmod.load_config(write_config(tmp_path, group="zn:4"))
-    _check_gram(cfg, fam)
-    with pytest.raises(InvariantBreach):
-        _check_gram(cfg, broken)
+    _require("gram", fam.gram_defect(), fam.group)
+    with pytest.raises(InvariantBreach, match="gram residual nan"):
+        _require("gram", broken.gram_defect(), broken.group)
+
+
+def _break_gram(monkeypatch):
+    # lift checks the Gram matrix it keeps; test_exit_3_on_forced_gram_breach
+    # covers the streamed check of the analysis commands
+    return "lift", ["--tol", "1e-18"]
+
+
+def _break_bessel(monkeypatch):
+    coefficients = cli.coefficients
+    monkeypatch.setattr(cli, "coefficients", lambda fns, family: 2 * coefficients(fns, family))
+    return "parseval", []
+
+
+def _break_lift_restriction(monkeypatch):
+    monkeypatch.setattr(
+        cli,
+        "lift_family",
+        lambda model, xi: LiftedFamily(model, xi, 2 * xi.members, np.exp(model.profile)),
+    )
+    return "lift", []
+
+
+def _break_lift_condition_i(monkeypatch):
+    monkeypatch.setattr(IwasawaModel, "condition_i_residual", lambda self: 1e-300)
+    return "lift", []
+
+
+def _break_lift_gram(monkeypatch):
+    monkeypatch.setattr(IwasawaModel, "an_mass", property(lambda self: 1.5))
+    return "lift", []
+
+
+def _break_lift_norm(monkeypatch):
+    # a Gram diagonal and an AN mass each off by less than the circle's Gram
+    # tolerance 1e-8, whose product is off by more
+    gram = _kernels.gram
+    monkeypatch.setattr(_kernels, "gram", lambda *args: gram(*args) + 0.75e-8 * np.eye(len(args[0])))
+    monkeypatch.setattr(IwasawaModel, "an_mass", property(lambda self: 1.0 + 0.5e-8))
+    return "lift", []
+
+
+#: A way to break each invariant the CLI checks: it patches what it must and
+#: returns the command and extra flags of a run that breaches that row alone.
+INVARIANT_BREAKS = {
+    "gram": _break_gram,
+    "bessel": _break_bessel,
+    "lift_restriction": _break_lift_restriction,
+    "lift_condition_i": _break_lift_condition_i,
+    "lift_gram": _break_lift_gram,
+    "lift_norm": _break_lift_norm,
+}
+LIFT_FIELDS = dict(
+    group="circle:16",
+    iwasawa={
+        "K": "circle:16",
+        "A": {"range": [-0.5, 0.5], "nodes": 4},
+        "N": {"range": [-0.5, 0.5], "nodes": 4},
+        "truncation": 3,
+    },
+)
+
+
+@pytest.mark.parametrize("row", CLI_INVARIANTS)
+def test_every_cli_invariant_can_fail_with_exit_3(tmp_path, capsys, monkeypatch, row):
+    command, flags = INVARIANT_BREAKS[row](monkeypatch)
+    cfg = write_config(tmp_path, **(LIFT_FIELDS if command == "lift" else {}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical invariant failure: {row} residual "), err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["dump_coeficients", "seed"])

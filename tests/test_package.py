@@ -116,3 +116,14 @@ def test_cli_import_loads_every_module_the_tracer_wraps():
         f"print(json.dumps([m for m in {wanted!r} if m in sys.modules]))\n"
     )
     assert loaded == wanted
+
+
+def test_cli_import_loads_no_hashlib():
+    # only the semicomplete report hashes (its weights), so the other commands
+    # do not load OpenSSL's _hashlib
+    loaded = fresh(
+        "import json, sys\n"
+        "import grouplab.cli\n"
+        "print(json.dumps(sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules)))\n"
+    )
+    assert loaded == []
