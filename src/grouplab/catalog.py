@@ -36,7 +36,6 @@ a gap gathers its rows.  So an analysis run holds the coefficient grid once.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +43,7 @@ import numpy as np
 from . import _kernels
 from .groups import GroupModel, _fmt_spin, grid_shape, su2_matrix_from_euler
 from .hilbert import FamilyBlock, OrthonormalFamily, block_layout, tolerance
-from .spec import ConfigError
+from .spec import ConfigError, is_finite, steps_of
 
 
 @dataclass(frozen=True)
@@ -285,28 +284,27 @@ def _finite_irreps(table: np.ndarray) -> list[np.ndarray]:
 # catalog construction
 
 
-def _bound_in_steps(truncation, group: GroupModel, per_unit: int) -> int:
-    """The magnitude bound as a count of 1/per_unit steps (circle M; SU(2) 2*jmax).
-
-    Magnitudes come in those steps, so a bound between two of them is rejected
-    rather than rounded: every label must satisfy magnitude <= truncation.
+def _bound_in_steps(truncation, kind: str, name: str, capacity: float | None) -> int | None:
+    """The magnitude bound of group ``name`` as a count of magnitude steps
+    (circle M, SU(2) 2*jmax); None for a finite group, which ignores it but
+    still needs a finite number or null.  A bound between two steps is
+    rejected rather than rounded: every label has magnitude <= truncation.
     """
-    bound = group.capacity if truncation is None else truncation
-    if (
-        isinstance(bound, bool)
-        or not isinstance(bound, numbers.Real)
-        or not float(per_unit * bound).is_integer()
-        or bound < 0
-    ):
+    if truncation is not None and not is_finite(truncation):
+        raise ConfigError(f"truncation for {name} must be a finite number or null, got {truncation!r}")
+    if kind == "finite":
+        return None
+    per_unit = 2 if kind == "su2" else 1     # spins come in halves, frequencies in integers
+    bound = capacity if truncation is None else truncation
+    steps = steps_of(bound, per_unit)
+    if steps is None:
         raise ConfigError(
-            f"truncation for {group.name} must be a nonnegative multiple of "
+            f"truncation for {name} must be a nonnegative multiple of "
             f"{1 / per_unit:g}, got {truncation!r}"
         )
-    if bound > group.capacity + 1e-12:
-        raise ConfigError(
-            f"truncation {bound} exceeds quadrature capacity {group.capacity:g} of {group.name}"
-        )
-    return int(per_unit * bound)
+    if bound > capacity:
+        raise ConfigError(f"truncation {bound} exceeds quadrature capacity {capacity:g} of {name}")
+    return steps
 
 
 def build_catalog(group: GroupModel, truncation: float | None = None) -> RepCatalog:
@@ -318,6 +316,7 @@ def build_catalog(group: GroupModel, truncation: float | None = None) -> RepCata
     their complete dual and ignore ``truncation``.
     """
     n = group.n_nodes
+    steps = _bound_in_steps(truncation, group.kind, group.name, group.capacity)
     if group.kind == "finite":
         grids = _finite_irreps(group.table)
         labels = [
@@ -330,8 +329,7 @@ def build_catalog(group: GroupModel, truncation: float | None = None) -> RepCata
         for b, grid in zip(blocks, grids):
             store[b.rows] = grid.reshape(n, -1).T
     elif group.kind == "circle":
-        m_max = _bound_in_steps(truncation, group, per_unit=1)
-        ms = sorted(range(-m_max, m_max + 1), key=lambda m: (abs(m), m))
+        ms = sorted(range(-steps, steps + 1), key=lambda m: (abs(m), m))
         labels = [
             IrrepLabel(kind="circle", payload=m, degree=1, magnitude=float(abs(m))) for m in ms
         ]
@@ -339,10 +337,9 @@ def build_catalog(group: GroupModel, truncation: float | None = None) -> RepCata
         for lab, b in zip(labels, blocks):
             np.exp(1j * lab.payload * group.thetas, out=store[b.offset])
     elif group.kind == "su2":
-        two_js = range(0, _bound_in_steps(truncation, group, per_unit=2) + 1)
         labels = [
             IrrepLabel(kind="su2", payload=two_j / 2.0, degree=two_j + 1, magnitude=two_j / 2.0)
-            for two_j in two_js
+            for two_j in range(steps + 1)
         ]
         alphas, betas, gammas = group.eulers.T
         beta_nodes, beta_index = np.unique(betas, return_inverse=True)
@@ -371,20 +368,19 @@ def store_bytes(spec: str, truncation: float | None = None) -> int:
     n_nodes complex128 values.
 
     A finite group has sum d^2 = |G| rows, the circle one row per frequency
-    |m| <= M, and SU(2) (2j+1)^2 rows per spin j <= jmax, where the bound is
-    the truncation capped at the capacity.
+    |m| <= M, and SU(2) (2j+1)^2 rows per spin j <= jmax.  A spec or a
+    truncation that ``build_catalog`` would reject raises the same ConfigError.
     """
     kind, n_nodes, capacity = grid_shape(spec)
+    steps = _bound_in_steps(truncation, kind, spec, capacity)
     if kind == "finite":
         rows = n_nodes
+    elif kind == "circle":
+        rows = 2 * steps + 1
     else:
-        bound = capacity if truncation is None else min(truncation, capacity)
-        if kind == "circle":
-            rows = 2 * math.floor(bound) + 1
-        else:
-            d = math.floor(2 * bound) + 1          # degree of the top spin
-            rows = d * (d + 1) * (2 * d + 1) // 6  # sum of d'^2 for d' <= d
-    return max(rows, 0) * max(n_nodes, 0) * np.dtype(np.complex128).itemsize
+        d = steps + 1                          # degree of the top spin
+        rows = d * (d + 1) * (2 * d + 1) // 6  # sum of d'^2 for d' <= d
+    return rows * n_nodes * np.dtype(np.complex128).itemsize
 
 
 def _empty_store(labels, n_nodes: int) -> tuple[tuple[FamilyBlock, ...], np.ndarray]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,14 +32,12 @@ from .hilbert import (
 )
 from .iwasawa import an_grid_bytes
 from .semicomplete import SemicompletenessReport, validate_weights
-from .spec import ConfigError, parse_params, parse_value, split_spec
+from .spec import ConfigError, is_finite, parse_params, parse_value, split_spec
 
 
 class InvariantBreach(RuntimeError):
     """A numerical invariant of ``hilbert.CLI_INVARIANTS`` failed at runtime (CLI exit 3)."""
 
-
-_MAX_SEED = 2**64 - 1
 
 #: The top-level config keys the README's config reference documents; any
 #: other key (a misspelling, or a ``seed``, which only ``--seed`` sets) is a
@@ -87,15 +84,6 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _is_finite(value) -> bool:
-    """A JSON number within float range; bools, NaN and infinities never count."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max
-    )
-
-
 def _require_known_keys(obj: dict, known: frozenset, where: str) -> None:
     unknown = sorted(set(obj) - known)
     _require(
@@ -123,16 +111,9 @@ def _require_fits(need: int, what: str) -> None:
 
 
 def _require_store_fits(group_spec: str, truncation, what: str) -> None:
-    """The catalog's coefficient store must fit in physical memory."""
+    """The catalog's coefficient store must fit in physical memory; sizing it
+    checks the spec and the truncation by the rules of ``build_catalog``."""
     _require_fits(store_bytes(group_spec, truncation), f"the coefficient store of {what} {group_spec!r}")
-
-
-def _require_truncation(value, what: str) -> None:
-    """A truncation is absent or a JSON number; a string or bool is never coerced."""
-    _require(
-        value is None or (isinstance(value, (int, float)) and not isinstance(value, bool)),
-        f"{what} must be a number, got {value!r}",
-    )
 
 
 def _require_positive(value, what: str) -> None:
@@ -140,7 +121,7 @@ def _require_positive(value, what: str) -> None:
     infinities never pass (an infinite epsilon would also be written to JSON
     as the invalid token ``Infinity``)."""
     _require(
-        value is None or (_is_finite(value) and value > 0),
+        value is None or (is_finite(value) and value > 0),
         f"{what} must be a finite positive number, got {value!r}",
     )
 
@@ -170,13 +151,10 @@ def load_config(
         isinstance(omit, list) and all(isinstance(k, str) for k in omit),
         "config 'omit' must be a list of label strings",
     )
-    _require(
-        seed_override is None or 0 <= seed_override <= _MAX_SEED,
-        "seed must be an unsigned 64-bit integer",
-    )
+    if seed_override is not None:
+        seed_override = parse_value(seed_override, _seed, "--seed")
 
     truncation = raw.get("truncation")
-    _require_truncation(truncation, "'truncation'")
     _require_store_fits(group_spec, truncation, "group")
 
     tol = tol_override if tol_override is not None else raw.get("tol")
@@ -219,7 +197,7 @@ def _iwasawa_config(blk) -> IwasawaConfig:
         _require_known_keys(sub, AXIS_KEYS, f"'iwasawa.{axis}'")
         rng = sub.get("range", [-2.0, 2.0])
         _require(
-            isinstance(rng, list) and len(rng) == 2 and all(map(_is_finite, rng)),
+            isinstance(rng, list) and len(rng) == 2 and all(map(is_finite, rng)),
             f"'iwasawa.{axis}.range' must be two finite numbers, got {rng!r}",
         )
         nodes = sub.get("nodes", 32)
@@ -235,7 +213,6 @@ def _iwasawa_config(blk) -> IwasawaConfig:
         f"'iwasawa.K' and 'iwasawa.profile' must be strings, got {k_spec!r} and {profile!r}",
     )
     truncation = blk.get("truncation")
-    _require_truncation(truncation, "'iwasawa.truncation'")
     _require_store_fits(k_spec, truncation, "'iwasawa.K'")
     (a_range, a_size), (n_range, n_size) = axes
     _require_fits(an_grid_bytes(a_size, n_size), f"the {a_size} x {n_size} 'iwasawa' AN grid")
@@ -247,7 +224,8 @@ def _iwasawa_config(blk) -> IwasawaConfig:
 
 
 def build_weights(spec, n: int, seed_override: int | None = None) -> ExpansionWeights:
-    """Parse a weights spec: 'unit' | 'diag-reciprocal:seed=S' | 'table:PATH'."""
+    """Parse a weights spec: 'unit' | 'diag-reciprocal:seed=S' (of dimension ``n``)
+    | 'table:PATH' (of its own, which ``semi_fourier_expand`` checks)."""
     head, rest = split_spec(spec)
     if head == "unit":
         parse_params(rest, "unit weights")
@@ -262,19 +240,17 @@ def build_weights(spec, n: int, seed_override: int | None = None) -> ExpansionWe
         _require(path.is_file(), f"weights table not found: {path}")
         try:
             data = json.loads(path.read_text())
-            weights = ExpansionWeights(_complex_array(data["gamma"]), _complex_array(data["beta"]))
+            return ExpansionWeights(_complex_array(data["gamma"]), _complex_array(data["beta"]))
         except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"malformed weights table {path}: {exc}") from exc
-        _require(weights.n >= n, f"weights table dimension {weights.n} < required {n}")
-        return weights
     raise ConfigError(f"unknown weights spec {spec!r}")
 
 
-def _seed(text: str) -> int:
-    """A spec seed: a nonnegative integer, as numpy's generators require."""
+def _seed(text) -> int:
+    """A seed, in a spec or from ``--seed``: an unsigned 64-bit integer."""
     seed = int(text)
-    if seed < 0:
-        raise ValueError(f"negative seed {seed}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} is not an unsigned 64-bit integer")
     return seed
 
 

@@ -44,8 +44,3 @@ def synthesize(seq: MatrixSequence, cat: RepCatalog) -> L2Function:
     for b in cat.blocks:
         out += _kernels.combine(scaled[b.rows], cat.store[b.rows])
     return L2Function(cat.group, out)
-
-
-def inversion_defect(f: L2Function, cat: RepCatalog) -> float:
-    """L2 norm of f - synthesize(fourier_transform(f)); 0 for complete catalogs."""
-    return (f - synthesize(fourier_transform(f, cat), cat)).norm()

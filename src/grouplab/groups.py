@@ -25,7 +25,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .spec import ConfigError, parse_params, parse_value, split_spec
+from .spec import ConfigError, parse_params, parse_value, split_spec, steps_of
 
 TWO_PI = 2.0 * math.pi
 
@@ -109,16 +109,31 @@ def _finite_model(name: str, elements: list, compose, identity_elem) -> GroupMod
     )
 
 
+#: Per sized head ``head:N``: whether it accepts N, what it needs, and its node count.
+_SIZE_RULES = {
+    "zn": (lambda n: n >= 1, "cyclic group needs n >= 1", lambda n: n),
+    "dihedral": (lambda n: n >= 3, "dihedral group needs n >= 3", lambda n: 2 * n),
+    "sym": (lambda n: n in (3, 4), "symmetric group supported for n in {3, 4}", math.factorial),
+    "circle": (lambda n: n >= 1, "circle needs at least one node", lambda n: n),
+}
+
+
+def _sized_nodes(head: str, n: int) -> int:
+    """The node count of the ``head:N`` model; an N the head rejects is a ConfigError."""
+    accepts, needs, nodes = _SIZE_RULES[head]
+    if not accepts(n):
+        raise ConfigError(f"{needs}, got {n}")
+    return nodes(n)
+
+
 def cyclic_group(n: int) -> GroupModel:
-    if n < 1:
-        raise ConfigError(f"cyclic group needs n >= 1, got {n}")
+    _sized_nodes("zn", n)
     return _finite_model(f"zn:{n}", list(range(n)), lambda a, b: (a + b) % n, 0)
 
 
 def dihedral_group(n: int) -> GroupModel:
     """Dihedral group of order 2n; elements are (flip, rotation) pairs."""
-    if n < 3:
-        raise ConfigError(f"dihedral group needs n >= 3, got {n}")
+    _sized_nodes("dihedral", n)
     elements = [(f, r) for f in (0, 1) for r in range(n)]
 
     def compose(x, y):
@@ -133,8 +148,7 @@ def dihedral_group(n: int) -> GroupModel:
 
 def symmetric_group(n: int) -> GroupModel:
     """Symmetric group on n letters, n in {3, 4}; elements are permutation tuples."""
-    if n not in (3, 4):
-        raise ConfigError(f"symmetric group supported for n in {{3, 4}}, got {n}")
+    _sized_nodes("sym", n)
     elements = sorted(permutations(range(n)))
 
     def compose(p, q):
@@ -149,8 +163,7 @@ def symmetric_group(n: int) -> GroupModel:
 
 
 def circle_group(n_nodes: int) -> GroupModel:
-    if n_nodes < 1:
-        raise ConfigError(f"circle needs at least one node, got {n_nodes}")
+    _sized_nodes("circle", n_nodes)
     thetas = TWO_PI * np.arange(n_nodes) / n_nodes
     return GroupModel(
         kind="circle",
@@ -215,8 +228,8 @@ def _su2_grid_sizes(jmax: float, quad: int | None) -> tuple[int, int]:
     """(Gauss nodes in cos(beta), uniform nodes per torus angle) of the SU(2)
     grid for ``jmax``; a spin that is not a nonnegative half-integer, or a
     quadrature order below 2*jmax + 1, is a ConfigError."""
-    two_j = int(round(2 * jmax)) if math.isfinite(2 * jmax) else -1
-    if two_j < 0 or abs(2 * jmax - two_j) > 1e-12:
+    two_j = steps_of(jmax, 2)
+    if two_j is None:
         raise ConfigError(f"su2 jmax must be a nonnegative half-integer, got {jmax}")
     n_beta = quad if quad is not None else two_j + 1
     if n_beta < two_j + 1:
@@ -265,19 +278,17 @@ def grid_shape(spec: str) -> tuple[str, int, float | None]:
     """``(kind, n_nodes, capacity)`` of the model ``make_group(spec)`` builds,
     read from the spec alone, so a caller can size a run before it allocates.
 
-    The spec is parsed and an SU(2) spin checked as ``make_group`` does; for
-    a size N that its constructor rejects the node count is meaningless
-    (``make_group`` raises).
+    The spec is parsed, and its size or spin checked, by the rules that
+    ``make_group`` applies, so a spec it rejects raises here too.
     """
     head, args = _parse_group_spec(spec)
     if head == "su2":
         n_beta, n_torus = _su2_grid_sizes(*args)
         return "su2", n_torus * n_torus * n_beta, float(args[0])
-    (n,) = args
+    n_nodes = _sized_nodes(head, *args)
     if head == "circle":
-        return "circle", n, _circle_capacity(n)
-    order = {"zn": n, "dihedral": 2 * n, "sym": math.factorial(n) if n in (3, 4) else 0}
-    return "finite", order[head], None
+        return "circle", n_nodes, _circle_capacity(n_nodes)
+    return "finite", n_nodes, None
 
 
 def haar_integrate(group: GroupModel, phi) -> complex:

@@ -51,10 +51,6 @@ def tolerance(name: str, kind: str | None = None) -> float:
     return value[kind] if isinstance(value, dict) else value
 
 
-def gram_tol(group: GroupModel) -> float:
-    return tolerance("gram", group.kind)
-
-
 @dataclass(eq=False)
 class L2Function:
     """An element of L2(G): finite complex values on the quadrature grid."""

@@ -10,14 +10,12 @@ records which test set was used; nothing is asserted uniformly over L2(G)).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import RepCatalog, _sqrt_degree_family
+from .catalog import RepCatalog, _sqrt_degree_family, peter_weyl_basis
 from .fourier import fourier_transform, synthesize
-from .groups import require_same_group
 from .hilbert import (
     ExpansionWeights,
     L2Function,
@@ -26,7 +24,6 @@ from .hilbert import (
     expand,
     tolerance,
 )
-from .parseval import MatrixSequence
 from .spec import ConfigError
 
 
@@ -49,9 +46,12 @@ def build_riemann_lebesgue_family(cat: RepCatalog, omit: OmissionSpec) -> Orthon
     return _sqrt_degree_family(cat, retained)
 
 
-def _label_tails(fhat: MatrixSequence) -> list[float]:
-    """sqrt(d) * sum_ij |fhat_ij| = d * sum_ij |<f, u_ij>| per block of ``fhat``."""
-    return [math.sqrt(b.size) * float(np.sum(np.abs(fhat.flat[b.rows]))) for b in fhat.blocks]
+def _label_tails(fns: list[L2Function], cat: RepCatalog) -> np.ndarray:
+    """(n_fns, n_labels): sqrt(d) * sum_ij |fhat_ij| = d * sum_ij |<f, u_ij>|
+    per function and catalog label, from one stacked coefficient call."""
+    fhat = np.abs(coefficients(fns, peter_weyl_basis(cat)))
+    offsets = [b.offset for b in cat.blocks]
+    return np.add.reduceat(fhat, offsets, axis=1) * np.sqrt([b.size for b in cat.blocks])
 
 
 def omission_tail_bound(f: L2Function, cat: RepCatalog, omit: OmissionSpec) -> float:
@@ -60,9 +60,8 @@ def omission_tail_bound(f: L2Function, cat: RepCatalog, omit: OmissionSpec) -> f
     Upper-bounds the L2 distance between the full Peter-Weyl expansion of f
     and its expansion over the retained family.
     """
-    require_same_group(f.group, cat.group)
-    tails = _label_tails(fourier_transform(f, cat))
-    return sum((t for lab, t in zip(cat.labels, tails) if lab.key in omit.omitted), 0.0)
+    tails = _label_tails([f], cat)[0]
+    return float(sum((t for lab, t in zip(cat.labels, tails) if lab.key in omit.omitted), 0.0))
 
 
 def choose_omissions(
@@ -79,9 +78,7 @@ def choose_omissions(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not testset:
         raise ValueError("test set must be nonempty")
-    contributions = np.array(       # (n_fns, n_labels)
-        [_label_tails(fourier_transform(f, cat)) for f in testset]
-    )
+    contributions = _label_tails(testset, cat)
     n_labels = len(cat.labels)
     cumulative = np.zeros(len(testset))
     chosen = 0
@@ -104,7 +101,7 @@ def semi_fourier_expand(
     reused cyclically.
     """
     if family.max_block_size > weights.n:
-        raise ValueError(
+        raise ConfigError(
             f"weights of dimension {weights.n} cannot cover a block of size "
             f"{family.max_block_size}"
         )

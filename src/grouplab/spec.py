@@ -5,11 +5,13 @@ The head is case-insensitive.  A head with parameters reads its rest as
 comma-separated ``key=value`` parts with case-insensitive keys, each value
 converted by the type the head declares for its key.  Empty parts are
 skipped; an unknown key, a part without ``=`` or a bad value is a
-``ConfigError``.
+``ConfigError``.  ``is_finite`` and ``steps_of`` are the one finite-number
+and the one multiple-of-a-step rule that every config value obeys.
 """
 from __future__ import annotations
 
-import math
+import numbers
+import sys
 
 
 class ConfigError(ValueError):
@@ -24,13 +26,31 @@ def split_spec(spec: str) -> tuple[str, str]:
     return head.lower(), rest.strip()
 
 
+def is_finite(value) -> bool:
+    """A real number within float range; bools, NaN and infinities never count."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def steps_of(value, per_unit: int) -> int | None:
+    """The count of 1/per_unit steps in ``value`` when it is exactly a finite,
+    nonnegative multiple of 1/per_unit; None for any other value."""
+    if not is_finite(value) or value < 0:
+        return None
+    steps = per_unit * value
+    return int(steps) if steps % 1 == 0 else None   # an overflow to inf leaves NaN
+
+
 def parse_value(text: str, kind, what: str):
     """``kind(text)``; a failed conversion or a non-finite float is a ConfigError."""
     try:
         value = kind(text)
     except ValueError as exc:
         raise ConfigError(f"bad {what} {text!r}") from exc
-    if isinstance(value, float) and not math.isfinite(value):
+    if isinstance(value, float) and not is_finite(value):
         raise ConfigError(f"bad {what} {text!r}: not finite")
     return value
 

@@ -13,6 +13,7 @@ from grouplab.catalog import (
     su2_irrep_matrix,
 )
 from grouplab.groups import circle_group, cyclic_group, grid_shape, make_group, su2_group
+from grouplab.spec import ConfigError
 
 
 def test_cyclic4_characters_match_brute_force():
@@ -356,10 +357,54 @@ def test_store_grids_and_shared_members_are_read_only():
         ("su2:j=2", 1),
         ("su2:j=2", 0.5),
         ("su2:j=1,quad=4", None),
+        # truncations that build_catalog refuses, on every kind
+        ("circle:16", math.nan),
+        ("circle:16", math.inf),
+        ("circle:16", -math.inf),
+        ("circle:16", 2.7),
+        ("circle:16", -1),
+        ("circle:16", 8),
+        pytest.param("circle:16", "3", id="circle:16-string"),
+        ("circle:16", True),
+        ("su2:j=2", math.nan),
+        ("su2:j=2", math.inf),
+        ("su2:j=2", 1.3),
+        ("su2:j=2", 2.5),
+        ("su2:j=2,quad=6", 2.5),
+        ("zn:4", math.nan),
+        ("zn:4", -math.inf),
+        pytest.param("zn:4", "3", id="zn:4-string"),
+        ("sym:3", True),
+        # a finite group ignores any finite truncation
+        ("zn:4", 2.7),
+        ("dihedral:4", -5),
     ],
 )
 def test_store_size_from_the_spec_matches_the_built_catalog(spec, truncation):
-    # the preflight sizes a run from the spec alone; the built models are its oracle
+    # the preflight sizes a run from the spec alone; the built models are its
+    # oracle, and it refuses exactly the truncations that build_catalog refuses
     group = make_group(spec)
     assert grid_shape(spec) == (group.kind, group.n_nodes, group.capacity)
-    assert store_bytes(spec, truncation) == build_catalog(group, truncation).store.nbytes
+
+    def outcome(size):
+        try:
+            return size()
+        except ConfigError:
+            return ConfigError
+
+    built = outcome(lambda: build_catalog(group, truncation).store.nbytes)
+    assert outcome(lambda: store_bytes(spec, truncation)) == built
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["circle:0", "zn:0", "dihedral:2", "sym:2", "sym:5", "su2:j=1.3", "su2:j=1.5000000000001", "su2:j=2,quad=4"],
+)
+def test_grid_shape_rejects_each_spec_make_group_rejects_with_its_message(spec):
+    # one size rule per head: a circle with no nodes is blamed on its node
+    # count before any truncation rule sees its capacity
+    with pytest.raises(ConfigError) as built:
+        make_group(spec)
+    with pytest.raises(ConfigError) as sized:
+        grid_shape(spec)
+    assert str(sized.value) == str(built.value)

@@ -729,12 +729,22 @@ BAD_INPUTS = {
     "su2-negative-spin": ("catalog", dict(group="su2:j=-1")),
     "su2-small-quadrature": ("catalog", dict(group="su2:j=2,quad=3")),
     "fractional-truncation": ("catalog", dict(group="circle:16", truncation=2.7)),
+    **{
+        f"{value}-truncation-{group}": ("catalog", dict(group=group, truncation=float(value)))
+        for value in ("nan", "inf", "-inf")
+        for group in ("circle:16", "su2:j=2", "zn:4")
+    },
+    "nan-iwasawa-truncation": ("lift", dict(iwasawa={"K": "circle:16", "truncation": float("nan")})),
+    "su2-spin-off-half-integer-by-1e-13": ("catalog", dict(group="su2:j=1.5000000000001")),
+    "test-set-seed-beyond-64-bits": ("parseval", dict(test_set="random:count=2,seed=18446744073709551616")),
     "unknown-omitted-label": ("parseval", dict(omit=["irrep:9"])),
     "every-label-omitted": ("parseval", dict(omit=["irrep:0", "irrep:1", "irrep:2"])),
     "infinite-table-weight": ("semicomplete", dict(weights="table:{tmp}/inf.json")),
     "zero-table-weight": ("semicomplete", dict(weights="table:{tmp}/zero.json")),
     "scalar-table-gamma": ("semicomplete", dict(weights="table:{tmp}/scalar.json")),
     "non-square-table-beta": ("semicomplete", dict(weights="table:{tmp}/ragged.json")),
+    # sym:3 has a 2 x 2 block, which a 1 x 1 table cannot weight
+    "table-smaller-than-a-block": ("semicomplete", dict(weights="table:{tmp}/small.json")),
     "negative-test-set-seed": ("parseval", dict(test_set="random:count=2,seed=-1")),
     "negative-function-seed": ("isometry", dict(test_set=["random:seed=-1"])),
     "negative-weights-seed": ("semicomplete", dict(weights="diag-reciprocal:seed=-3")),
@@ -764,6 +774,7 @@ def test_bad_inputs_exit_2_as_config_errors(tmp_path, capsys, case):
     (tmp_path / "zero.json").write_text('{"gamma": [1, 1], "beta": [[1, 0], [1, 1]]}')
     (tmp_path / "scalar.json").write_text('{"gamma": 1, "beta": [[1]]}')
     (tmp_path / "ragged.json").write_text('{"gamma": [1, 1], "beta": [[1, 1]]}')
+    (tmp_path / "small.json").write_text('{"gamma": [1], "beta": [[1]]}')
     samples = "fn,node,re,im\n" + "".join(f"f,{k},1,0\n" for k in range(6))
     (tmp_path / "words.csv").write_text(samples.replace("f,3,1,0", "f,3,one,0"))
     (tmp_path / "node.csv").write_text(samples.replace("f,3,1,0", "f,3.5,1,0"))
@@ -778,6 +789,34 @@ def test_bad_inputs_exit_2_as_config_errors(tmp_path, capsys, case):
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed, code", [(2**64 - 1, 0), (2**64, 2)])
+def test_spec_seed_and_seed_flag_share_the_unsigned_64_bit_rule(tmp_path, capsys, seed, code):
+    in_spec = write_config(tmp_path, name="spec", group="zn:4", test_set=f"random:count=2,seed={seed}")
+    flagged = write_config(tmp_path, name="flag", group="zn:4", test_set="random:count=2,seed=0")
+    for cfg, flags in ((in_spec, []), (flagged, ["--seed", str(seed)])):
+        out = tmp_path / f"out-{cfg.stem}"
+        assert main(["parseval", "--config", str(cfg), "--out", str(out), *flags]) == code
+        assert out.exists() == (code == 0)
+        assert ("config error" in capsys.readouterr().err) == (code == 2)
+
+
+@pytest.mark.parametrize(
+    "group, blamed",
+    [
+        ("circle:0", "circle needs at least one node, got 0"),
+        ("su2:j=1.5000000000001", "su2 jmax must be a nonnegative half-integer"),
+    ],
+    ids=["circle:0", "su2:j=1.5000000000001"],
+)
+def test_a_bad_group_size_is_named_before_the_truncation(tmp_path, capsys, group, blamed):
+    # the preflight checks the truncation against the capacity, so it must
+    # reject the size or spin first, by the constructor's own rule
+    cfg = write_config(tmp_path, group=group)
+    assert main(["catalog", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert blamed in err and "truncation" not in err
 
 
 def test_empty_out_flag_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):

@@ -11,11 +11,11 @@ from grouplab.hilbert import (
     coefficients,
     diag_reciprocal_weights,
     expand,
-    gram_tol,
     inner,
     parseval_defect,
     project,
     random_function,
+    tolerance,
     unit_weights,
     zero_function,
 )
@@ -264,17 +264,17 @@ def test_gram_defect_bitwise_equals_dense_formula(n):
 def test_gram_defect_sees_one_perturbed_member(spec):
     g = make_group(spec)
     fam = peter_weyl_basis(build_catalog(g, truncation=None if spec == "sym:3" else 10))
-    assert fam.gram_defect() < gram_tol(g)
+    assert fam.gram_defect() < tolerance("gram", g.kind)
     members = fam.members.copy()
     members[1, 2] += 1e-6
     broken = OrthonormalFamily(group=g, blocks=fam.blocks, members=members, scale=fam.scale)
-    assert broken.gram_defect() > gram_tol(g)
+    assert broken.gram_defect() > tolerance("gram", g.kind)
 
 
 @pytest.mark.parametrize("spec", ["sym:3", "su2:j=1.5"])
 def test_gram_defect_sees_one_perturbed_scale(spec):
     fam = peter_weyl_basis(build_catalog(make_group(spec)))
-    limit = gram_tol(fam.group)
+    limit = tolerance("gram", fam.group.kind)
     assert fam.gram_defect() < limit
     for row in (0, fam.n_members - 1):
         scale = fam.scale.copy()
@@ -288,7 +288,7 @@ def test_gram_defect_sees_a_missing_sqrt_degree():
     # the unscaled coefficients u_ij of a degree-2 irrep have norm 1/2, not 1
     fam = peter_weyl_basis(build_catalog(make_group("sym:3")))
     unscaled = OrthonormalFamily(fam.group, fam.blocks, fam.members, np.ones(fam.n_members))
-    assert unscaled.gram_defect() > gram_tol(fam.group)
+    assert unscaled.gram_defect() > tolerance("gram", fam.group.kind)
 
 
 @pytest.mark.parametrize("spec", ["sym:4", "dihedral:5", "zn:12", "circle:1024", "su2:j=1.5"])
@@ -298,12 +298,12 @@ def test_streamed_gram_defect_equals_dense_defect_bitwise(spec):
         assert fam.n_members > 3 * _kernels.GRAM_SLAB_ROWS
     dense = _dense_defect(fam)
     assert fam.gram_defect() == dense
-    assert 0 < dense < gram_tol(fam.group)
+    assert 0 < dense < tolerance("gram", fam.group.kind)
 
 
 def test_streamed_gram_defect_sees_the_last_slab():
     fam = peter_weyl_basis(build_catalog(make_group("circle:1024")))
-    limit = gram_tol(fam.group)
+    limit = tolerance("gram", fam.group.kind)
     last = fam.n_members - 1
     assert (last - 1) // _kernels.GRAM_SLAB_ROWS == last // _kernels.GRAM_SLAB_ROWS == 3
     # each breach sits only in the last slab's block: the entry of two of its

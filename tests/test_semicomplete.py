@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from grouplab.hilbert import (
     inner,
     project,
     random_function,
+    random_functions,
     unit_weights,
 )
 from grouplab.semicomplete import (
@@ -23,6 +26,7 @@ from grouplab.semicomplete import (
     semicompleteness_defect,
     validate_weights,
 )
+from grouplab.spec import ConfigError
 
 
 def test_omit_nothing_gives_peter_weyl(sym3_catalog):
@@ -91,6 +95,32 @@ def test_tail_bound_per_label_is_sqrt_degree_sum_over_its_block(spec):
         assert abs(bound - np.sqrt(d) * np.sum(np.abs(c[start : start + d * d]))) < 1e-12
         start += d * d
     assert start == len(c)
+
+
+@pytest.mark.parametrize("spec", ["zn:12", "sym:3", "sym:4", "dihedral:5", "circle:64", "su2:j=2"])
+def test_stacked_tails_match_the_per_label_transform_loop(spec):
+    # the oracle is the longhand loop: one Fourier transform per function, and
+    # sqrt(d) * sum_ij |fhat_ij| read from each label's matrix
+    cat = build_catalog(make_group(spec))
+    fns = random_functions(cat.group, 21, 4)
+    oracle = np.array([
+        [math.sqrt(lab.degree) * np.sum(np.abs(fourier_transform(f, cat).matrix(lab.key)))
+         for lab in cat.labels]
+        for f in fns
+    ])
+    for f, tails in zip(fns, oracle):
+        for lab, tail in zip(cat.labels, tails):
+            bound = omission_tail_bound(f, cat, OmissionSpec(omitted=(lab.key,)))
+            assert bound == pytest.approx(tail, rel=1e-12)
+    # choose_omissions against the oracle's greedy suffix, one budget between
+    # each pair of consecutive suffix bounds
+    n = len(cat.labels)
+    suffix = np.cumsum(oracle[:, :0:-1], axis=1).max(axis=0)   # top 1, 2, ..., n-1 labels
+    edges = np.concatenate([[0.0], suffix, [2.0 * suffix[-1]]])
+    for chosen in range(n):
+        eps = (edges[chosen] + edges[chosen + 1]) / 2
+        want = tuple(lab.key for lab in cat.labels[n - chosen:])
+        assert choose_omissions(cat, fns, eps).omitted == want, chosen
 
 
 def test_tail_bound_dominates_actual_defect(sym3_catalog, zn12_catalog):
@@ -215,7 +245,7 @@ def test_semi_fourier_weights_match_longhand_loop(sym3, sym3_catalog):
 def test_semi_fourier_dimension_mismatch(sym3_catalog):
     fam = peter_weyl_basis(sym3_catalog)
     w = unit_weights(1)   # 2-dim block cannot be covered
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="cannot cover a block of size 2"):
         semi_fourier_expand(fam.member(0, 0, 0), fam, w)
 
 
