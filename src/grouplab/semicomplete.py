@@ -105,8 +105,6 @@ def semi_fourier_expand(
             f"weights of dimension {weights.n} cannot cover a block of size "
             f"{family.max_block_size}"
         )
-    if np.any(weights.gamma == 0) or np.any(weights.beta == 0):
-        raise ConfigError("expansion weights must be nonzero")
     # member (i, j) of a size-d block is weighted by gamma[j] * beta[i, j]
     per_size = {
         d: (weights.gamma[:d] * weights.beta[:d, :d]).reshape(-1)
@@ -168,29 +166,21 @@ def semicompleteness_defect(
 
 @dataclass(frozen=True)
 class WeightsDiagnostic:
-    """Zero entries and diagonal products gamma_i beta_ii away from 1."""
+    """Diagonal products gamma_i beta_ii away from 1; ``ExpansionWeights``
+    already rejects zero entries."""
 
     diagonal_violations: tuple[tuple[int, float], ...]
-    zero_gamma: tuple[int, ...]
-    zero_beta: tuple[tuple[int, int], ...]
 
     @property
     def admissible(self) -> bool:
-        return not (self.diagonal_violations or self.zero_gamma or self.zero_beta)
+        return not self.diagonal_violations
 
 
 def validate_weights(weights: ExpansionWeights) -> WeightsDiagnostic:
     """Report indices violating gamma_i * beta_ii = 1 (beyond the
-    ``weights_diagonal`` tolerance) and any zero entries."""
+    ``weights_diagonal`` tolerance)."""
     diag = weights.gamma * np.diag(weights.beta)
     residuals = np.abs(diag - 1.0)
-    violations = tuple(
+    return WeightsDiagnostic(tuple(
         (int(i), float(residuals[i])) for i in np.flatnonzero(residuals > tolerance("weights_diagonal"))
-    )
-    zero_gamma = tuple(int(i) for i in np.flatnonzero(weights.gamma == 0))
-    zero_beta = tuple(
-        (int(i), int(j)) for i, j in zip(*np.nonzero(weights.beta == 0))
-    )
-    return WeightsDiagnostic(
-        diagonal_violations=violations, zero_gamma=zero_gamma, zero_beta=zero_beta
-    )
+    ))

@@ -45,11 +45,12 @@ def steps_of(value, per_unit: int) -> int | None:
 
 
 def parse_value(text: str, kind, what: str):
-    """``kind(text)``; a failed conversion or a non-finite float is a ConfigError."""
+    """``kind(text)``; a failed conversion, named with its reason, or a
+    non-finite float is a ConfigError."""
     try:
         value = kind(text)
     except ValueError as exc:
-        raise ConfigError(f"bad {what} {text!r}") from exc
+        raise ConfigError(f"bad {what} {text!r}: {exc}") from exc
     if isinstance(value, float) and not is_finite(value):
         raise ConfigError(f"bad {what} {text!r}: not finite")
     return value

@@ -741,6 +741,8 @@ BAD_INPUTS = {
     "every-label-omitted": ("parseval", dict(omit=["irrep:0", "irrep:1", "irrep:2"])),
     "infinite-table-weight": ("semicomplete", dict(weights="table:{tmp}/inf.json")),
     "zero-table-weight": ("semicomplete", dict(weights="table:{tmp}/zero.json")),
+    "boolean-table-weight": ("semicomplete", dict(weights="table:{tmp}/bool.json")),
+    "table-weight-beyond-float-range": ("semicomplete", dict(weights="table:{tmp}/huge.json")),
     "scalar-table-gamma": ("semicomplete", dict(weights="table:{tmp}/scalar.json")),
     "non-square-table-beta": ("semicomplete", dict(weights="table:{tmp}/ragged.json")),
     # sym:3 has a 2 x 2 block, which a 1 x 1 table cannot weight
@@ -766,12 +768,22 @@ BAD_INPUTS = {
 }
 
 
+#: What the message of a bad input names, where a test pins it.
+BLAMED = {
+    "zero-table-weight": "expansion weights must be nonzero, got 0 at beta[0][1]",
+    "boolean-table-weight": "cannot read complex value from True",
+    "nan-iwasawa-truncation": "'iwasawa.truncation': truncation for circle:16 must be a finite number",
+}
+
+
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_inputs_exit_2_as_config_errors(tmp_path, capsys, case):
     (tmp_path / "inf.json").write_text(
         '{"gamma": [1, Infinity], "beta": [[1, 1], [1, 1]]}'
     )
     (tmp_path / "zero.json").write_text('{"gamma": [1, 1], "beta": [[1, 0], [1, 1]]}')
+    (tmp_path / "bool.json").write_text('{"gamma": [1, true], "beta": [[1, 1], [1, 1]]}')
+    (tmp_path / "huge.json").write_text('{"gamma": [1, 1%s], "beta": [[1, 1], [1, 1]]}' % ("0" * 400))
     (tmp_path / "scalar.json").write_text('{"gamma": 1, "beta": [[1]]}')
     (tmp_path / "ragged.json").write_text('{"gamma": [1, 1], "beta": [[1, 1]]}')
     (tmp_path / "small.json").write_text('{"gamma": [1], "beta": [[1]]}')
@@ -787,7 +799,8 @@ def test_bad_inputs_exit_2_as_config_errors(tmp_path, capsys, case):
     cfg = write_config(tmp_path, **fields)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and BLAMED.get(case, "") in err
     assert not out.exists()
 
 
@@ -799,7 +812,10 @@ def test_spec_seed_and_seed_flag_share_the_unsigned_64_bit_rule(tmp_path, capsys
         out = tmp_path / f"out-{cfg.stem}"
         assert main(["parseval", "--config", str(cfg), "--out", str(out), *flags]) == code
         assert out.exists() == (code == 0)
-        assert ("config error" in capsys.readouterr().err) == (code == 2)
+        err = capsys.readouterr().err
+        assert ("config error" in err) == (code == 2)
+        # the seed rule's reason reaches the message, for --seed as for a spec seed
+        assert (f"seed {seed} is not an unsigned 64-bit integer" in err) == (code == 2)
 
 
 @pytest.mark.parametrize(

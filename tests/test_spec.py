@@ -185,10 +185,18 @@ def test_weights_forms_keep_their_meaning(tmp_path):
     seed0 = diag_reciprocal_weights(4, 0).gamma
     assert np.array_equal(build_weights("diag-reciprocal", 4).gamma, seed0)
     assert np.array_equal(build_weights("diag-reciprocal:seed=5", 4, seed_override=0).gamma, seed0)
-    path = tmp_path / "w.json"
-    path.write_text(json.dumps({"gamma": [1, [2, 1]], "beta": [[1, 0], [0, 0.5]]}))
-    w = build_weights(f"table:{path}", 2)
-    assert np.array_equal(w.gamma, [1, 2 + 1j])
+    # a table entry is a number or an [re, im] pair, in any mix; a table of
+    # only pairs is not read as one more array dimension
+    tables = {
+        "mixed": {"gamma": [1, [2, 1]], "beta": [[1, [1, 0]], [1.0, [0.4, -0.2]]]},
+        "pairs": {"gamma": [[1, 0], [2, 1]], "beta": [[[1, 0], [1, 0]], [[1, 0], [0.4, -0.2]]]},
+    }
+    for form, table in tables.items():
+        path = tmp_path / f"{form}.json"
+        path.write_text(json.dumps(table))
+        w = build_weights(f"table:{path}", 2)
+        assert np.array_equal(w.gamma, [1, 2 + 1j]), form
+        assert np.array_equal(w.beta, [[1, 1], [1, 0.4 - 0.2j]]), form
 
 
 def test_function_forms_keep_their_meaning(tmp_path):
