@@ -1,10 +1,11 @@
-"""Weighted dot-product kernels behind every L2 operation in the package.
+"""Weighted dot-product kernels behind the L2 operations on families and functions.
 
 All inner products here reduce to sums of the form sum_k w_k a_k conj(b_k)
-over quadrature nodes, so the whole package funnels through this module: a
-single weighted inner product, coefficients of functions against a family,
-linear combinations of family members, and two kernels over a family's Gram
-matrix.  Each product is one BLAS-backed matrix product.
+over quadrature nodes: a single weighted inner product, coefficients of
+functions against a family, linear combinations of family members, and two
+kernels over a family's Gram matrix.  Each product is one BLAS-backed matrix
+product.  Three weighted sums call ``np.dot`` themselves:
+``L2Function.norm_sq``, ``groups.haar_integrate`` and ``IwasawaModel.an_mass``.
 
 The Gram kernels share one slab generator.  A family's member m is
 ``scale[m] * members[m]`` for one real scale per row, so the Gram matrix is

@@ -4,11 +4,13 @@ Exposes the dual object of a group model as an ordered list of labels with
 degrees d and an ordering magnitude |.|, plus the matrix coefficients
 u_ij(g) as functions on the group:
 
-* finite groups -- irreps are constructed, not tabulated: a random Hermitian
-  matrix is averaged over the left regular representation, its eigenspaces
-  (which are invariant subspaces) are orthonormalized and restricted, copies
-  are deduplicated by character, and the result is validated against Schur
-  orthogonality and the dimension count sum(d^2) = |G|;
+* finite groups -- irreps are constructed, not tabulated (Dixon's method): a
+  random Hermitian matrix is averaged over the left regular representation by
+  gathers through one table of g^-1 x, and the orthonormal basis B of each
+  eigenvalue cluster gives its grid B^H L_g B in one batched product.  One scan
+  checks each cluster for irreducibility and keeps the first grid of each
+  character class; the classes are written once into the store, which is checked
+  against sum(d^2) = |G|, the multiplicities d and Schur orthogonality;
 * circle -- characters exp(i m theta) for |m| <= M;
 * SU(2) -- spin-j Wigner matrices for j = 0, 1/2, ..., jmax.  On the Euler
   product grid they are built from the factorization
@@ -192,15 +194,15 @@ _CHAR_ROUND = 6
 _FINITE_TRIES = 12
 
 
-def _averaged_commutant(table: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    n = table.shape[0]
+def _averaged_commutant(left: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """mean_g L_g H L_g^T for a random Hermitian H, where row g of ``left``
+    lists g^-1 x for every x: (L_g H L_g^T)[x, y] = H[g^-1 x, g^-1 y]."""
+    n = left.shape[0]
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = x + x.conj().T
     t = np.zeros((n, n), dtype=np.complex128)
-    for g in range(n):
-        perm = table[g, :]
-        # (L_g H L_g^T)[perm[i], perm[j]] = H[i, j]
-        t[np.ix_(perm, perm)] += h
+    for inv in left:
+        t += h[np.ix_(inv, inv)]
     return t / n
 
 
@@ -215,68 +217,53 @@ def _cluster_eigs(vals: np.ndarray, tol: float) -> list[np.ndarray]:
     return [np.array(c) for c in clusters]
 
 
-def _finite_irreps(table: np.ndarray) -> list[np.ndarray]:
-    """Distinct unitary irreps of a finite group as (|G|, d, d) grids.
-
-    Returns one representative per equivalence class, each entry grid[g] being
-    the representation matrix of element g.
+def _finite_irreps(table: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Degrees and coefficient store of the distinct unitary irreps of a finite group:
+    one per equivalence class, in catalog order and ``build_catalog``'s layout.
     """
     n = table.shape[0]
+    left = np.argsort(table, axis=1)   # row g inverts row g of the table: g^-1 x
     rng = np.random.default_rng(_FINITE_SEED + 977 * n)
     char_tol = tolerance("irrep_character")
-    for _ in range(_FINITE_TRIES):
-        t = _averaged_commutant(table, rng)
-        vals, vecs = np.linalg.eigh(t)
-        spread = max(float(vals[-1] - vals[0]), 1.0)
-        clusters = _cluster_eigs(vals, tolerance("irrep_cluster") * spread)
-        reps = []
-        ok = True
-        for cluster in clusters:
-            basis, _ = np.linalg.qr(vecs[:, cluster])
-            d = basis.shape[1]
-            grid = np.empty((n, d, d), dtype=np.complex128)
-            for g in range(n):
-                # L_g basis: row permutation e_h -> e_{g h}
-                lb = np.zeros_like(basis)
-                lb[table[g, :], :] = basis
-                grid[g] = basis.conj().T @ lb
-            # irreducibility: mean |character|^2 == 1
-            chars = np.einsum("gii->g", grid)
-            if abs(np.mean(np.abs(chars) ** 2) - 1.0) > char_tol:
-                ok = False
-                break
-            reps.append((grid, chars))
-        if not ok:
-            continue
-        # deduplicate equivalent copies by character
-        classes: list[tuple[np.ndarray, np.ndarray, int]] = []
-        for grid, chars in reps:
-            for k, (_, ref_chars, _) in enumerate(classes):
-                if np.max(np.abs(ref_chars - chars)) < char_tol:
-                    classes[k] = (classes[k][0], classes[k][1], classes[k][2] + 1)
-                    break
-            else:
-                classes.append((grid, chars, 1))
-        if sum(g.shape[1] ** 2 for g, _, _ in classes) != n:
-            continue
-        if any(mult != grid.shape[1] for grid, _, mult in classes):
-            continue
-        # Schur orthogonality: {sqrt(d) u_ij} is orthonormal within the Gram tolerance
-        rows = np.vstack([math.sqrt(g.shape[1]) * g.reshape(n, -1).T for g, _, _ in classes])
-        if not _kernels.gram_defect(rows, np.full(n, 1.0 / n), np.ones(n)) <= tolerance("gram", "finite"):
-            continue
-        # deterministic order: trivial first, then by degree and character key
-        def sort_key(entry):
-            grid, chars, _ = entry
-            d = grid.shape[1]
-            rounded = tuple(
-                (round(c.real, _CHAR_ROUND), round(c.imag, _CHAR_ROUND)) for c in chars
-            )
-            trivial = d == 1 and np.max(np.abs(chars - 1.0)) < char_tol
-            return (0 if trivial else 1, d, rounded)
 
+    # deterministic order: trivial first, then by degree and character key
+    def sort_key(entry):
+        grid, chars, _ = entry
+        d = grid.shape[1]
+        rounded = tuple((round(c.real, _CHAR_ROUND), round(c.imag, _CHAR_ROUND)) for c in chars)
+        trivial = d == 1 and np.max(np.abs(chars - 1.0)) < char_tol
+        return (0 if trivial else 1, d, rounded)
+
+    for _ in range(_FINITE_TRIES):
+        vals, vecs = np.linalg.eigh(_averaged_commutant(left, rng))
+        spread = max(float(vals[-1] - vals[0]), 1.0)
+        classes = []    # [grid, characters, copies] per class, with its first copy's grid
+        for cluster in _cluster_eigs(vals, tolerance("irrep_cluster") * spread):
+            basis, _ = np.linalg.qr(vecs[:, cluster])
+            grid = basis.conj().T @ basis[left]    # B^H L_g B, as (L_g B)[x] = B[g^-1 x]
+            chars = np.einsum("gii->g", grid)
+            # irreducibility: mean |character|^2 == 1; a reducible cluster abandons the draw
+            if abs(np.mean(np.abs(chars) ** 2) - 1.0) > char_tol:
+                classes = None
+                break
+            # equivalent copies share a character
+            copy_of = next((c for c in classes if np.max(np.abs(c[1] - chars)) < char_tol), None)
+            if copy_of is None:
+                classes.append([grid, chars, 1])
+            else:
+                copy_of[2] += 1
+        if classes is None:
+            continue
         classes.sort(key=sort_key)
-        return [grid for grid, _, _ in classes]
+        degrees = [grid.shape[1] for grid, _, _ in classes]
+        if sum(d * d for d in degrees) != n or degrees != [copies for _, _, copies in classes]:
+            continue
+        store = np.empty((n, n), dtype=np.complex128)
+        np.concatenate([grid.reshape(n, -1).T for grid, _, _ in classes], out=store)
+        # Schur orthogonality: {sqrt(d) u_ij} is orthonormal within the Gram tolerance
+        scale = np.repeat(np.sqrt(degrees), [d * d for d in degrees])
+        if _kernels.gram_defect(store, np.full(n, 1.0 / n), scale) <= tolerance("gram", "finite"):
+            return degrees, store
     raise RuntimeError(f"failed to decompose the regular representation in {_FINITE_TRIES} tries")
 
 
@@ -318,14 +305,11 @@ def build_catalog(group: GroupModel, truncation: float | None = None) -> RepCata
     n = group.n_nodes
     steps = _bound_in_steps(truncation, group.kind, group.name, group.capacity)
     if group.kind == "finite":
-        grids = _finite_irreps(group.table)
+        degrees, store = _finite_irreps(group.table)
         labels = [
-            IrrepLabel(kind="finite", payload=idx, degree=grid.shape[1], magnitude=float(idx))
-            for idx, grid in enumerate(grids)
+            IrrepLabel(kind="finite", payload=idx, degree=d, magnitude=float(idx))
+            for idx, d in enumerate(degrees)
         ]
-        blocks, store = _empty_store(labels, n)
-        for b, grid in zip(blocks, grids):
-            store[b.rows] = grid.reshape(n, -1).T
     elif group.kind == "circle":
         ms = sorted(range(-steps, steps + 1), key=lambda m: (abs(m), m))
         labels = [

@@ -149,7 +149,10 @@ def load_config(
     _require_known_keys(raw, CONFIG_KEYS, "config")
 
     name = raw.get("name", path.stem)
-    _require(isinstance(name, str) and name != "", "config 'name' must be a nonempty string")
+    _require(  # it prefixes each output file name, so it may not name another directory
+        isinstance(name, str) and name != "" and not set(name) & {"/", os.sep, os.altsep, "\0"},
+        f"config 'name' must be a nonempty string with no path separator or NUL, got {name!r}",
+    )
     group_spec = raw.get("group")
     _require(isinstance(group_spec, str), "config needs a 'group' spec string")
 
@@ -173,7 +176,10 @@ def load_config(
     _require(isinstance(dump, bool), f"'dump_coefficients' must be true or false, got {dump!r}")
 
     out = raw.get("out", ".")
-    _require(isinstance(out, str) and out != "", f"config 'out' must be a nonempty string, got {out!r}")
+    _require(
+        isinstance(out, str) and out != "" and "\0" not in out,
+        f"config 'out' must be a nonempty string with no NUL, got {out!r}",
+    )
     _require(out_override != "", "--out must not be empty")
     return ExperimentConfig(
         name=name,
@@ -338,6 +344,8 @@ def build_test_set(
         _require(count >= 0, "test set count must be nonnegative")
         if seed_override is not None:
             seed = seed_override
+        need = count * group.n_nodes * np.dtype(np.complex128).itemsize
+        _require_fits(need, f"the 'test_set' of {count} random functions on {group.name}")
         ids = [f"random:{k}" for k in range(count)]
         return ids, random_functions(group, seed, count), f"random:count={count},seed={seed}"
     if head == "members":

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from grouplab.catalog import (
+    _FINITE_SEED,
+    _averaged_commutant,
+    _cluster_eigs,
     build_catalog,
     matrix_coefficient,
     peter_weyl_basis,
@@ -13,7 +16,11 @@ from grouplab.catalog import (
     su2_irrep_matrix,
 )
 from grouplab.groups import circle_group, cyclic_group, grid_shape, make_group, su2_group
+from grouplab.hilbert import tolerance
 from grouplab.spec import ConfigError
+
+#: The finite groups of tests/test_groups.py, and one of order 128.
+FINITE = ["zn:1", "zn:4", "zn:12", "dihedral:3", "dihedral:5", "sym:3", "sym:4", "dihedral:64"]
 
 
 def test_cyclic4_characters_match_brute_force():
@@ -75,6 +82,66 @@ def test_homomorphism_unitarity_on_samples(spec):
             uab = cat.coefficient_matrix(lab, ab)
             assert np.max(np.abs(ua @ ub - uab)) < 1e-10
             assert np.max(np.abs(ua @ ua.conj().T - np.eye(lab.degree))) < 1e-10
+
+
+def _scatter_add_commutant(table, rng):
+    # the longhand construction the gathers replaced: (L_g H L_g^T)[perm[i], perm[j]] = H[i, j]
+    n = table.shape[0]
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = x + x.conj().T
+    t = np.zeros((n, n), dtype=np.complex128)
+    for g in range(n):
+        perm = table[g, :]
+        t[np.ix_(perm, perm)] += h
+    return t / n
+
+
+def _first_draw(table):
+    """The inverse-translation table and the first draw's averaged commutant, as the catalog makes them."""
+    n = table.shape[0]
+    left = np.argsort(table, axis=1)
+    t = _averaged_commutant(left, np.random.default_rng(_FINITE_SEED + 977 * n))
+    return left, t
+
+
+@pytest.mark.parametrize("spec", FINITE)
+def test_gathered_commutant_equals_the_scatter_add_loop_bitwise(spec):
+    table = make_group(spec).table
+    n = table.shape[0]
+    left, t = _first_draw(table)
+    # row g of ``left`` lists g^-1 x: it inverts row g of the table
+    assert np.array_equal(np.take_along_axis(table, left, axis=1), np.tile(np.arange(n), (n, 1)))
+    assert np.array_equal(t, _scatter_add_commutant(table, np.random.default_rng(_FINITE_SEED + 977 * n)))
+
+
+@pytest.mark.parametrize("spec", FINITE)
+def test_store_grids_match_the_per_element_loop_on_each_first_copy(spec):
+    # the store keeps each class's first cluster, whose grid B^H L_g B the
+    # per-element loop rebuilds; no bitwise claim, since another BLAS may
+    # split the catalog's batched product differently
+    group = make_group(spec)
+    table = group.table
+    n = table.shape[0]
+    vals, vecs = np.linalg.eigh(_first_draw(table)[1])
+    spread = max(float(vals[-1] - vals[0]), 1.0)
+    cat = build_catalog(group)
+    unmatched = {lab.key: cat.grids[lab.key] for lab in cat.labels}
+    for cluster in _cluster_eigs(vals, tolerance("irrep_cluster") * spread):
+        basis, _ = np.linalg.qr(vecs[:, cluster])
+        want = np.empty((n, len(cluster), len(cluster)), dtype=np.complex128)
+        for g in range(n):
+            # L_g basis: row permutation e_h -> e_{g h}
+            lb = np.zeros_like(basis)
+            lb[table[g, :], :] = basis
+            want[g] = basis.conj().T @ lb
+        chars = np.einsum("gii->g", want)
+        key = next(
+            (k for k, grid in unmatched.items() if np.allclose(np.einsum("gii->g", grid), chars, atol=1e-6)),
+            None,
+        )
+        if key is not None:    # a later copy of a class finds its key taken
+            assert np.max(np.abs(unmatched.pop(key) - want)) <= 1e-14
+    assert not unmatched
 
 
 def test_identity_matrix_at_identity(sym3, sym3_catalog):

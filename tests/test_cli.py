@@ -32,7 +32,9 @@ from grouplab.iwasawa import IwasawaModel, LiftedFamily
 def write_config(tmp_path, name="exp", **kwargs):
     cfg = {"name": name, "group": "sym:3"}
     cfg.update(kwargs)
-    path = tmp_path / f"{name}.json"
+    # a name that is no file name (a bad-input case) still gets its file in tmp_path
+    stem = name if isinstance(name, str) and Path(name).name == name and "\0" not in name else "bad-name"
+    path = tmp_path / f"{stem}.json"
     path.write_text(json.dumps(cfg))
     return path
 
@@ -765,6 +767,11 @@ BAD_INPUTS = {
     "list-out": ("catalog", dict(out=[])),
     "boolean-out": ("catalog", dict(out=True)),
     "empty-out": ("catalog", dict(out="")),
+    "nul-in-out": ("catalog", dict(out="res\0ults")),
+    # the name prefixes each output file, so a path in it would write elsewhere
+    "name-up-a-directory": ("catalog", dict(name="../escaped")),
+    "name-with-a-separator": ("catalog", dict(name="sub/exp")),
+    "nul-in-name": ("catalog", dict(name="e\0xp")),
 }
 
 
@@ -773,6 +780,7 @@ BLAMED = {
     "zero-table-weight": "expansion weights must be nonzero, got 0 at beta[0][1]",
     "boolean-table-weight": "cannot read complex value from True",
     "nan-iwasawa-truncation": "'iwasawa.truncation': truncation for circle:16 must be a finite number",
+    "name-up-a-directory": "config 'name' must be a nonempty string with no path separator",
 }
 
 
@@ -1011,6 +1019,29 @@ def test_store_limit_is_the_physical_memory(tmp_path, monkeypatch):
         cfgmod.load_config(write_config(tmp_path, group="zn:16"))
     monkeypatch.setattr(cfgmod, "physical_memory_bytes", lambda: 16 * 16 * 16)
     assert cfgmod.load_config(write_config(tmp_path, group="zn:16")).group_spec == "zn:16"
+
+
+def test_random_test_set_limit_is_the_physical_memory(monkeypatch):
+    # the samples of 'random:count=N' are sized before they are drawn
+    group = make_group("zn:16")
+    need = 4 * 16 * 16
+    monkeypatch.setattr(cfgmod, "physical_memory_bytes", lambda: need - 1)
+    with pytest.raises(ConfigError, match="'test_set' of 4 random functions on zn:16 needs"):
+        build_test_set("random:count=4,seed=0", group)
+    monkeypatch.setattr(cfgmod, "physical_memory_bytes", lambda: need)
+    assert len(build_test_set("random:count=4,seed=0", group)[1]) == 4
+
+
+def test_random_test_set_beyond_physical_memory_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # sym:3's 576 B store fits and its 100 test functions (9600 B) do not, so the
+    # test set is refused after the catalog is built, before anything is written;
+    # the limit is patched because an unchecked test set grows until memory runs out
+    monkeypatch.setattr(cfgmod, "physical_memory_bytes", lambda: 100 * 6 * 16 - 1)
+    cfg = write_config(tmp_path, test_set="random:count=100,seed=0")
+    out = tmp_path / "out"
+    assert main(["parseval", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "the 'test_set' of 100 random functions on sym:3 needs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def lift_config(tmp_path, a_nodes, n_nodes):
