@@ -207,14 +207,9 @@ def _averaged_commutant(left: np.ndarray, rng: np.random.Generator) -> np.ndarra
 
 
 def _cluster_eigs(vals: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Indices of ``vals`` by ascending value, split before each one ``tol`` or more above the last."""
     order = np.argsort(vals)
-    clusters = [[order[0]]]
-    for idx in order[1:]:
-        if vals[idx] - vals[clusters[-1][-1]] < tol:
-            clusters[-1].append(idx)
-        else:
-            clusters.append([idx])
-    return [np.array(c) for c in clusters]
+    return np.split(order, np.flatnonzero(np.diff(vals[order]) >= tol) + 1)
 
 
 def _finite_irreps(table: np.ndarray) -> tuple[list[int], np.ndarray]:

@@ -107,9 +107,7 @@ def cmd_parseval(cfg: ExperimentConfig) -> int:
 
 def cmd_semicomplete(cfg: ExperimentConfig) -> int:
     cat, family, (ids, fns, descriptor) = _analysis(cfg)
-    weights = cfgmod.build_weights(
-        cfg.weights_spec, family.max_block_size, seed_override=cfg.seed_override
-    )
+    weights = cfg.weights(family.max_block_size)
     report = semicompleteness_defect(
         family,
         weights,

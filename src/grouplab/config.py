@@ -14,6 +14,7 @@ import itertools
 import json
 import os
 import tempfile
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,7 +70,7 @@ class ExperimentConfig:
     group_spec: str
     truncation: float | None
     omit: tuple[str, ...]
-    weights_spec: str
+    weights: Callable[[int], ExpansionWeights]   # of the family's largest block size
     test_set_spec: object
     epsilon: float | None
     tol: float | None
@@ -166,6 +167,9 @@ def load_config(
 
     truncation = raw.get("truncation")
     _require_store_fits(group_spec, truncation, ("group", "truncation"))
+    test_set = raw.get("test_set", "random:count=16,seed=0")
+    if isinstance(test_set, str) and split_spec(test_set)[0] == "random":   # sized now, drawn later
+        _random_test_set(split_spec(test_set)[1], grid_shape(group_spec)[1], group_spec, seed_override)
 
     tol = tol_override if tol_override is not None else raw.get("tol")
     _require_positive(tol, "'tol'")
@@ -186,8 +190,8 @@ def load_config(
         group_spec=group_spec,
         truncation=truncation,
         omit=tuple(omit),
-        weights_spec=raw.get("weights", "unit"),
-        test_set_spec=raw.get("test_set", "random:count=16,seed=0"),
+        weights=_weights_reader(raw.get("weights", "unit"), seed_override),
+        test_set_spec=test_set,
         epsilon=epsilon,
         tol=tol,
         out_dir=Path(out if out_override is None else out_override),
@@ -239,23 +243,29 @@ def _iwasawa_config(blk) -> IwasawaConfig:
 def build_weights(spec, n: int, seed_override: int | None = None) -> ExpansionWeights:
     """Parse a weights spec: 'unit' | 'diag-reciprocal:seed=S' (of dimension ``n``)
     | 'table:PATH' (of its own, which ``semi_fourier_expand`` checks)."""
+    return _weights_reader(spec, seed_override)(n)
+
+
+def _weights_reader(spec, seed_override: int | None) -> Callable[[int], ExpansionWeights]:
+    """``build_weights`` as a function of n, with the spec and any table read now."""
     head, rest = split_spec(spec)
     if head == "unit":
         parse_params(rest, "unit weights")
-        return unit_weights(n)
+        return unit_weights
     if head == "diag-reciprocal":
         seed = parse_params(rest, "weights", seed=_seed).get("seed", 0)
         if seed_override is not None:
             seed = seed_override
-        return diag_reciprocal_weights(n, seed)
+        return lambda n: diag_reciprocal_weights(n, seed)
     if head == "table":
         path = Path(rest)
         _require(path.is_file(), f"weights table not found: {path}")
         try:
             data = json.loads(path.read_text())
-            return ExpansionWeights(_complex_table(data["gamma"], 1), _complex_table(data["beta"], 2))
+            table = ExpansionWeights(_complex_table(data["gamma"], 1), _complex_table(data["beta"], 2))
         except (KeyError, ValueError, TypeError, OverflowError, json.JSONDecodeError) as exc:
             raise ConfigError(f"malformed weights table {path}: {exc}") from exc
+        return lambda n: table
     raise ConfigError(f"unknown weights spec {spec!r}")
 
 
@@ -339,13 +349,7 @@ def build_test_set(
         return ids, fns, f"list:{len(spec)}"
     head, rest = split_spec(spec)
     if head == "random":
-        params = parse_params(rest, "test set", count=int, seed=_seed)
-        count, seed = params.get("count", 16), params.get("seed", 0)
-        _require(count >= 0, "test set count must be nonnegative")
-        if seed_override is not None:
-            seed = seed_override
-        need = count * group.n_nodes * np.dtype(np.complex128).itemsize
-        _require_fits(need, f"the 'test_set' of {count} random functions on {group.name}")
+        count, seed = _random_test_set(rest, group.n_nodes, group.name, seed_override)
         ids = [f"random:{k}" for k in range(count)]
         return ids, random_functions(group, seed, count), f"random:count={count},seed={seed}"
     if head == "members":
@@ -357,6 +361,16 @@ def build_test_set(
         ids, fns = functions_from_csv(group, rest)
         return ids, fns, f"samples:{rest}"
     raise ConfigError(f"unknown test set spec {spec!r}")
+
+
+def _random_test_set(rest: str, n_nodes: int, group_name: str, seed_override: int | None):
+    """``(count, seed)`` of a 'random:count=N,seed=S' test set, checked against ``n_nodes``."""
+    params = parse_params(rest, "test set", count=int, seed=_seed)
+    count, seed = params.get("count", 16), params.get("seed", 0)
+    _require(count >= 0, "test set count must be nonnegative")
+    need = count * n_nodes * np.dtype(np.complex128).itemsize
+    _require_fits(need, f"the 'test_set' of {count} random functions on {group_name}")
+    return count, seed if seed_override is None else seed_override
 
 
 # ---------------------------------------------------------------------------

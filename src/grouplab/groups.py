@@ -3,9 +3,9 @@
 Three families are supported:
 
 * finite groups (cyclic ``zn:N``, dihedral ``dihedral:N``, symmetric
-  ``sym:N`` for N in {3, 4}) -- elements are indices into an explicit element
-  list, multiplication is a precomputed table, Haar measure is uniform and
-  integration is exact;
+  ``sym:N`` for N in {3, 4}) -- elements are indices with the identity at 0,
+  multiplication is a table that one array formula per family builds, Haar
+  measure is uniform and integration is exact;
 * the circle ``circle:N`` -- N uniform angle nodes, trapezoid-free uniform
   weights; exact for trigonometric polynomials of degree < N;
 * SU(2) ``su2:j=J[,quad=Q]`` -- a product Euler-angle grid, uniform in the
@@ -93,52 +93,42 @@ def require_same_group(g1: GroupModel, g2: GroupModel) -> None:
 # finite groups
 
 
-def _finite_model(name: str, elements: list, compose, identity_elem) -> GroupModel:
-    index = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
-    table = np.empty((n, n), dtype=np.int64)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            table[i, j] = index[compose(a, b)]
-    return GroupModel(
-        kind="finite",
-        name=name,
-        weights=np.full(n, 1.0 / n),
-        identity=index[identity_elem],
-        table=table,
-    )
+def _finite_model(name: str, table: np.ndarray) -> GroupModel:
+    """The finite group of multiplication ``table``, whose element 0 is the identity."""
+    n = len(table)
+    return GroupModel(kind="finite", name=name, weights=np.full(n, 1.0 / n), identity=0, table=table)
 
 
 def cyclic_group(n: int) -> GroupModel:
     _sized_nodes("zn", n)
-    return _finite_model(f"zn:{n}", list(range(n)), lambda a, b: (a + b) % n, 0)
+    r = np.arange(n, dtype=np.int64)
+    table = r[:, None] + r
+    table %= n
+    return _finite_model(f"zn:{n}", table)
 
 
 def dihedral_group(n: int) -> GroupModel:
-    """Dihedral group of order 2n; elements are (flip, rotation) pairs."""
+    """Dihedral group of order 2n; element f*n + k is s^f r^k, so 0 is the identity."""
     _sized_nodes("dihedral", n)
-    elements = [(f, r) for f in (0, 1) for r in range(n)]
-
-    def compose(x, y):
-        # s^f1 r^k1 * s^f2 r^k2 = s^(f1+f2) r^((-1)^f2 k1 + k2)
-        f1, k1 = x
-        f2, k2 = y
-        sign = -1 if f2 else 1
-        return ((f1 + f2) % 2, (sign * k1 + k2) % n)
-
-    return _finite_model(f"dihedral:{n}", elements, compose, (0, 0))
+    f, k = np.divmod(np.arange(2 * n, dtype=np.int64), n)
+    # s^f1 r^k1 * s^f2 r^k2 = s^(f1+f2) r^((-1)^f2 k1 + k2), built in place
+    table = (1 - 2 * f) * k[:, None]
+    table += k
+    table %= n
+    table[:n, n:] += n      # the flips differ in the off-diagonal quarters
+    table[n:, :n] += n
+    return _finite_model(f"dihedral:{n}", table)
 
 
 def symmetric_group(n: int) -> GroupModel:
-    """Symmetric group on n letters, n in {3, 4}; elements are permutation tuples."""
+    """Symmetric group on n letters, n in {3, 4}; element i is the i-th permutation
+    tuple in lexicographic order, so 0 is the identity."""
     _sized_nodes("sym", n)
-    elements = sorted(permutations(range(n)))
-
-    def compose(p, q):
-        # (p*q)(x) = p(q(x))
-        return tuple(p[q[x]] for x in range(n))
-
-    return _finite_model(f"sym:{n}", elements, compose, tuple(range(n)))
+    perms = np.array(sorted(permutations(range(n))), dtype=np.int64)
+    code = n ** np.arange(n - 1, -1, -1, dtype=np.int64)   # base-n codes sort as the tuples do
+    # perms[:, perms][i, j] is perms[i] o perms[j]: (p*q)(x) = p(q(x))
+    table = np.searchsorted(perms @ code, perms[:, perms] @ code)
+    return _finite_model(f"sym:{n}", table)
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ def choose_omissions(
     function; at least one label is always retained.  Returns the empty spec
     when even the top label violates the budget.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:   # NaN too: no tail bound is ever >= NaN
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not testset:
         raise ValueError("test set must be nonempty")
@@ -145,6 +145,8 @@ def semicompleteness_defect(
         raise ConfigError("semicompleteness needs a nonempty test set")
     if function_ids is None:
         function_ids = [f"fn:{k}" for k in range(len(testset))]
+    elif len(function_ids) != len(testset):
+        raise ValueError(f"{len(function_ids)} function ids for {len(testset)} test functions")
     # every weighted expansion (one large BLAS call each) first, then the many
     # small per-label calls; each defect is independent of the order.  Idle
     # BLAS workers no longer spin through the per-label loop either way: the

@@ -114,6 +114,40 @@ def test_gathered_commutant_equals_the_scatter_add_loop_bitwise(spec):
     assert np.array_equal(t, _scatter_add_commutant(table, np.random.default_rng(_FINITE_SEED + 977 * n)))
 
 
+def _cluster_eigs_loop(vals, tol):
+    # the longhand chaining the split replaced: a value joins the last cluster
+    # when it is less than tol above the cluster's last value
+    order = np.argsort(vals)
+    clusters = [[order[0]]]
+    for idx in order[1:]:
+        if vals[idx] - vals[clusters[-1][-1]] < tol:
+            clusters[-1].append(idx)
+        else:
+            clusters.append([idx])
+    return [np.array(c) for c in clusters]
+
+
+def _assert_same_clusters(got, want):
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("spec", FINITE)
+def test_cluster_split_equals_the_chaining_loop_on_the_first_draw(spec):
+    vals = np.linalg.eigh(_first_draw(make_group(spec).table)[1])[0]
+    tol = tolerance("irrep_cluster") * max(float(vals[-1] - vals[0]), 1.0)
+    _assert_same_clusters(_cluster_eigs(vals, tol), _cluster_eigs_loop(vals, tol))
+
+
+@pytest.mark.parametrize("tol, sizes", [(0.5, [2, 1, 1, 1]), (np.nextafter(0.5, 1.0), [4, 1])])
+def test_cluster_split_at_a_gap_of_exactly_tol_and_just_below_it(tol, sizes):
+    # the gaps are 0, 0.5, 0.5 and 1.0: a gap of exactly tol splits, one just below chains
+    vals = np.array([1.0, 0.0, 2.0, 0.5, 0.0])
+    got = _cluster_eigs(vals, tol)
+    _assert_same_clusters(got, _cluster_eigs_loop(vals, tol))
+    assert [len(c) for c in got] == sizes
+
+
 @pytest.mark.parametrize("spec", FINITE)
 def test_store_grids_match_the_per_element_loop_on_each_first_copy(spec):
     # the store keeps each class's first cluster, whose grid B^H L_g B the

@@ -1044,6 +1044,31 @@ def test_random_test_set_beyond_physical_memory_exits_2_and_writes_nothing(tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, fields, blamed",
+    [
+        ("semicomplete", dict(weights="nonsense"), "unknown weights spec 'nonsense'"),
+        ("semicomplete", dict(weights="table:{tmp}/missing.json"), "weights table not found"),
+        ("parseval", dict(test_set="random:count=100000000"), "'test_set' of 100000000 random functions"),
+        # keys are checked whatever the command: parseval reads no weights
+        ("parseval", dict(weights="nonsense"), "unknown weights spec 'nonsense'"),
+    ],
+    ids=["weights-head", "weights-table", "test-set-size", "unused-weights"],
+)
+def test_weights_and_test_set_errors_exit_2_before_any_catalog(tmp_path, capsys, monkeypatch, command, fields, blamed):
+    def no_catalog(*args, **kwargs):
+        raise AssertionError("a catalog was built")
+
+    monkeypatch.setattr(cli, "build_catalog", no_catalog)
+    # circle:1024's 16.8 MB store fits, 1e8 of its test functions (1.6e12 B) do not
+    monkeypatch.setattr(cfgmod, "physical_memory_bytes", lambda: 10**9)
+    fields = {k: v.replace("{tmp}", str(tmp_path)) for k, v in fields.items()}
+    cfg = write_config(tmp_path, group="circle:1024", **fields)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert blamed in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def lift_config(tmp_path, a_nodes, n_nodes):
     iwasawa = {"K": "circle:8", "A": {"nodes": a_nodes}, "N": {"nodes": n_nodes}}
     return write_config(tmp_path, group="circle:8", iwasawa=iwasawa)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -31,13 +32,49 @@ def test_cyclic4_uniform_weights():
 
 
 def test_sym3_table_matches_permutation_composition():
-    # oracle: rebuild the table directly from tuple composition
-    g = symmetric_group(3)
-    elems = sorted(permutations(range(3)))
-    for a, pa in enumerate(elems):
-        for b, pb in enumerate(elems):
-            prod = tuple(pa[pb[x]] for x in range(3))
-            assert elems[g.table[a, b]] == prod
+    # oracle: rebuild the table directly from tuple composition, for sym:3 and sym:4
+    for n in (3, 4):
+        g = symmetric_group(n)
+        elems = sorted(permutations(range(n)))
+        for a, pa in enumerate(elems):
+            for b, pb in enumerate(elems):
+                prod = tuple(pa[pb[x]] for x in range(n))
+                assert elems[g.table[a, b]] == prod
+
+
+def _table_by_rule(spec):
+    """The table of ``zn:N`` or ``dihedral:N`` from its composition rule, one product at a time."""
+    head, n = spec.split(":")
+    n = int(n)
+    if head == "zn":
+        elems, compose = range(n), lambda a, b: (a + b) % n
+    else:
+        # s^f1 r^k1 * s^f2 r^k2 = s^(f1+f2) r^((-1)^f2 k1 + k2), with s^f r^k at index f*n + k
+        elems = [(f, k) for f in (0, 1) for k in range(n)]
+        compose = lambda x, y: ((x[0] + y[0]) % 2, ((-1) ** y[0] * x[1] + y[1]) % n)
+    index = {e: i for i, e in enumerate(elems)}
+    return np.array([[index[compose(a, b)] for b in elems] for a in elems])
+
+
+@pytest.mark.parametrize(
+    "spec", [f"zn:{n}" for n in range(1, 65)] + [f"dihedral:{n}" for n in range(3, 130)]
+)
+def test_cyclic_and_dihedral_tables_match_the_composition_rules(spec):
+    g = make_group(spec)
+    assert np.array_equal(g.table, _table_by_rule(spec))
+    assert g.table.dtype == np.int64 and g.table.flags.c_contiguous
+    assert g.identity == 0
+
+
+def test_dihedral_table_peaks_at_twice_its_bytes_at_most():
+    # the table is built in place: one temporary as large would already reach 2x
+    tracemalloc.start()
+    try:
+        g = make_group("dihedral:1024")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * g.table.nbytes
 
 
 @pytest.mark.parametrize("spec", ALL_FINITE)

@@ -204,6 +204,13 @@ def test_check_k_semicomplete_full_family(gauss_model, k_catalog):
     assert report.max_defect < 1e-10
 
 
+def test_check_k_semicomplete_needs_one_id_per_function(gauss_model, k_catalog):
+    lifted = lift_family(gauss_model, peter_weyl_basis(k_catalog))
+    testset = [random_function(gauss_model.K, s) for s in range(3)]
+    with pytest.raises(ValueError, match="1 function ids for 3 test functions"):
+        check_K_semicomplete(lifted, k_catalog, unit_weights(1), testset, function_ids=["a"])
+
+
 def test_check_k_semicomplete_omitted_character(gauss_model, k_catalog):
     omit = OmissionSpec(omitted=("m:3",))
     xi = build_riemann_lebesgue_family(k_catalog, omit)

@@ -44,6 +44,21 @@ def test_import_grouplab_loads_neither_numpy_nor_a_submodule():
     assert loaded == []
 
 
+@pytest.mark.parametrize("test_set", ["random:count=4,seed=1", "random"])
+def test_load_config_draws_nothing(tmp_path, test_set):
+    # the weights and a random test set are read at load time, but numpy.random
+    # must load only once the Gram check has freed its slabs
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"group": "su2:j=2", "weights": "diag-reciprocal:seed=3", "test_set": test_set}))
+    loaded = fresh(
+        "import json, sys\n"
+        "from grouplab.config import load_config\n"
+        f"load_config({str(cfg)!r}, seed_override=5)\n"
+        "print(json.dumps('numpy.random' in sys.modules))\n"
+    )
+    assert loaded is False
+
+
 @pytest.mark.parametrize("name", grouplab.__all__)
 def test_every_public_name_is_its_submodules_own_object(name):
     obj = getattr(grouplab, name)

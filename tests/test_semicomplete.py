@@ -186,7 +186,17 @@ def test_choose_omissions_validation(sym3_catalog):
     with pytest.raises(ValueError):
         choose_omissions(sym3_catalog, [f], epsilon=0.0)
     with pytest.raises(ValueError):
+        choose_omissions(sym3_catalog, [f], epsilon=float("nan"))
+    with pytest.raises(ValueError):
         choose_omissions(sym3_catalog, [], epsilon=0.5)
+
+
+def test_semicompleteness_defect_needs_one_id_per_function(sym3_catalog):
+    # zip would drop the functions past the ids, and max_defect with them
+    fam = peter_weyl_basis(sym3_catalog)
+    testset = random_functions(sym3_catalog.group, 0, 3)
+    with pytest.raises(ValueError, match="1 function ids for 3 test functions"):
+        semicompleteness_defect(fam, unit_weights(2), sym3_catalog, testset, function_ids=["a"])
 
 
 def test_semi_fourier_unit_weights_complete(sym3, sym3_catalog):
