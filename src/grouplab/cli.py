@@ -199,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, default=None, help=(
+        p.add_argument("--seed", default=None, help=(
             "override the seed of diag-reciprocal weights and of a random:count=N test set "
             "(random:seed=S list entries keep theirs)"))
         p.add_argument("--tol", type=float, default=None, help="override config tolerance")

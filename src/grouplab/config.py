@@ -14,6 +14,7 @@ import itertools
 import json
 import os
 import tempfile
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,7 +34,7 @@ from .hilbert import (
 )
 from .iwasawa import an_grid_bytes
 from .semicomplete import SemicompletenessReport, validate_weights
-from .spec import ConfigError, is_finite, parse_params, parse_value, split_spec
+from .spec import ConfigError, integer, is_finite, parse_params, parse_value, split_spec
 
 
 class InvariantBreach(RuntimeError):
@@ -162,6 +163,8 @@ def load_config(
         isinstance(omit, list) and all(isinstance(k, str) for k in omit),
         "config 'omit' must be a list of label strings",
     )
+    repeated = sorted(k for k, count in Counter(omit).items() if count > 1)
+    _require(not repeated, f"config 'omit' repeats {', '.join(map(repr, repeated))}")
     if seed_override is not None:
         seed_override = parse_value(seed_override, _seed, "--seed")
 
@@ -271,7 +274,7 @@ def _weights_reader(spec, seed_override: int | None) -> Callable[[int], Expansio
 
 def _seed(text) -> int:
     """A seed, in a spec or from ``--seed``: an unsigned 64-bit integer."""
-    seed = int(text)
+    seed = integer(text)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} is not an unsigned 64-bit integer")
     return seed
@@ -304,17 +307,14 @@ def build_function(
         return f"random:{seed}", random_function(group, seed)
     if head == "member":
         _require(family is not None, "member function spec needs a family in context")
-        params = parse_params(rest, "member function", block=str, i=int, j=int)
+        params = parse_params(rest, "member function", block=str, i=integer, j=integer)
         _require(len(params) == 3, f"member spec {spec!r} needs block, i and j")
         blk, i, j = params["block"], params["i"], params["j"]
-        block_index = None
-        if blk.isdigit():
-            block_index = int(blk)
-        else:
-            for bi, b in enumerate(family.blocks):
-                if b.label == blk:
-                    block_index = bi
-                    break
+        labels = [b.label for b in family.blocks]
+        try:
+            block_index = labels.index(blk) if blk in labels else integer(blk)
+        except ValueError:
+            block_index = None
         _require(
             block_index is not None and 0 <= block_index < len(family.blocks),
             f"unknown block {blk!r}",
@@ -365,7 +365,7 @@ def build_test_set(
 
 def _random_test_set(rest: str, n_nodes: int, group_name: str, seed_override: int | None):
     """``(count, seed)`` of a 'random:count=N,seed=S' test set, checked against ``n_nodes``."""
-    params = parse_params(rest, "test set", count=int, seed=_seed)
+    params = parse_params(rest, "test set", count=integer, seed=_seed)
     count, seed = params.get("count", 16), params.get("seed", 0)
     _require(count >= 0, "test set count must be nonnegative")
     need = count * n_nodes * np.dtype(np.complex128).itemsize
@@ -387,11 +387,13 @@ _CONVERSIONS = {"i": "%d", "u": "%d", "f": "%.17g"}
 def write_csv(path: str | Path, header: list[str], blocks) -> None:
     """Write a header line and then every block of rows, a chunk at a time.
 
-    ``blocks`` is an iterable of column tuples, one column per header field,
-    all of one length; each block is converted with ``np.asarray`` and is
-    written as soon as it arrives, so a streamed export is never held whole.
-    Integer columns print with ``%d``, float columns with ``%.17g`` (the
-    digits of ``format(x, ".17g")``) and any other column with ``str()``.
+    ``blocks`` is an iterable whose blocks are each written as soon as they
+    arrive, so a streamed export is never held whole.  A ``str`` block is rows
+    already formatted, written as it is.  Any other block is a tuple of
+    columns, one per header field, all of one length, each converted with
+    ``np.asarray``: integer columns print with ``%d``, float columns with
+    ``%.17g`` (the digits of ``format(x, ".17g")``) and any other column with
+    ``str()``.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -401,6 +403,9 @@ def write_csv(path: str | Path, header: list[str], blocks) -> None:
 
 def _csv_chunks(blocks, n_fields: int):
     for block in blocks:
+        if isinstance(block, str):
+            yield block
+            continue
         cols = [np.asarray(c) for c in block]
         if len(cols) != n_fields or any(c.shape != cols[0].shape or c.ndim != 1 for c in cols):
             raise ValueError(f"a CSV block needs {n_fields} one-dimensional columns of one length")
@@ -442,19 +447,26 @@ def catalog_json_obj(cat: RepCatalog) -> dict:
     }
 
 
-def coefficient_grid_columns(cat: RepCatalog, label_key: str):
-    """CSV blocks (node, i, j, re, im) of one label's cached coefficient grid.
+def coefficient_grid_text(cat: RepCatalog, label_key: str):
+    """CSV rows (node,i,j,re,im) of one label's cached coefficient grid, as text
+    blocks for ``write_csv``.
 
     Rows run node-major, then i, then j; each block is a slab of whole nodes,
-    about ``CSV_CHUNK_ROWS`` rows, so no column is built for the whole grid.
+    about ``CSV_CHUNK_ROWS`` rows.  Only the floats are converted: the d^2 rows
+    of one node are one template with ``i,j`` as literal text, each node number
+    is stamped into it once, and one ``%`` fills a slab's template from a
+    contiguous copy of the slab read as interleaved (re, im) float64 pairs.
+    The bytes are those of ``%d`` and ``%.17g`` applied row by row.
     """
     grid = cat.grids[label_key]
     n, d, _ = grid.shape
+    # str(k).join(rows) is node k's text: k before each of the d^2 rows
+    rows = [""] + [f",{i},{j},%.17g,%.17g\n" for i in range(d) for j in range(d)]
     step = max(1, CSV_CHUNK_ROWS // (d * d))
     for start in range(0, n, step):
-        slab = grid[start:start + step]
-        node, i, j = np.indices(slab.shape, dtype=np.int32).reshape(3, -1)
-        yield node + start, i, j, slab.real.reshape(-1), slab.imag.reshape(-1)
+        slab = np.ascontiguousarray(grid[start:start + step])
+        template = "".join([str(k).join(rows) for k in range(start, start + len(slab))])
+        yield template % tuple(slab.view(np.float64).reshape(-1).tolist())
 
 
 def _sample_columns(values: np.ndarray):

@@ -92,5 +92,5 @@ def _write_coefficients(cat: RepCatalog, out_dir: Path, name: str, labels) -> No
         config.write_csv(
             Path(out_dir) / f"{name}_coeffs_{lab.key.replace(':', '-')}.csv",
             ["node", "i", "j", "re", "im"],
-            config.coefficient_grid_columns(cat, lab.key),
+            config.coefficient_grid_text(cat, lab.key),
         )

@@ -25,7 +25,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .spec import ConfigError, parse_params, parse_value, split_spec, steps_of
+from .spec import ConfigError, integer, parse_params, parse_value, real, split_spec, steps_of
 
 TWO_PI = 2.0 * math.pi
 
@@ -242,10 +242,10 @@ def _parse_group_spec(spec: str) -> tuple[str, tuple]:
     """``(head, constructor arguments)`` of a group spec."""
     head, rest = split_spec(spec)
     if head in _SIZED:
-        return head, (parse_value(rest, int, f"{head} size"),)
+        return head, (parse_value(rest, integer, f"{head} size"),)
     if head != "su2":
         raise ConfigError(f"unsupported group spec {spec!r}")
-    params = parse_params(rest, "su2", j=float, quad=int)
+    params = parse_params(rest, "su2", j=real, quad=integer)
     if "j" not in params:
         raise ConfigError("su2 spec needs j=<spin>")
     return head, (params["j"], params.get("quad"))

@@ -44,7 +44,7 @@ from .hilbert import (
     OrthonormalFamily,
 )
 from .semicomplete import SemicompletenessReport, semicompleteness_defect
-from .spec import ConfigError, parse_params, split_spec
+from .spec import ConfigError, parse_params, real, split_spec
 
 
 @dataclass(eq=False)
@@ -129,7 +129,7 @@ def make_iwasawa_model(
         parse_params(rest, "uniform profile")
         raw = np.zeros(a_size * n_size, dtype=np.complex128)
     elif head == "gauss":
-        sigma = parse_params(rest, "gauss profile", sigma=float).get("sigma", 1.0)
+        sigma = parse_params(rest, "gauss profile", sigma=real).get("sigma", 1.0)
         if sigma <= 0:
             raise ConfigError(f"gauss profile needs sigma > 0, got {sigma}")
         raw = (-(aa**2 + nn**2) / (4.0 * sigma * sigma)).reshape(-1).astype(np.complex128)

@@ -6,11 +6,13 @@ comma-separated ``key=value`` parts with case-insensitive keys, each value
 converted by the type the head declares for its key.  Empty parts are
 skipped; an unknown key, a part without ``=`` or a bad value is a
 ``ConfigError``.  ``is_finite`` and ``steps_of`` are the one finite-number
-and the one multiple-of-a-step rule that every config value obeys.
+and the one multiple-of-a-step rule that every config value obeys;
+``integer`` and ``real`` read every number a spec holds, in ASCII only.
 """
 from __future__ import annotations
 
 import numbers
+import re
 import sys
 
 
@@ -42,6 +44,28 @@ def steps_of(value, per_unit: int) -> int | None:
         return None
     steps = per_unit * value
     return int(steps) if steps % 1 == 0 else None   # an overflow to inf leaves NaN
+
+
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def integer(text) -> int:
+    """The integer ``text`` spells in ASCII digits, with an optional leading '-'
+    (a Python int, as a library caller may pass for a seed, spells itself).
+
+    Python's ``int`` also reads other scripts' digits, '_' separators, a '+'
+    and surrounding spaces, which would let ``zn:1_2`` run as ``zn:12``.
+    """
+    if not _INTEGER.fullmatch(str(text)):
+        raise ValueError("an integer is ASCII digits with an optional leading '-'")
+    return int(text)
+
+
+def real(text: str) -> float:
+    """``float(text)`` of ASCII text with no '_' separator."""
+    if not text.isascii() or "_" in text:
+        raise ValueError("a number is ASCII text with no '_'")
+    return float(text)
 
 
 def parse_value(text: str, kind, what: str):

@@ -552,6 +552,12 @@ def test_write_csv_numpy_scalar_and_str_columns(tmp_path):
     assert path.read_text().split("\n")[1] == "random:0,-5,1,0.10000000000000001,0.10000000149011612"
 
 
+def test_write_csv_writes_text_blocks_as_they_are(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(path, ["k", "x"], ["0,0.5\n", (np.array([1]), np.array([0.25])), "2,x\n"])
+    assert path.read_bytes() == b"k,x\n0,0.5\n1,0.25\n2,x\n"
+
+
 @pytest.mark.parametrize("blocks", [[], [([], np.array([], dtype=float))]])
 def test_write_csv_header_only(tmp_path, blocks):
     path = tmp_path / "out.csv"
@@ -591,34 +597,42 @@ def test_write_csv_rejects_ragged_block(tmp_path, block):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_cmd_catalog_dump_bytes_match_per_row_format(tmp_path):
-    cfg = write_config(tmp_path, group="su2:j=1", dump_coefficients=True)
-    assert main(["catalog", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    cat = build_catalog(make_group("su2:j=1"))
-    assert len(cat.labels) == 3
-    for lab in cat.labels:
-        grid = cat.grids[lab.key]
-        n, d, _ = grid.shape
-        rows = (
-            (k, i, j, float(grid[k, i, j].real), float(grid[k, i, j].imag))
-            for k in range(n)
-            for i in range(d)
-            for j in range(d)
-        )
-        path = tmp_path / f"exp_coeffs_{lab.key.replace(':', '-')}.csv"
-        assert path.read_bytes() == _per_row_bytes(["node", "i", "j", "re", "im"], rows)
+def _grid_rows(grid):
+    n, d, _ = grid.shape
+    return (
+        (k, i, j, float(grid[k, i, j].real), float(grid[k, i, j].imag))
+        for k in range(n)
+        for i in range(d)
+        for j in range(d)
+    )
 
 
-def test_coefficient_grid_columns_stream_node_slabs(monkeypatch):
+def test_cmd_catalog_dump_bytes_match_per_row_format(tmp_path, monkeypatch):
+    # a small chunk makes every dump cross chunk boundaries; circle:64 adds
+    # negative frequencies and multi-digit node numbers, dihedral:5 degrees 1 and 2
+    monkeypatch.setattr(cfgmod, "CSV_CHUNK_ROWS", 20)
+    for group, n_labels in [("su2:j=1", 3), ("circle:64", 63), ("dihedral:5", 4)]:
+        out = tmp_path / group.replace(":", "-")
+        cfg = write_config(tmp_path, group=group, dump_coefficients=True)
+        assert main(["catalog", "--config", str(cfg), "--out", str(out)]) == 0
+        cat = build_catalog(make_group(group))
+        assert len(cat.labels) == n_labels
+        for lab in cat.labels:
+            path = out / f"exp_coeffs_{lab.key.replace(':', '-')}.csv"
+            want = _per_row_bytes(["node", "i", "j", "re", "im"], _grid_rows(cat.grids[lab.key]))
+            assert path.read_bytes() == want
+
+
+def test_coefficient_grid_text_streams_node_slabs(monkeypatch):
     # 20 rows per chunk hold two whole j=1 nodes (9 rows each); 75 nodes leave a remainder
     monkeypatch.setattr(cfgmod, "CSV_CHUNK_ROWS", 20)
     cat = build_catalog(make_group("su2:j=1"))
-    grid = cat.grids["j:1"]
-    blocks = list(cfgmod.coefficient_grid_columns(cat, "j:1"))
-    assert [len(b[0]) for b in blocks] == [18] * 37 + [9]
-    whole = (*np.indices(grid.shape).reshape(3, -1), grid.real.reshape(-1), grid.imag.reshape(-1))
-    for got, want in zip(zip(*blocks), whole):
-        assert np.array_equal(np.concatenate(got), want)
+    chunks = list(cfgmod.coefficient_grid_text(cat, "j:1"))
+    assert [chunk.count("\n") for chunk in chunks] == [18] * 37 + [9]
+    assert [chunk.split(",", 3)[:3] for chunk in chunks] == [[str(2 * k), "0", "0"] for k in range(38)]
+    header = ["node", "i", "j", "re", "im"]
+    text = ",".join(header) + "\n" + "".join(chunks)
+    assert text.encode() == _per_row_bytes(header, _grid_rows(cat.grids["j:1"]))
 
 
 @pytest.mark.parametrize(
@@ -741,6 +755,7 @@ BAD_INPUTS = {
     "test-set-seed-beyond-64-bits": ("parseval", dict(test_set="random:count=2,seed=18446744073709551616")),
     "unknown-omitted-label": ("parseval", dict(omit=["irrep:9"])),
     "every-label-omitted": ("parseval", dict(omit=["irrep:0", "irrep:1", "irrep:2"])),
+    "repeated-omitted-label": ("parseval", dict(group="zn:6", omit=["irrep:1", "irrep:2", "irrep:1"])),
     "infinite-table-weight": ("semicomplete", dict(weights="table:{tmp}/inf.json")),
     "zero-table-weight": ("semicomplete", dict(weights="table:{tmp}/zero.json")),
     "boolean-table-weight": ("semicomplete", dict(weights="table:{tmp}/bool.json")),
@@ -781,6 +796,7 @@ BLAMED = {
     "boolean-table-weight": "cannot read complex value from True",
     "nan-iwasawa-truncation": "'iwasawa.truncation': truncation for circle:16 must be a finite number",
     "name-up-a-directory": "config 'name' must be a nonempty string with no path separator",
+    "repeated-omitted-label": "config 'omit' repeats 'irrep:1'",
 }
 
 
@@ -824,6 +840,16 @@ def test_spec_seed_and_seed_flag_share_the_unsigned_64_bit_rule(tmp_path, capsys
         assert ("config error" in err) == (code == 2)
         # the seed rule's reason reaches the message, for --seed as for a spec seed
         assert (f"seed {seed} is not an unsigned 64-bit integer" in err) == (code == 2)
+
+
+@pytest.mark.parametrize("flag", ["1_0", "+1", " 1", "\u0663"])
+def test_seed_flag_takes_ascii_digits_only(tmp_path, capsys, flag):
+    # int() reads each of these; the seed rule reads ASCII digits alone
+    cfg = write_config(tmp_path, group="zn:4", test_set="random:count=2,seed=0")
+    out = tmp_path / "out"
+    assert main(["parseval", "--config", str(cfg), "--out", str(out), "--seed", flag]) == 2
+    assert f"bad --seed {flag!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -1033,9 +1059,9 @@ def test_random_test_set_limit_is_the_physical_memory(monkeypatch):
 
 
 def test_random_test_set_beyond_physical_memory_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
-    # sym:3's 576 B store fits and its 100 test functions (9600 B) do not, so the
-    # test set is refused after the catalog is built, before anything is written;
-    # the limit is patched because an unchecked test set grows until memory runs out
+    # sym:3's 576 B store fits and its 100 test functions (9600 B) do not, so
+    # load_config refuses the test set before any catalog is built; the limit
+    # is patched because an unchecked test set grows until memory runs out
     monkeypatch.setattr(cfgmod, "physical_memory_bytes", lambda: 100 * 6 * 16 - 1)
     cfg = write_config(tmp_path, test_set="random:count=100,seed=0")
     out = tmp_path / "out"

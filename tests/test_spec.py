@@ -97,7 +97,36 @@ BAD_SPECS = [
     ("test_set", "random:count=2,sed=9"),
     ("test_set", "random:count=two"),
     ("test_set", "members:count=2"),
+    # spec numbers are ASCII: int() and float() would also read these
+    ("group", "zn:\u0663"),
+    ("group", "zn:1_2"),
+    ("group", "zn:+12"),
+    ("group", "su2:j=1_0"),
+    ("group", "su2:j=\u0661"),
+    ("group", "su2:j=1,quad=1_0"),
+    ("profile", "gauss:sigma=0_5"),
+    ("weights", "diag-reciprocal:seed=+4"),
+    ("function", "random:seed=1_0"),
+    ("function", "member:block=0,i=\u0660,j=0"),
+    ("function", "member:block=\u00b2,i=0,j=0"),
+    ("test_set", "random:count=\u0663"),
 ]
+
+#: The value each ASCII-number case's message names.
+NAMED = {
+    "zn:\u0663": "'\u0663'",
+    "zn:1_2": "'1_2'",
+    "zn:+12": "'+12'",
+    "su2:j=1_0": "'1_0'",
+    "su2:j=\u0661": "'\u0661'",
+    "su2:j=1,quad=1_0": "'1_0'",
+    "gauss:sigma=0_5": "'0_5'",
+    "diag-reciprocal:seed=+4": "'+4'",
+    "random:seed=1_0": "'1_0'",
+    "member:block=0,i=\u0660,j=0": "'\u0660'",
+    "member:block=\u00b2,i=0,j=0": "'\u00b2'",
+    "random:count=\u0663": "'\u0663'",
+}
 
 
 def _build(kind, text):
@@ -116,8 +145,9 @@ def _build(kind, text):
 
 @pytest.mark.parametrize("kind, text", BAD_SPECS)
 def test_bad_spec_raises_config_error(kind, text):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as info:
         _build(kind, text)
+    assert NAMED.get(text, "") in str(info.value)
 
 
 def _cli_case(kind, text):
@@ -140,12 +170,13 @@ def _cli_case(kind, text):
 
 
 @pytest.mark.parametrize("kind, text", BAD_SPECS)
-def test_bad_spec_exits_2_and_writes_nothing(tmp_path, kind, text):
+def test_bad_spec_exits_2_and_writes_nothing(tmp_path, capsys, kind, text):
     command, fields = _cli_case(kind, text)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"name": "exp", "group": "sym:3", **fields}))
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert NAMED.get(text, "") in capsys.readouterr().err
     assert not out.exists() or list(out.iterdir()) == []
 
 
