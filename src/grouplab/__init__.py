@@ -37,6 +37,7 @@ _PUBLIC = {
         "ExpansionWeights",
         "L2Function",
         "OrthonormalFamily",
+        "TestSet",
         "coefficients",
         "diag_reciprocal_weights",
         "expand",

@@ -57,10 +57,10 @@ def _require(name: str, residual: float, group, tol: float | None = None) -> Non
 
 
 def _analysis(cfg: ExperimentConfig):
-    """The catalog, the family and the test set (ids, functions, descriptor)
-    of an analysis command.  The family keeps every label not in ``omit``
-    (Peter-Weyl when none) and is checked to be orthonormal within the tolerance; the
-    check streams its Gram matrix and keeps none of it."""
+    """The catalog, the family and the ``TestSet`` of an analysis command.
+    The family keeps every label not in ``omit`` (Peter-Weyl when none) and is
+    checked to be orthonormal within the tolerance; the check streams its Gram
+    matrix and keeps none of it, and the test set is built only after it."""
     group = make_group(cfg.group_spec)
     cat = build_catalog(group, truncation=cfg.truncation)
     family = build_riemann_lebesgue_family(cat, OmissionSpec(omitted=cfg.omit))
@@ -72,17 +72,17 @@ def _analysis(cfg: ExperimentConfig):
 def _bessel_columns(cfg: ExperimentConfig):
     """Columns (fn ids, ||f||^2, sum |<f, chi>|^2, defect) over the test set.
 
-    The test set is stacked once and its coefficients come from one kernel call.
+    The coefficients of the test set's whole array come from one kernel call.
     """
-    _, family, (ids, fns, _) = _analysis(cfg)
-    coeffs = coefficients(fns, family)
-    norm_sq = np.array([f.norm_sq() for f in fns], dtype=float)
+    _, family, test_set = _analysis(cfg)
+    coeffs = coefficients(test_set, family)
+    norm_sq = test_set.norm_sq()
     # the kernel returns coeffs in Fortran order; C-ordered rows keep each row's
     # pairwise summation, so the sums equal the per-row np.sum bit for bit
     coeff_sum = np.sum(np.abs(coeffs, order="C") ** 2, axis=1)
     defect = norm_sq - coeff_sum
     _require("bessel", float(np.max(-defect, initial=-np.inf)), family.group)
-    return ids, norm_sq, coeff_sum, defect
+    return test_set.ids, norm_sq, coeff_sum, defect
 
 
 def cmd_catalog(cfg: ExperimentConfig) -> int:
@@ -106,16 +106,9 @@ def cmd_parseval(cfg: ExperimentConfig) -> int:
 
 
 def cmd_semicomplete(cfg: ExperimentConfig) -> int:
-    cat, family, (ids, fns, descriptor) = _analysis(cfg)
-    weights = cfg.weights(family.max_block_size)
+    cat, family, test_set = _analysis(cfg)
     report = semicompleteness_defect(
-        family,
-        weights,
-        cat,
-        fns,
-        epsilon=cfg.epsilon,
-        test_set_name=descriptor,
-        function_ids=ids,
+        family, cfg.weights(family.max_block_size), cat, test_set, epsilon=cfg.epsilon
     )
     cfgmod.write_json(
         cfg.out_dir / f"{cfg.name}_semicomplete.json", cfgmod.report_json_obj(report)
@@ -202,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--seed", default=None, help=(
             "override the seed of diag-reciprocal weights and of a random:count=N test set "
             "(random:seed=S list entries keep theirs)"))
-        p.add_argument("--tol", type=float, default=None, help="override config tolerance")
+        p.add_argument("--tol", default=None, help="override config tolerance")
     args = parser.parse_args(argv)
 
     try:

@@ -25,16 +25,15 @@ from .catalog import RepCatalog, store_bytes
 from .groups import GroupModel, grid_shape
 from .hilbert import (
     ExpansionWeights,
-    L2Function,
     OrthonormalFamily,
+    TestSet,
     diag_reciprocal_weights,
-    random_function,
     random_functions,
     unit_weights,
 )
 from .iwasawa import an_grid_bytes
 from .semicomplete import SemicompletenessReport, validate_weights
-from .spec import ConfigError, integer, is_finite, parse_params, parse_value, split_spec
+from .spec import ConfigError, integer, is_finite, parse_params, parse_value, real, split_spec
 
 
 class InvariantBreach(RuntimeError):
@@ -139,7 +138,7 @@ def load_config(
     path: str | Path,
     out_override: str | None = None,
     seed_override: int | None = None,
-    tol_override: float | None = None,
+    tol_override: str | float | None = None,
 ) -> ExperimentConfig:
     path = Path(path)
     _require(path.is_file(), f"config file not found: {path}")
@@ -174,8 +173,8 @@ def load_config(
     if isinstance(test_set, str) and split_spec(test_set)[0] == "random":   # sized now, drawn later
         _random_test_set(split_spec(test_set)[1], grid_shape(group_spec)[1], group_spec, seed_override)
 
-    tol = tol_override if tol_override is not None else raw.get("tol")
-    _require_positive(tol, "'tol'")
+    tol = raw.get("tol") if tol_override is None else parse_value(str(tol_override), real, "--tol")
+    _require_positive(tol, "'tol'" if tol_override is None else "--tol")
     epsilon = raw.get("epsilon")
     _require_positive(epsilon, "'epsilon'")
 
@@ -293,74 +292,66 @@ def _complex_table(obj, depth: int):
     return complex(*parts)
 
 
-def build_function(
-    spec: str, group: GroupModel, family: OrthonormalFamily | None = None
-) -> tuple[str, L2Function]:
-    """Parse a single-function spec.
-
-    Forms: 'random:seed=S', 'member:block=B,i=I,j=J' (B is a block index or
-    label), 'samples:PATH' (CSV with node,re,im rows).
-    """
-    head, rest = split_spec(spec)
-    if head == "random":
-        seed = parse_params(rest, "function", seed=_seed).get("seed", 0)
-        return f"random:{seed}", random_function(group, seed)
-    if head == "member":
-        _require(family is not None, "member function spec needs a family in context")
-        params = parse_params(rest, "member function", block=str, i=integer, j=integer)
-        _require(len(params) == 3, f"member spec {spec!r} needs block, i and j")
-        blk, i, j = params["block"], params["i"], params["j"]
-        labels = [b.label for b in family.blocks]
-        try:
-            block_index = labels.index(blk) if blk in labels else integer(blk)
-        except ValueError:
-            block_index = None
-        _require(
-            block_index is not None and 0 <= block_index < len(family.blocks),
-            f"unknown block {blk!r}",
-        )
-        b = family.blocks[block_index]
-        _require(0 <= i < b.size and 0 <= j < b.size, f"member index out of range in {spec!r}")
-        return f"member:{b.label}[{i}][{j}]", family.member(block_index, i, j)
-    if head == "samples":
-        return f"samples:{rest}", l2_from_csv(group, rest)
-    raise ConfigError(f"unknown function spec {spec!r}")
-
-
 def build_test_set(
     spec,
     group: GroupModel,
     family: OrthonormalFamily | None = None,
     seed_override: int | None = None,
-) -> tuple[list[str], list[L2Function], str]:
-    """Parse a test-set spec into (ids, functions, descriptor).
+) -> TestSet:
+    """Parse a test-set spec into a ``TestSet``, its (F, n_nodes) array filled in place.
 
     Forms: 'random:count=N,seed=S', 'members', 'samples:PATH' (CSV with
-    fn,node,re,im rows), or a JSON list of single-function specs.
+    fn,node,re,im rows), or a JSON list of single-function specs, each
+    written into its own row: 'random:seed=S', 'member:block=B,i=I,j=J' (B is
+    a block index or label), 'samples:PATH' (CSV with node,re,im rows).
     ``seed_override`` replaces only the seed of the 'random:count=N,seed=S'
     form; the 'random:seed=S' entries of a list keep theirs.
     """
     if isinstance(spec, list):
-        ids, fns = [], []
-        for s in spec:
-            fid, f = build_function(s, group, family)
-            ids.append(fid)
-            fns.append(f)
-        return ids, fns, f"list:{len(spec)}"
+        values = np.empty((len(spec), group.n_nodes), dtype=np.complex128)
+        ids = [_write_function(s, group, family, row) for s, row in zip(spec, values)]
+        return TestSet(group, values, ids, f"list:{len(spec)}")
     head, rest = split_spec(spec)
     if head == "random":
         count, seed = _random_test_set(rest, group.n_nodes, group.name, seed_override)
         ids = [f"random:{k}" for k in range(count)]
-        return ids, random_functions(group, seed, count), f"random:count={count},seed={seed}"
+        return TestSet(group, random_functions(group, seed, count), ids, f"random:count={count},seed={seed}")
     if head == "members":
         parse_params(rest, "members test set")
         _require(family is not None, "'members' test set needs a family in context")
-        fns = [family.member_flat(k) for k in range(family.n_members)]
-        return _member_ids(family), fns, "members"
+        return TestSet(group, family.members * family.scale[:, None], _member_ids(family), "members")
     if head == "samples":
-        ids, fns = functions_from_csv(group, rest)
-        return ids, fns, f"samples:{rest}"
+        ids, values = _read_samples(group, rest, named=True)
+        return TestSet(group, values, ids, f"samples:{rest}")
     raise ConfigError(f"unknown test set spec {spec!r}")
+
+
+def _write_function(spec, group: GroupModel, family: OrthonormalFamily | None, row: np.ndarray) -> str:
+    """Write the function of one list entry's spec into ``row``; return its id."""
+    head, rest = split_spec(spec)
+    if head == "random":
+        seed = parse_params(rest, "function", seed=_seed).get("seed", 0)
+        row[:] = random_functions(group, seed, 1)[0]
+        return f"random:{seed}"
+    if head == "member":
+        _require(family is not None, "member function spec needs a family in context")
+        params = parse_params(rest, "member function", block=str, i=integer, j=integer)
+        _require(len(params) == 3, f"member spec {spec!r} needs block, i and j")
+        blk, i, j = params["block"], params["i"], params["j"]
+        try:
+            block_index = family.labels.index(blk) if blk in family.labels else integer(blk)
+        except ValueError:
+            block_index = None
+        _require(block_index is not None and 0 <= block_index < len(family.blocks), f"unknown block {blk!r}")
+        b = family.blocks[block_index]
+        _require(0 <= i < b.size and 0 <= j < b.size, f"member index out of range in {spec!r}")
+        k = family.flat_index(block_index, i, j)
+        np.multiply(family.scale[k], family.members[k], out=row)
+        return f"member:{b.label}[{i}][{j}]"
+    if head == "samples":
+        _read_samples(group, rest, named=False, out=row[None])
+        return f"samples:{rest}"
+    raise ConfigError(f"unknown function spec {spec!r}")
 
 
 def _random_test_set(rest: str, n_nodes: int, group_name: str, seed_override: int | None):
@@ -469,61 +460,39 @@ def coefficient_grid_text(cat: RepCatalog, label_key: str):
         yield template % tuple(slab.view(np.float64).reshape(-1).tolist())
 
 
-def _sample_columns(values: np.ndarray):
-    return np.arange(len(values)), values.real, values.imag
+def _read_samples(group: GroupModel, path, named: bool, out: np.ndarray | None = None):
+    """The ids and the (F, n_nodes) values of the functions in a CSV of
+    ``[fn,]node,re,im`` rows, the values written into ``out`` when it is given.
 
-
-def l2_to_csv(f: L2Function, path: str | Path) -> None:
-    write_csv(path, ["node", "re", "im"], [_sample_columns(f.values)])
-
-
-def l2_from_csv(group: GroupModel, path: str | Path) -> L2Function:
-    """The function in a CSV of node,re,im rows, one row per node."""
-    return _samples_from_csv(group, path, named=False)[""]
-
-
-def functions_to_csv(ids: list[str], fns: list[L2Function], path: str | Path) -> None:
-    write_csv(path, ["fn", "node", "re", "im"], _labelled_samples(ids, (f.values for f in fns)))
-
-
-def _labelled_samples(ids, rows):
-    """One (id, node, re, im) block per sample row, streamed."""
-    for fid, values in zip(ids, rows):
-        yield (np.full(len(values), fid, dtype=object), *_sample_columns(values))
-
-
-def functions_from_csv(group: GroupModel, path: str | Path) -> tuple[list[str], list[L2Function]]:
-    """The functions in a CSV of fn,node,re,im rows, one row per function and node."""
-    by_id = _samples_from_csv(group, path, named=True)
-    return list(by_id), list(by_id.values())
-
-
-def _samples_from_csv(group: GroupModel, path: str | Path, named: bool) -> dict[str, L2Function]:
-    """Functions by id from ``[fn,]node,re,im`` rows; without the fn column the
-    file holds one function, with id "".  Every function must give each node
-    exactly once: a missing or repeated node index is a ConfigError."""
+    Without the fn column the file holds one function, with id "".  A first
+    pass finds the ids, in order of first appearance, so that the second can
+    write each row of values in place.  Every function must give each node
+    exactly once: a missing or repeated node index is a ConfigError, and a
+    node index is an integer by the spec rule.
+    """
     path = Path(path)
     _require(path.is_file(), f"samples file not found: {path}")
+    header = ["fn", "node", "re", "im"] if named else ["node", "re", "im"]
+    ids = list(dict.fromkeys(row[0] for row in _read_csv_rows(path, header))) if named else [""]
+    row_of = {fid: k for k, fid in enumerate(ids)}
+    if out is None:
+        out = np.empty((len(ids), group.n_nodes), dtype=np.complex128)
+    out.fill(np.nan)    # NaN marks a node not read yet: every sample read is finite
 
     def where(fid: str) -> str:
         return f"function {fid!r} of {path}" if named else str(path)
 
-    by_id: dict[str, np.ndarray] = {}
-    if not named:
-        by_id[""] = np.full(group.n_nodes, np.nan, np.complex128)
-    for row in _read_csv_rows(path, ["fn", "node", "re", "im"] if named else ["node", "re", "im"]):
+    for row in _read_csv_rows(path, header):
         fid = row[0] if named else ""
-        if fid not in by_id:
-            by_id[fid] = np.full(group.n_nodes, np.nan, np.complex128)
-        k = parse_value(row[-3], int, f"node index in {path}")
+        values = out[row_of[fid]]
+        k = parse_value(row[-3], integer, f"node index in {path}")
         _require(0 <= k < group.n_nodes, f"node index {k} out of range in {path}")
-        # NaN marks a node not read yet: every sample read is finite
-        _require(np.isnan(by_id[fid][k]), f"node index {k} repeated in {where(fid)}")
-        by_id[fid][k] = _parse_sample(row[-2], row[-1], path)
-    for fid, values in by_id.items():
+        _require(np.isnan(values[k]), f"node index {k} repeated in {where(fid)}")
+        values[k] = _parse_sample(row[-2], row[-1], path)
+    for fid, values in zip(ids, out):
         missing = int(np.count_nonzero(np.isnan(values)))
         _require(not missing, f"{where(fid)} misses {missing} of {group.n_nodes} nodes")
-    return {fid: L2Function(group, values) for fid, values in by_id.items()}
+    return ids, out
 
 
 def _parse_sample(re: str, im: str, path) -> complex:

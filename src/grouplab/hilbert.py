@@ -2,6 +2,7 @@
 
 Functions are complex vectors on the group's quadrature grid; "closed span"
 statements from the continuous theory become span statements on the grid.
+A finite test set of F functions is one ``TestSet``, an (F, n_nodes) array.
 Orthonormal families are stored as a dense member matrix, one real scale per
 member row, and one ``FamilyBlock`` (label, square size, flat offset) per
 block, with the flat order fixed as: blocks in catalog order, row-major
@@ -24,6 +25,7 @@ import numpy as np
 
 from . import _kernels
 from .groups import GroupModel, require_same_group
+from .spec import ConfigError
 
 _GRAM = {"finite": 1e-12, "circle": 1e-8, "su2": 1e-8}  # finite groups are exact up to rounding
 #: Every tolerance that decides a claim, by invariant name: one value, or one
@@ -87,31 +89,73 @@ class L2Function:
     __rmul__ = __mul__
 
 
-def zero_function(group: GroupModel) -> L2Function:
-    return L2Function(group, np.zeros(group.n_nodes, dtype=np.complex128))
-
-
 def random_functions(
     group: GroupModel, seed: int, count: int, normalize: bool = True
-) -> list[L2Function]:
-    """``count`` seeded random functions: complex standard-normal node values, normalized.
+) -> np.ndarray:
+    """(count, n_nodes) seeded random node values: complex standard normal, each row normalized.
 
-    The functions are consecutive draws from one generator, so the first is
-    ``random_function(group, seed)``.
+    The rows are consecutive draws from one generator, each filled in place
+    (its real part, then its imaginary part, then its scaling), so row 0 holds
+    the values of ``random_function(group, seed)``.
     """
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        v = rng.standard_normal(group.n_nodes) + 1j * rng.standard_normal(group.n_nodes)
-        f = L2Function(group, v)
-        n = f.norm() if normalize else 0.0
-        out.append(f * (1.0 / n) if n > 0 else f)
+    out = np.empty((count, group.n_nodes), dtype=np.complex128)
+    for row in out:
+        row.real = rng.standard_normal(group.n_nodes)
+        row.imag = rng.standard_normal(group.n_nodes)
+        n = L2Function(group, row).norm() if normalize else 0.0
+        if n > 0:
+            row *= 1.0 / n
     return out
 
 
 def random_function(group: GroupModel, seed: int, normalize: bool = True) -> L2Function:
     """Seeded random function: complex standard-normal node values, normalized."""
-    return random_functions(group, seed, 1, normalize)[0]
+    return L2Function(group, random_functions(group, seed, 1, normalize)[0])
+
+
+@dataclass(eq=False)
+class TestSet:
+    """A finite test set: F functions as the rows of one C-ordered
+    (F, n_nodes) complex array, one id per row, and a descriptor of its spec.
+
+    It is nonempty (an empty one is a ConfigError) and its values are finite;
+    ``ids`` defaults to ``fn:<k>``.  Row k is the function ``function(k)``.
+    """
+
+    __test__ = False    # a library type, not a pytest test class
+
+    group: GroupModel
+    values: np.ndarray
+    ids: tuple[str, ...] | None = None
+    descriptor: str = "explicit"
+
+    def __post_init__(self):
+        self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
+        n_fns = len(self.values)
+        self.ids = tuple(f"fn:{k}" for k in range(n_fns)) if self.ids is None else tuple(self.ids)
+        if self.values.ndim != 2 or self.values.shape[1] != self.group.n_nodes:
+            raise ValueError(
+                f"a test set needs (F, {self.group.n_nodes}) node values, got {self.values.shape}"
+            )
+        if not n_fns:
+            raise ConfigError("a test set must be nonempty")
+        if len(self.ids) != n_fns:
+            raise ValueError(f"{len(self.ids)} function ids for {n_fns} test functions")
+        if not np.isfinite(self.values).all():
+            raise ValueError("test set values must be finite (no NaN or infinity)")
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def function(self, k: int) -> L2Function:
+        """Row k as an ``L2Function``, a view of the row."""
+        return L2Function(self.group, self.values[k])
+
+    def norm_sq(self) -> np.ndarray:
+        """(F,) squared norms, each the float ``L2Function.norm_sq`` gives its row."""
+        w = self.group.weights
+        return np.array([np.dot(w, np.abs(row) ** 2) for row in self.values], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -268,17 +312,11 @@ def inner(f: L2Function, h: L2Function) -> complex:
 def coefficients(f, family: OrthonormalFamily) -> np.ndarray:
     """<f, chi> for every family member, in the family's flat order.
 
-    ``f`` is one function, giving (n_members,), or a list of F functions,
-    stacked into one kernel call that gives (F, n_members).
+    ``f`` is one ``L2Function``, giving (n_members,), or a ``TestSet`` of F
+    functions, giving (F, n_members) from one kernel call on its array.
     """
-    if isinstance(f, L2Function):
-        fns, values = [f], f.values
-    else:
-        fns = list(f)
-        values = np.reshape([fn.values for fn in fns], (len(fns), family.group.n_nodes))
-    for fn in fns:
-        require_same_group(fn.group, family.group)
-    out = _kernels.coefficients_against(family.members, family.group.weights, values)
+    require_same_group(f.group, family.group)
+    out = _kernels.coefficients_against(family.members, family.group.weights, f.values)
     out *= family.scale
     return out
 

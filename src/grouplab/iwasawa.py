@@ -38,11 +38,7 @@ import numpy as np
 
 from .catalog import RepCatalog
 from .groups import GroupModel, make_group, same_group
-from .hilbert import (
-    ExpansionWeights,
-    L2Function,
-    OrthonormalFamily,
-)
+from .hilbert import ExpansionWeights, L2Function, OrthonormalFamily, TestSet
 from .semicomplete import SemicompletenessReport, semicompleteness_defect
 from .spec import ConfigError, parse_params, real, split_spec
 
@@ -209,22 +205,12 @@ def check_K_semicomplete(
     lifted: LiftedFamily,
     cat_k: RepCatalog,
     weights: ExpansionWeights,
-    testset: list[L2Function],
+    testset: TestSet,
     epsilon: float | None = None,
-    test_set_name: str = "explicit",
-    function_ids: list[str] | None = None,
 ) -> SemicompletenessReport:
-    """Semicompleteness defect of the lifted family's restriction to K."""
-    restricted = lifted.restrict_to_k()
-    return semicompleteness_defect(
-        restricted,
-        weights,
-        cat_k,
-        testset,
-        epsilon=epsilon,
-        test_set_name=test_set_name,
-        function_ids=function_ids,
-    )
+    """Semicompleteness defect of the lifted family's restriction to K, over a
+    test set on K."""
+    return semicompleteness_defect(lifted.restrict_to_k(), weights, cat_k, testset, epsilon=epsilon)
 
 
 def reproduction_residual(

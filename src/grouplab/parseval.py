@@ -72,12 +72,6 @@ def zero_sequence(family: OrthonormalFamily) -> MatrixSequence:
     return MatrixSequence(family.blocks, np.zeros(family.n_members, dtype=np.complex128))
 
 
-def basis_sequence(family: OrthonormalFamily, label: str, i: int, j: int) -> MatrixSequence:
-    seq = zero_sequence(family)
-    seq.matrix(label)[i, j] = 1.0
-    return seq
-
-
 def hs_inner(a: MatrixSequence, b: MatrixSequence) -> complex:
     """Hilbert-Schmidt inner product sum_alpha tr(a(alpha) b(alpha)^*)."""
     if a.blocks != b.blocks:

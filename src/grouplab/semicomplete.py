@@ -20,6 +20,7 @@ from .hilbert import (
     ExpansionWeights,
     L2Function,
     OrthonormalFamily,
+    TestSet,
     coefficients,
     expand,
     tolerance,
@@ -46,12 +47,13 @@ def build_riemann_lebesgue_family(cat: RepCatalog, omit: OmissionSpec) -> Orthon
     return _sqrt_degree_family(cat, retained)
 
 
-def _label_tails(fns: list[L2Function], cat: RepCatalog) -> np.ndarray:
-    """(n_fns, n_labels): sqrt(d) * sum_ij |fhat_ij| = d * sum_ij |<f, u_ij>|
-    per function and catalog label, from one stacked coefficient call."""
+def _label_tails(fns: TestSet | L2Function, cat: RepCatalog) -> np.ndarray:
+    """sqrt(d) * sum_ij |fhat_ij| = d * sum_ij |<f, u_ij>| per catalog label:
+    (F, n_labels) for a test set, (n_labels,) for one function, from one
+    coefficient call."""
     fhat = np.abs(coefficients(fns, peter_weyl_basis(cat)))
     offsets = [b.offset for b in cat.blocks]
-    return np.add.reduceat(fhat, offsets, axis=1) * np.sqrt([b.size for b in cat.blocks])
+    return np.add.reduceat(fhat, offsets, axis=-1) * np.sqrt([b.size for b in cat.blocks])
 
 
 def omission_tail_bound(f: L2Function, cat: RepCatalog, omit: OmissionSpec) -> float:
@@ -60,12 +62,12 @@ def omission_tail_bound(f: L2Function, cat: RepCatalog, omit: OmissionSpec) -> f
     Upper-bounds the L2 distance between the full Peter-Weyl expansion of f
     and its expansion over the retained family.
     """
-    tails = _label_tails([f], cat)[0]
+    tails = _label_tails(f, cat)
     return float(sum((t for lab, t in zip(cat.labels, tails) if lab.key in omit.omitted), 0.0))
 
 
 def choose_omissions(
-    cat: RepCatalog, testset: list[L2Function], epsilon: float
+    cat: RepCatalog, testset: TestSet, epsilon: float
 ) -> OmissionSpec:
     """Largest magnitude-ordered suffix of the catalog omissible within epsilon.
 
@@ -76,18 +78,11 @@ def choose_omissions(
     """
     if not epsilon > 0:   # NaN too: no tail bound is ever >= NaN
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not testset:
-        raise ValueError("test set must be nonempty")
-    contributions = _label_tails(testset, cat)
-    n_labels = len(cat.labels)
-    cumulative = np.zeros(len(testset))
-    chosen = 0
-    for k in range(n_labels - 1, 0, -1):           # keep at least the first label
-        cumulative = cumulative + contributions[:, k]
-        if np.max(cumulative) >= epsilon:
-            break
-        chosen += 1
-    omitted = tuple(lab.key for lab in cat.labels[n_labels - chosen :]) if chosen else ()
+    # the largest cumulative tail over the test set of the top 1, 2, ..., L-1
+    # labels (the first label is always kept), summed label by label
+    suffix = np.cumsum(_label_tails(testset, cat)[:, :0:-1], axis=1).max(axis=0)
+    chosen = int(np.logical_and.accumulate(suffix < epsilon).sum())
+    omitted = tuple(lab.key for lab in cat.labels[len(cat.labels) - chosen :]) if chosen else ()
     return OmissionSpec(omitted=omitted)
 
 
@@ -135,30 +130,19 @@ def semicompleteness_defect(
     family: OrthonormalFamily,
     weights: ExpansionWeights,
     cat: RepCatalog,
-    testset: list[L2Function],
+    testset: TestSet,
     epsilon: float | None = None,
-    test_set_name: str = "explicit",
-    function_ids: list[str] | None = None,
 ) -> SemicompletenessReport:
-    """Per-function ||PW-expansion(f) - weighted-expansion(f)||_2 over a test set."""
-    if not testset:
-        raise ConfigError("semicompleteness needs a nonempty test set")
-    if function_ids is None:
-        function_ids = [f"fn:{k}" for k in range(len(testset))]
-    elif len(function_ids) != len(testset):
-        raise ValueError(f"{len(function_ids)} function ids for {len(testset)} test functions")
-    # every weighted expansion (one large BLAS call each) first, then the many
-    # small per-label calls; each defect is independent of the order.  Idle
-    # BLAS workers no longer spin through the per-label loop either way: the
-    # CLI sets OpenBLAS's idle timeout to its minimum (see cli.py)
-    weighted = [semi_fourier_expand(f, family, weights) for f in testset]
-    per_function = [
-        (fid, (synthesize(fourier_transform(f, cat), cat) - w).norm())
-        for fid, f, w in zip(function_ids, testset, weighted)
-    ]
+    """Per-function ||PW-expansion(f) - weighted-expansion(f)||_2 over a test set,
+    under its ids and descriptor: one expansion, transform and synthesis per row."""
+    per_function = []
+    for k, fid in enumerate(testset.ids):
+        f = testset.function(k)
+        weighted = semi_fourier_expand(f, family, weights)
+        per_function.append((fid, (synthesize(fourier_transform(f, cat), cat) - weighted).norm()))
     max_defect = max(d for _, d in per_function)
     return SemicompletenessReport(
-        test_set=test_set_name,
+        test_set=testset.descriptor,
         per_function=per_function,
         max_defect=max_defect,
         weights=weights,

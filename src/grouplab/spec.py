@@ -7,7 +7,8 @@ converted by the type the head declares for its key.  Empty parts are
 skipped; an unknown key, a part without ``=`` or a bad value is a
 ``ConfigError``.  ``is_finite`` and ``steps_of`` are the one finite-number
 and the one multiple-of-a-step rule that every config value obeys;
-``integer`` and ``real`` read every number a spec holds, in ASCII only.
+``integer`` and ``real`` read every number a spec holds, in ASCII only, and
+also a samples file's node index and the ``--tol`` flag.
 """
 from __future__ import annotations
 

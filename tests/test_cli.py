@@ -13,13 +13,8 @@ from grouplab import config as cfgmod
 from grouplab.cli import main
 from grouplab.config import (
     ConfigError,
-    build_function,
     build_test_set,
     build_weights,
-    functions_from_csv,
-    functions_to_csv,
-    l2_from_csv,
-    l2_to_csv,
     CSV_CHUNK_ROWS,
     write_csv,
 )
@@ -27,6 +22,7 @@ from grouplab.groups import make_group
 from grouplab.catalog import build_catalog, peter_weyl_basis
 from grouplab.hilbert import CLI_INVARIANTS, random_function
 from grouplab.iwasawa import IwasawaModel, LiftedFamily
+from support import functions_to_csv, l2_to_csv, zero_function
 
 
 def write_config(tmp_path, name="exp", **kwargs):
@@ -99,12 +95,15 @@ def test_cmd_parseval_member_testset_defects(tmp_path):
         assert abs(float(r[3])) < 1e-10
 
 
-def test_cmd_parseval_empty_testset(tmp_path):
-    cfg = write_config(tmp_path, test_set="random:count=0,seed=1")
-    assert main(["parseval", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    header, rows = read_csv(tmp_path / "exp_parseval.csv")
-    assert header == ["fn_id", "norm_sq", "coeff_sum_sq", "defect"]
-    assert rows == []
+def test_cmd_parseval_empty_testset(tmp_path, capsys):
+    # one rule, the TestSet's, for every analysis command: an empty test set
+    # is a config error, not a header-only CSV
+    for test_set in ["random:count=0,seed=1", []]:
+        cfg = write_config(tmp_path, test_set=test_set)
+        for command in ["parseval", "isometry", "semicomplete"]:
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+            assert "config error: a test set must be nonempty" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
 
 def test_cmd_semicomplete_complete_family(tmp_path):
@@ -298,8 +297,9 @@ def test_l2_csv_roundtrip(tmp_path):
     f = random_function(group, 8)
     path = tmp_path / "fn.csv"
     l2_to_csv(f, path)
-    g = l2_from_csv(group, path)
-    assert np.max(np.abs(f.values - g.values)) < 1e-15
+    g = build_test_set([f"samples:{path}"], group)
+    assert g.ids == (f"samples:{path}",)
+    assert np.max(np.abs(f.values - g.values[0])) < 1e-15
 
 
 def test_functions_csv_roundtrip(tmp_path):
@@ -308,20 +308,19 @@ def test_functions_csv_roundtrip(tmp_path):
     ids = [f"fn{k}" for k in range(3)]
     path = tmp_path / "set.csv"
     functions_to_csv(ids, fns, path)
-    got_ids, got_fns = functions_from_csv(group, path)
-    assert got_ids == ids
-    for f, g in zip(fns, got_fns):
-        assert np.max(np.abs(f.values - g.values)) < 1e-15
+    got = build_test_set(f"samples:{path}", group)
+    assert got.ids == tuple(ids)
+    for f, g in zip(fns, got.values):
+        assert np.max(np.abs(f.values - g)) < 1e-15
 
 
 def test_build_function_specs(tmp_path):
     group = make_group("sym:3")
     fam = peter_weyl_basis(build_catalog(group))
-    fid, f = build_function("random:seed=3", group)
-    assert fid == "random:3" and abs(f.norm() - 1.0) < 1e-12
-    fid, f = build_function("member:block=irrep:2,i=0,j=1", group, fam)
-    assert fid == "member:irrep:2[0][1]"
-    assert (f - fam.member(2, 0, 1)).norm() < 1e-15
+    ts = build_test_set(["random:seed=3", "member:block=irrep:2,i=0,j=1"], group, fam)
+    assert ts.ids == ("random:3", "member:irrep:2[0][1]")
+    assert abs(ts.function(0).norm() - 1.0) < 1e-12
+    assert (ts.function(1) - fam.member(2, 0, 1)).norm() < 1e-15
 
 
 def test_build_weights_specs(tmp_path):
@@ -336,11 +335,9 @@ def test_build_weights_specs(tmp_path):
 def test_build_test_set_list_of_specs():
     group = make_group("sym:3")
     fam = peter_weyl_basis(build_catalog(group))
-    ids, fns, desc = build_test_set(
-        ["random:seed=1", "member:block=0,i=0,j=0"], group, fam
-    )
-    assert len(fns) == 2
-    assert desc == "list:2"
+    ts = build_test_set(["random:seed=1", "member:block=0,i=0,j=0"], group, fam)
+    assert ts.values.shape == (2, group.n_nodes) and ts.values.flags.c_contiguous
+    assert ts.descriptor == "list:2"
 
 
 def test_exit_3_on_forced_gram_breach(tmp_path):
@@ -357,8 +354,6 @@ def test_su2_spec_parse_with_quad():
 
 def test_cmd_isometry_zero_function(tmp_path):
     group = make_group("sym:3")
-    from grouplab.hilbert import zero_function
-
     sample = tmp_path / "zero.csv"
     functions_to_csv(["zero"], [zero_function(group)], sample)
     cfg = write_config(tmp_path, omit=["irrep:2"], test_set=f"samples:{sample}")
@@ -386,7 +381,23 @@ def test_l2_from_csv_rejects_non_finite(tmp_path):
     path = tmp_path / "fn.csv"
     path.write_text("node,re,im\n0,1,0\n1,0,nan\n2,0,0\n3,0,0\n")
     with pytest.raises(ConfigError, match="not finite"):
-        l2_from_csv(group, path)
+        build_test_set([f"samples:{path}"], group)
+
+
+@pytest.mark.parametrize("form", ["list-entry", "test-set"])
+def test_sample_node_index_is_an_ascii_integer(tmp_path, capsys, form):
+    # Python's int would read node '1_0' as 10, and the file as complete
+    path = tmp_path / "samples.csv"
+    fn = "" if form == "list-entry" else "f,"
+    rows = "".join(f"{fn}{'1_0' if k == 10 else k},{k},0\n" for k in range(12))
+    path.write_text(("node,re,im\n" if form == "list-entry" else "fn,node,re,im\n") + rows)
+    test_set = [f"samples:{path}"] if form == "list-entry" else f"samples:{path}"
+    cfg = write_config(tmp_path, group="zn:12", test_set=test_set)
+    out = tmp_path / "out"
+    assert main(["parseval", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: bad node index in" in err and str(path) in err and "'1_0'" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("form", ["list-entry", "test-set"])
@@ -508,9 +519,9 @@ def test_cmd_catalog_rejects_non_boolean_dump_coefficients(tmp_path, dump):
 
 def test_random_test_set_starts_with_random_function():
     group = make_group("circle:16")
-    ids, fns, _ = build_test_set("random:count=3,seed=5", group)
-    assert ids == ["random:0", "random:1", "random:2"]
-    assert np.array_equal(fns[0].values, random_function(group, 5).values)
+    ts = build_test_set("random:count=3,seed=5", group)
+    assert ts.ids == ("random:0", "random:1", "random:2")
+    assert np.array_equal(ts.values[0], random_function(group, 5).values)
 
 
 def _per_row_bytes(header, rows):
@@ -664,6 +675,19 @@ def test_tol_override_must_be_finite_positive(tmp_path, tol):
     assert not list(tmp_path.glob("exp_semicomplete.*"))
 
 
+@pytest.mark.parametrize("tol", ["1_0e-9", "\u0661e-9"])
+def test_tol_override_is_a_decimal_by_the_spec_rule(tmp_path, capsys, tol):
+    # argparse's float would read these as 1e-8 and 1e-9
+    cfg = write_config(tmp_path, test_set="random:count=2,seed=0")
+    out = tmp_path / "out"
+    assert main(["parseval", "--config", str(cfg), "--out", str(out), "--tol", tol]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad --tol ") and repr(tol) in err
+    assert not out.exists()
+    assert main(["parseval", "--config", str(cfg), "--out", str(out), "--tol", "1e-9"]) == 0
+    assert cfgmod.load_config(cfg, tol_override="1e-9").tol == 1e-9
+
+
 def test_cmd_semicomplete_accepts_integer_tolerances(tmp_path):
     cfg = write_config(tmp_path, test_set="random:count=2,seed=0", tol=1, epsilon=2)
     assert main(["semicomplete", "--config", str(cfg), "--out", str(tmp_path)]) == 0
@@ -730,8 +754,7 @@ def test_bessel_coefficient_sums_equal_per_row_sums_bitwise(tmp_path, group, omi
     coeff_sum = _bessel_columns(cfg)[2]
     grp = make_group(group)
     fam = build_riemann_lebesgue_family(build_catalog(grp), OmissionSpec(omitted=tuple(omit)))
-    fns = build_test_set(cfg.test_set_spec, grp, fam)[1]
-    coeffs = coefficients(fns, fam)
+    coeffs = coefficients(build_test_set(cfg.test_set_spec, grp, fam), fam)
     want = np.array([np.sum(np.abs(c) ** 2) for c in coeffs])
     assert coeff_sum.tobytes() == want.tobytes()
 
@@ -886,8 +909,8 @@ def test_only_the_column_names_make_a_first_line_a_header(tmp_path, capsys, name
     path = tmp_path / "samples.csv"
     path.write_text("".join(f"{fn}{k},{k + 1},0\n" for k in range(4)))
     group = make_group("zn:4")
-    read = functions_from_csv(group, path)[1][0] if named else l2_from_csv(group, path)
-    assert np.array_equal(read.values, [1, 2, 3, 4])
+    read = build_test_set(f"samples:{path}" if named else [f"samples:{path}"], group)
+    assert np.array_equal(read.values, [[1, 2, 3, 4]])
     path.write_text(path.read_text().replace(f"{fn}0,1,0", f"{fn}0,1,one"))
     test_set = f"samples:{path}" if named else [f"samples:{path}"]
     cfg = write_config(tmp_path, group="zn:4", test_set=test_set)
@@ -1055,7 +1078,7 @@ def test_random_test_set_limit_is_the_physical_memory(monkeypatch):
     with pytest.raises(ConfigError, match="'test_set' of 4 random functions on zn:16 needs"):
         build_test_set("random:count=4,seed=0", group)
     monkeypatch.setattr(cfgmod, "physical_memory_bytes", lambda: need)
-    assert len(build_test_set("random:count=4,seed=0", group)[1]) == 4
+    assert len(build_test_set("random:count=4,seed=0", group)) == 4
 
 
 def test_random_test_set_beyond_physical_memory_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
@@ -1151,3 +1174,27 @@ def test_readme_example_config_loads_and_lists_every_key(tmp_path):
     cfg = cfgmod.load_config(path)
     assert (cfg.name, cfg.group_spec, cfg.omit) == ("demo", "sym:3", ("irrep:2",))
     assert cfg.iwasawa.profile == "gauss:sigma=0.7"
+
+
+HOSTILE_VALUES = [True, None, 10**400, "NaN", "", "\u00fc\u0663", [], {}]
+
+
+def test_hostile_config_values_load_or_raise_config_error(tmp_path):
+    # every config key and every 'iwasawa' subkey, set to each hostile value:
+    # load_config either accepts the document or raises ConfigError, never
+    # anything else
+    base = {"name": "exp", "group": "zn:4"}
+    docs = [{**base, key: value} for key in sorted(cfgmod.CONFIG_KEYS) for value in HOSTILE_VALUES]
+    docs += [
+        {**base, "iwasawa": {key: value}} for key in sorted(cfgmod.IWASAWA_KEYS) for value in HOSTILE_VALUES
+    ]
+    path = tmp_path / "exp.json"
+    refused = 0
+    for doc in docs:
+        path.write_text(json.dumps(doc))
+        try:
+            cfgmod.load_config(path)
+        except ConfigError:
+            refused += 1
+    assert len(docs) == 8 * (len(cfgmod.CONFIG_KEYS) + len(cfgmod.IWASAWA_KEYS))
+    assert 0 < refused < len(docs)

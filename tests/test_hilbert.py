@@ -17,9 +17,9 @@ from grouplab.hilbert import (
     random_function,
     tolerance,
     unit_weights,
-    zero_function,
 )
 from grouplab.semicomplete import OmissionSpec, build_riemann_lebesgue_family
+from support import zero_function
 
 
 @pytest.fixture(scope="module")

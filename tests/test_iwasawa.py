@@ -8,7 +8,7 @@ import pytest
 from grouplab import _kernels
 from grouplab.catalog import build_catalog, peter_weyl_basis
 from grouplab.groups import circle_group
-from grouplab.hilbert import L2Function, OrthonormalFamily, random_function, unit_weights
+from grouplab.hilbert import L2Function, OrthonormalFamily, TestSet, random_function, unit_weights
 from grouplab.iwasawa import (
     an_grid_bytes,
     check_K_semicomplete,
@@ -19,6 +19,7 @@ from grouplab.iwasawa import (
 )
 from grouplab.semicomplete import OmissionSpec, build_riemann_lebesgue_family
 from grouplab.spec import ConfigError
+from support import oracle_members, stack
 
 
 @pytest.fixture(scope="module")
@@ -199,16 +200,20 @@ def test_check_k_semicomplete_full_family(gauss_model, k_catalog):
 
     xi = peter_weyl_basis(k_catalog)
     lifted = lift_family(gauss_model, xi)
-    testset = [random_function(gauss_model.K, s) for s in range(5)]
+    testset = stack(random_function(gauss_model.K, s) for s in range(5))
     report = check_K_semicomplete(lifted, k_catalog, unit_weights(1), testset)
     assert report.max_defect < 1e-10
 
 
 def test_check_k_semicomplete_needs_one_id_per_function(gauss_model, k_catalog):
+    # the ids come with the TestSet, which refuses a mismatch before the check runs
     lifted = lift_family(gauss_model, peter_weyl_basis(k_catalog))
-    testset = [random_function(gauss_model.K, s) for s in range(3)]
+    values = np.array([random_function(gauss_model.K, s).values for s in range(3)])
     with pytest.raises(ValueError, match="1 function ids for 3 test functions"):
-        check_K_semicomplete(lifted, k_catalog, unit_weights(1), testset, function_ids=["a"])
+        TestSet(gauss_model.K, values, ids=["a"])
+    testset = TestSet(gauss_model.K, values, ids=["a", "b", "c"])
+    report = check_K_semicomplete(lifted, k_catalog, unit_weights(1), testset)
+    assert [fid for fid, _ in report.per_function] == ["a", "b", "c"]
 
 
 def test_check_k_semicomplete_omitted_character(gauss_model, k_catalog):
@@ -216,7 +221,7 @@ def test_check_k_semicomplete_omitted_character(gauss_model, k_catalog):
     xi = build_riemann_lebesgue_family(k_catalog, omit)
     lifted = lift_family(gauss_model, xi)
     f = L2Function(gauss_model.K, np.exp(3j * gauss_model.K.thetas))
-    report = check_K_semicomplete(lifted, k_catalog, unit_weights(1), [f])
+    report = check_K_semicomplete(lifted, k_catalog, unit_weights(1), stack([f]))
     assert abs(report.max_defect - 1.0) < 1e-9
 
 
@@ -224,7 +229,7 @@ def test_check_k_semicomplete_retained_span(gauss_model, k_catalog):
     omit = OmissionSpec(omitted=("m:3",))
     xi = build_riemann_lebesgue_family(k_catalog, omit)
     lifted = lift_family(gauss_model, xi)
-    testset = [xi.member_flat(k) for k in range(xi.n_members)]
+    testset = stack(oracle_members(xi))
     report = check_K_semicomplete(lifted, k_catalog, unit_weights(1), testset)
     assert report.max_defect < 1e-9
 

@@ -11,11 +11,9 @@ from grouplab.hilbert import (
     inner,
     project,
     random_function,
-    zero_function,
 )
 from grouplab.parseval import (
     MatrixSequence,
-    basis_sequence,
     block_decompose,
     hs_inner,
     inverse_H,
@@ -25,6 +23,7 @@ from grouplab.parseval import (
     zero_sequence,
 )
 from grouplab.semicomplete import OmissionSpec, build_riemann_lebesgue_family
+from support import basis_sequence, zero_function
 
 
 @pytest.fixture(scope="module")

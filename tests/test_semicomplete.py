@@ -9,6 +9,7 @@ from grouplab.groups import circle_group, cyclic_group, make_group
 from grouplab.hilbert import (
     ExpansionWeights,
     L2Function,
+    TestSet,
     coefficients,
     expand,
     inner,
@@ -27,6 +28,7 @@ from grouplab.semicomplete import (
     validate_weights,
 )
 from grouplab.spec import ConfigError
+from support import oracle_members, stack
 
 
 def test_omit_nothing_gives_peter_weyl(sym3_catalog):
@@ -102,7 +104,8 @@ def test_stacked_tails_match_the_per_label_transform_loop(spec):
     # the oracle is the longhand loop: one Fourier transform per function, and
     # sqrt(d) * sum_ij |fhat_ij| read from each label's matrix
     cat = build_catalog(make_group(spec))
-    fns = random_functions(cat.group, 21, 4)
+    testset = TestSet(cat.group, random_functions(cat.group, 21, 4))
+    fns = [testset.function(k) for k in range(len(testset))]
     oracle = np.array([
         [math.sqrt(lab.degree) * np.sum(np.abs(fourier_transform(f, cat).matrix(lab.key)))
          for lab in cat.labels]
@@ -120,7 +123,7 @@ def test_stacked_tails_match_the_per_label_transform_loop(spec):
     for chosen in range(n):
         eps = (edges[chosen] + edges[chosen + 1]) / 2
         want = tuple(lab.key for lab in cat.labels[n - chosen:])
-        assert choose_omissions(cat, fns, eps).omitted == want, chosen
+        assert choose_omissions(cat, testset, eps).omitted == want, chosen
 
 
 def test_tail_bound_dominates_actual_defect(sym3_catalog, zn12_catalog):
@@ -147,7 +150,7 @@ def test_choose_omissions_band_limited():
         values += (rng.standard_normal() + 1j * rng.standard_normal()) * np.exp(
             1j * m * g.thetas
         )
-    spec = choose_omissions(cat, [L2Function(g, values)], epsilon=1e-6)
+    spec = choose_omissions(cat, TestSet(g, values[None]), epsilon=1e-6)
     omitted = set(spec.omitted)
     expected = {lab.key for lab in cat.labels if lab.magnitude > 2}
     assert omitted == expected
@@ -159,7 +162,7 @@ def test_choose_omissions_adversarial_member(sym3_catalog):
     f = L2Function(
         sym3_catalog.group, np.sqrt(2.0) * sym3_catalog.grids[lab.key][:, 0, 0]
     )
-    spec = choose_omissions(sym3_catalog, [f], epsilon=1.0)
+    spec = choose_omissions(sym3_catalog, stack([f]), epsilon=1.0)
     assert spec.omitted == ()
 
 
@@ -171,7 +174,7 @@ def test_choose_omissions_geometric_tail():
         values += 2.0 ** (-abs(m)) * np.exp(1j * m * g.thetas)
     f = L2Function(g, values)
     eps = 0.1
-    spec = choose_omissions(cat, [f], epsilon=eps)
+    spec = choose_omissions(cat, stack([f]), epsilon=eps)
     assert spec.omitted
     # recompute the bound independently and check maximality of the suffix
     assert omission_tail_bound(f, cat, spec) < eps
@@ -182,21 +185,23 @@ def test_choose_omissions_geometric_tail():
 
 
 def test_choose_omissions_validation(sym3_catalog):
-    f = random_function(sym3_catalog.group, 0)
+    f = stack([random_function(sym3_catalog.group, 0)])
     with pytest.raises(ValueError):
-        choose_omissions(sym3_catalog, [f], epsilon=0.0)
+        choose_omissions(sym3_catalog, f, epsilon=0.0)
     with pytest.raises(ValueError):
-        choose_omissions(sym3_catalog, [f], epsilon=float("nan"))
-    with pytest.raises(ValueError):
-        choose_omissions(sym3_catalog, [], epsilon=0.5)
+        choose_omissions(sym3_catalog, f, epsilon=float("nan"))
+    # an empty test set is refused by the TestSet itself, before any caller sees it
+    with pytest.raises(ValueError, match="a test set must be nonempty"):
+        TestSet(sym3_catalog.group, np.empty((0, sym3_catalog.group.n_nodes)))
 
 
 def test_semicompleteness_defect_needs_one_id_per_function(sym3_catalog):
-    # zip would drop the functions past the ids, and max_defect with them
-    fam = peter_weyl_basis(sym3_catalog)
-    testset = random_functions(sym3_catalog.group, 0, 3)
+    # zip would drop the functions past the ids, and max_defect with them; the
+    # TestSet that semicompleteness_defect takes refuses the mismatch
+    values = random_functions(sym3_catalog.group, 0, 3)
     with pytest.raises(ValueError, match="1 function ids for 3 test functions"):
-        semicompleteness_defect(fam, unit_weights(2), sym3_catalog, testset, function_ids=["a"])
+        TestSet(sym3_catalog.group, values, ids=["a"])
+    assert TestSet(sym3_catalog.group, values).ids == ("fn:0", "fn:1", "fn:2")
 
 
 def test_semi_fourier_unit_weights_complete(sym3, sym3_catalog):
@@ -284,7 +289,7 @@ def test_coefficient_fixed_point_for_admissible_weights(sym3_catalog):
 
 def test_defect_full_family_unit_weights(sym3, sym3_catalog):
     fam = peter_weyl_basis(sym3_catalog)
-    testset = [random_function(sym3, s) for s in range(8)]
+    testset = stack(random_function(sym3, s) for s in range(8))
     report = semicompleteness_defect(fam, unit_weights(2), sym3_catalog, testset)
     assert report.max_defect < 1e-10
     assert report.max_defect == max(d for _, d in report.per_function)
@@ -296,13 +301,13 @@ def test_defect_omitted_unit_vector(sym3_catalog):
     f = L2Function(
         sym3_catalog.group, np.sqrt(2.0) * sym3_catalog.grids[lab.key][:, 0, 0]
     )
-    report = semicompleteness_defect(fam, unit_weights(1), sym3_catalog, [f])
+    report = semicompleteness_defect(fam, unit_weights(1), sym3_catalog, stack([f]))
     assert abs(report.max_defect - 1.0) < 1e-10
 
 
 def test_defect_retained_span_small(sym3_catalog):
     fam = build_riemann_lebesgue_family(sym3_catalog, OmissionSpec(omitted=("irrep:2",)))
-    testset = [fam.member_flat(k) for k in range(fam.n_members)]
+    testset = stack(oracle_members(fam))
     report = semicompleteness_defect(fam, unit_weights(1), sym3_catalog, testset)
     assert report.max_defect < 1e-9
 
@@ -319,10 +324,10 @@ def test_defect_monotone_in_omission(zn12, zn12_catalog):
         fam_small = build_riemann_lebesgue_family(zn12_catalog, OmissionSpec(omitted=small))
         fam_large = build_riemann_lebesgue_family(zn12_catalog, OmissionSpec(omitted=large))
         d_small = semicompleteness_defect(
-            fam_small, unit_weights(1), zn12_catalog, [f]
+            fam_small, unit_weights(1), zn12_catalog, stack([f])
         ).max_defect
         d_large = semicompleteness_defect(
-            fam_large, unit_weights(1), zn12_catalog, [f]
+            fam_large, unit_weights(1), zn12_catalog, stack([f])
         ).max_defect
         assert d_large >= d_small - 1e-12
 
@@ -332,7 +337,7 @@ def test_defect_equals_pw_minus_weighted_expansion(sym3, sym3_catalog):
     fam = build_riemann_lebesgue_family(sym3_catalog, OmissionSpec(omitted=("irrep:1",)))
     w = unit_weights(fam.max_block_size)
     f = random_function(sym3, 55)
-    report = semicompleteness_defect(fam, w, sym3_catalog, [f])
+    report = semicompleteness_defect(fam, w, sym3_catalog, stack([f]))
     pw = synthesize(fourier_transform(f, sym3_catalog), sym3_catalog)
     expansion = semi_fourier_expand(f, fam, w)
     assert abs(report.max_defect - (pw - expansion).norm()) < 1e-12

@@ -13,14 +13,7 @@ import pytest
 from grouplab import spec as specmod
 from grouplab.catalog import build_catalog, peter_weyl_basis
 from grouplab.cli import main
-from grouplab.config import (
-    ConfigError,
-    build_function,
-    build_test_set,
-    build_weights,
-    functions_to_csv,
-    l2_to_csv,
-)
+from grouplab.config import ConfigError, build_test_set, build_weights
 from grouplab.groups import (
     circle_group,
     cyclic_group,
@@ -32,6 +25,7 @@ from grouplab.groups import (
 from grouplab.hilbert import diag_reciprocal_weights, random_function, random_functions
 from grouplab.iwasawa import make_iwasawa_model
 from grouplab.spec import parse_params, split_spec
+from support import functions_to_csv, l2_to_csv
 
 
 def test_config_error_is_one_class():
@@ -139,7 +133,7 @@ def _build(kind, text):
     if kind == "weights":
         return build_weights(text, 2)
     if kind == "function":
-        return build_function(text, group, family)
+        return build_test_set([text], group, family)
     return build_test_set(text, group, family)
 
 
@@ -234,24 +228,24 @@ def test_function_forms_keep_their_meaning(tmp_path):
     group = symmetric_group(3)
     family = peter_weyl_basis(build_catalog(group))
     for text in ["random:seed=3", "RANDOM:SEED=3"]:
-        fid, f = build_function(text, group)
-        assert fid == "random:3"
-        assert np.array_equal(f.values, random_function(group, 3).values)
-    assert build_function("random", group)[0] == "random:0"
+        ts = build_test_set([text], group)
+        assert ts.ids == ("random:3",)
+        assert np.array_equal(ts.values[0], random_function(group, 3).values)
+    assert build_test_set(["random"], group).ids == ("random:0",)
     for text in [
         "member:block=irrep:2,i=0,j=1",
         "member:BLOCK=irrep:2,I=0,J=1",
         "member:block=2,i=0,j=1",
         "member:j=1, i=0, block=irrep:2",
     ]:
-        fid, f = build_function(text, group, family)
-        assert fid == "member:irrep:2[0][1]"
-        assert np.array_equal(f.values, family.member(2, 0, 1).values)
+        ts = build_test_set([text], group, family)
+        assert ts.ids == ("member:irrep:2[0][1]",)
+        assert np.array_equal(ts.values[0], family.member(2, 0, 1).values)
     path = tmp_path / "f.csv"
     l2_to_csv(random_function(group, 4), path)
-    fid, f = build_function(f"samples:{path}", group)
-    assert fid == f"samples:{path}"
-    assert np.array_equal(f.values, random_function(group, 4).values)
+    ts = build_test_set([f"samples:{path}"], group)
+    assert ts.ids == (f"samples:{path}",)
+    assert np.array_equal(ts.values[0], random_function(group, 4).values)
 
 
 def test_test_set_forms_keep_their_meaning(tmp_path):
@@ -259,20 +253,20 @@ def test_test_set_forms_keep_their_meaning(tmp_path):
     family = peter_weyl_basis(build_catalog(group, truncation=2))
     ref = random_functions(group, 7, 3)
     for text in ["random:count=3,seed=7", "RANDOM:Count=3,SEED=7", "random:,count=3,,seed=7,"]:
-        ids, fns, desc = build_test_set(text, group, family)
-        assert ids == ["random:0", "random:1", "random:2"]
-        assert desc == "random:count=3,seed=7"
-        assert all(np.array_equal(f.values, g.values) for f, g in zip(fns, ref))
-        assert build_test_set(desc, group, family)[2] == desc     # the descriptor re-parses
-    assert build_test_set("random", group)[2] == "random:count=16,seed=0"
-    ids, fns, desc = build_test_set("members", group, family)
-    assert desc == "members" and ids[:2] == ["member:m:0[0][0]", "member:m:-1[0][0]"]
-    ids, _, _ = build_test_set(["member:block=m:-1,i=0,j=0", "random:seed=2"], group, family)
-    assert ids == ["member:m:-1[0][0]", "random:2"]
+        ts = build_test_set(text, group, family)
+        assert ts.ids == ("random:0", "random:1", "random:2")
+        assert ts.descriptor == "random:count=3,seed=7"
+        assert np.array_equal(ts.values, ref)
+        assert build_test_set(ts.descriptor, group, family).descriptor == ts.descriptor   # it re-parses
+    assert build_test_set("random", group).descriptor == "random:count=16,seed=0"
+    ts = build_test_set("members", group, family)
+    assert ts.descriptor == "members" and ts.ids[:2] == ("member:m:0[0][0]", "member:m:-1[0][0]")
+    ts = build_test_set(["member:block=m:-1,i=0,j=0", "random:seed=2"], group, family)
+    assert ts.ids == ("member:m:-1[0][0]", "random:2")
     path = tmp_path / "set.csv"
-    functions_to_csv(["a", "b"], ref[:2], path)
-    ids, fns, desc = build_test_set(f"samples:{path}", group)
-    assert (ids, desc) == (["a", "b"], f"samples:{path}")
+    functions_to_csv(["a", "b"], [ts.function(k) for k in range(2)], path)
+    ts = build_test_set(f"samples:{path}", group)
+    assert (ts.ids, ts.descriptor) == (("a", "b"), f"samples:{path}")
 
 
 def test_profile_forms_keep_their_meaning(tmp_path):
