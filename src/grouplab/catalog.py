@@ -11,7 +11,13 @@ u_ij(g) as functions on the group:
   checks each cluster for irreducibility and keeps the first grid of each
   character class; the classes are written once into the store, which is checked
   against sum(d^2) = |G|, the multiplicities d and Schur orthogonality;
-* circle -- characters exp(i m theta) for |m| <= M;
+* circle -- characters exp(i m theta) for |m| <= M.  On the uniform grid
+  theta_k = 2 pi k / n every value of a character is an n-th root of unity, so
+  store row m is gathered from one table of them, ``roots[(m k) mod n]``, in
+  slabs of rows through one small index buffer.  ``gram_defect_bound`` reads
+  the same table and index rule (``_circle_table``): the characters' Gram
+  matrix is Toeplitz, so one FFT of the weights and one pass over the members
+  bound its defect in O(M n + n log n), where the dense check costs O(M^2 n);
 * SU(2) -- spin-j Wigner matrices for j = 0, 1/2, ..., jmax.  On the Euler
   product grid they are built from the factorization
   D^j(alpha, beta, gamma) = diag(e^{-i m alpha}) d^j(beta) diag(e^{-i m' gamma}):
@@ -34,6 +40,10 @@ vector, ``scale``.  A family whose retained blocks form one contiguous run
 of store rows (every Peter-Weyl family and every tail omission) has members
 and scale that are views of ``store`` and ``scale``; only a retained set with
 a gap gathers its rows.  So an analysis run holds the coefficient grid once.
+
+``gram_defect_bound`` is the one orthonormality check of an analysis family,
+per group kind: the streamed dense defect for finite groups and SU(2), the
+Toeplitz bound for the circle.
 """
 from __future__ import annotations
 
@@ -43,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .groups import GroupModel, _fmt_spin, grid_shape, su2_matrix_from_euler
+from .groups import GroupModel, _fmt_spin, grid_shape, require_same_group, su2_matrix_from_euler
 from .hilbert import FamilyBlock, OrthonormalFamily, block_layout, tolerance
 from .spec import ConfigError, is_finite, steps_of
 
@@ -263,6 +273,110 @@ def _finite_irreps(table: np.ndarray) -> tuple[list[int], np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
+# circle characters from one table of roots of unity
+
+#: Entries of the reused index slab through which the circle's store rows are
+#: gathered and checked; a slab holds at least one whole row.
+_CIRCLE_SLAB_ENTRIES = 1 << 16
+#: Unit roundoff of float64.
+_U = np.finfo(np.float64).eps / 2
+#: Bound, in units of ``_U``, on |roots[j] - exp(2 pi i j / n)|: theta_j =
+#: 2 pi j / n carries three roundings of a value below 2 pi (6 pi u), and exp
+#: at most one ulp per component (sqrt(2) u).
+_ROOT_ERROR = 24
+#: Relative l2 error of an FFT of length n, in units of ``_U`` log2(n).
+_FFT_ERROR = 8
+#: Rounding of a weighted sum of n unit-modulus products, in units of
+#: ``_U`` sqrt(n) ||w||_1: the probabilistic scale of a dot product's error
+#: (Higham and Mary, SIAM J. Sci. Comput. 41 (2019)), which the dense Gram
+#: kernel meets; its worst case, n u ||w||_1, would be 4.5e-13 at n = 4096.
+_SUM_ERROR = 4
+
+
+def _circle_table(group: GroupModel, ms):
+    """The circle's one table of roots of unity and the index rule into it.
+
+    Returns ``roots``, exp(i theta_j) at the n nodes theta_j = 2 pi j / n,
+    and an iterator of ``(rows, index)`` over slabs of the frequencies ``ms``
+    with index[r, k] = (m k) mod n for m = ms[rows][r]: character m takes the
+    value roots[index[r, k]] at node k, since m theta_k = 2 pi (m k mod n) / n
+    modulo 2 pi.  Every slab is a view of one reused index buffer of at most
+    ``_CIRCLE_SLAB_ENTRIES`` entries (one row, if a row is longer), valid until
+    the next slab is yielded.
+    """
+    n = group.n_nodes
+    ms = np.asarray(ms, dtype=np.int64)
+    step = max(1, _CIRCLE_SLAB_ENTRIES // n)
+    nodes = np.arange(n, dtype=np.int64)
+
+    def slabs():
+        buf = np.empty((min(step, len(ms)), n), dtype=np.int64)
+        for start in range(0, len(ms), step):
+            index = buf[: len(ms[start : start + step])]
+            np.multiply.outer(ms[start : start + step], nodes, out=index)
+            np.remainder(index, n, out=index)
+            yield slice(start, start + len(index)), index
+
+    return np.exp(1j * group.thetas), slabs()
+
+
+def _differences(ms: np.ndarray) -> np.ndarray:
+    """The positive differences m' - m over pairs of the distinct integers ``ms``,
+    ascending: the nonzero lags of their indicator's autocorrelation, from two
+    real FFTs of length 2L + 1 for the span L = max - min."""
+    if len(ms) < 2:
+        return np.zeros(0, dtype=np.int64)
+    span = int(ms.max() - ms.min())
+    indicator = np.zeros(span + 1)
+    indicator[ms - ms.min()] = 1.0
+    spectrum = np.fft.rfft(indicator, 2 * span + 1)
+    pairs = np.fft.irfft(spectrum * spectrum.conj(), 2 * span + 1)[1 : span + 1]
+    return np.flatnonzero(pairs > 0.5) + 1     # pair counts are integers
+
+
+def gram_defect_bound(cat: RepCatalog, family: OrthonormalFamily) -> float:
+    """An upper bound on max |G - I| over the Gram matrix G of a family of ``cat``.
+
+    Finite groups and SU(2): the streamed dense defect ``family.gram_defect()``
+    itself.  Circle, in O(M n + n log n) for M members on n nodes: the Gram
+    matrix of exact characters is Toeplitz, G[a, b] = w^(m_b - m_a) for the
+    DFT w^ of the weights, so its defect is the larger of |w^(0) - 1| and
+    |w^(j)| over the differences j of the family's frequencies, from one FFT.
+    The members are those characters up to rho, the largest distance of a
+    stored member entry from its table value (``_circle_table``), which adds
+    ||w||_1 (2 rho + rho^2).  A rounding term covers the table's distance from
+    the exact roots of unity, the FFT and the dense kernel's own sums, so
+    the bound is never below ``family.gram_defect()``.  A corrupted weight
+    moves w^, and a corrupted member entry rho.
+    """
+    group = cat.group
+    require_same_group(family.group, group)
+    if group.kind != "circle":
+        return family.gram_defect()
+    n, w = group.n_nodes, group.weights
+    frequency = {lab.key: lab.payload for lab in cat.labels}
+    ms = np.array([frequency[b.label] for b in family.blocks], dtype=np.int64)
+    roots, slabs = _circle_table(group, ms)
+    rho = 0.0
+    for rows, index in slabs:
+        gap = family.members[rows] * family.scale[rows, None]
+        gap -= roots[index]
+        rho = np.maximum(rho, np.max(np.abs(gap)))     # carries a NaN through
+    spectrum = np.fft.fft(w)
+    lags = _differences(ms)
+    toeplitz = np.max(np.abs(np.concatenate(
+        [[spectrum[0] - 1.0], spectrum[lags % n], spectrum[-lags % n]]
+    )))
+    l1, l2 = np.sum(np.abs(w)), np.linalg.norm(w)
+    rounding = _U * (
+        2 * _ROOT_ERROR * l1
+        + _FFT_ERROR * max(math.log2(n), 1.0) * math.sqrt(n) * l2
+        + _SUM_ERROR * math.sqrt(n) * l1
+    )
+    return float(toeplitz + l1 * (2 * rho + rho * rho) + rounding)
+
+
+# ---------------------------------------------------------------------------
 # catalog construction
 
 
@@ -310,9 +424,10 @@ def build_catalog(group: GroupModel, truncation: float | None = None) -> RepCata
         labels = [
             IrrepLabel(kind="circle", payload=m, degree=1, magnitude=float(abs(m))) for m in ms
         ]
-        blocks, store = _empty_store(labels, n)
-        for lab, b in zip(labels, blocks):
-            np.exp(1j * lab.payload * group.thetas, out=store[b.offset])
+        _, store = _empty_store(labels, n)   # one row per label, in label order
+        roots, slabs = _circle_table(group, ms)
+        for rows, index in slabs:
+            np.take(roots, index, out=store[rows])
     elif group.kind == "su2":
         labels = [
             IrrepLabel(kind="su2", payload=two_j / 2.0, degree=two_j + 1, magnitude=two_j / 2.0)

@@ -6,7 +6,10 @@ directory with experiment-name prefixes.  Exit codes: 0 success, 2 config
 error (a ``ConfigError``: a bad config value, spec or referenced file), 3
 breach of a numerical invariant (a row of ``hilbert.CLI_INVARIANTS``, each
 checked by ``_require``).  Any other exception is an internal failure: it is
-not caught, so the process exits 1 with its traceback.
+not caught, so the process exits 1 with its traceback.  The ``gram`` residual
+of ``parseval``, ``isometry`` and ``semicomplete`` is
+``catalog.gram_defect_bound``, one check per group kind (the circle's is a
+Toeplitz bound); ``lift`` takes it from the one Gram matrix it builds.
 
 BLAS idle policy: numpy's bundled OpenBLAS starts a pool of worker threads
 when numpy loads, and by default an idle worker busy-waits for 2**28 cycles
@@ -40,7 +43,7 @@ import numpy as np  # only now: OpenBLAS reads the policy above when numpy loads
 # perfbench/traced.py wraps names in the grouplab modules it finds loaded
 # right after importing this one, so these imports stay at module level
 from . import config as cfgmod
-from .catalog import build_catalog
+from .catalog import build_catalog, gram_defect_bound
 from .config import ConfigError, ExperimentConfig, InvariantBreach
 from .groups import make_group
 from .hilbert import coefficients, tolerance
@@ -59,12 +62,13 @@ def _require(name: str, residual: float, group, tol: float | None = None) -> Non
 def _analysis(cfg: ExperimentConfig):
     """The catalog, the family and the ``TestSet`` of an analysis command.
     The family keeps every label not in ``omit`` (Peter-Weyl when none) and is
-    checked to be orthonormal within the tolerance; the check streams its Gram
-    matrix and keeps none of it, and the test set is built only after it."""
+    checked to be orthonormal within the tolerance by ``gram_defect_bound``:
+    the streamed Gram defect, which keeps none of the Gram matrix, or on the
+    circle its Toeplitz bound; the test set is built only after the check."""
     group = make_group(cfg.group_spec)
     cat = build_catalog(group, truncation=cfg.truncation)
     family = build_riemann_lebesgue_family(cat, OmissionSpec(omitted=cfg.omit))
-    _require("gram", family.gram_defect(), group, cfg.tol)
+    _require("gram", gram_defect_bound(cat, family), group, cfg.tol)
     test_set = cfgmod.build_test_set(cfg.test_set_spec, group, family, seed_override=cfg.seed_override)
     return cat, family, test_set
 

@@ -170,7 +170,9 @@ def load_config(
     truncation = raw.get("truncation")
     _require_store_fits(group_spec, truncation, ("group", "truncation"))
     test_set = raw.get("test_set", "random:count=16,seed=0")
-    if isinstance(test_set, str) and split_spec(test_set)[0] == "random":   # sized now, drawn later
+    if isinstance(test_set, list):
+        TestSet.require_nonempty(len(test_set))
+    elif isinstance(test_set, str) and split_spec(test_set)[0] == "random":   # sized now, drawn later
         _random_test_set(split_spec(test_set)[1], grid_shape(group_spec)[1], group_spec, seed_override)
 
     tol = raw.get("tol") if tol_override is None else parse_value(str(tol_override), real, "--tol")
@@ -359,6 +361,7 @@ def _random_test_set(rest: str, n_nodes: int, group_name: str, seed_override: in
     params = parse_params(rest, "test set", count=integer, seed=_seed)
     count, seed = params.get("count", 16), params.get("seed", 0)
     _require(count >= 0, "test set count must be nonnegative")
+    TestSet.require_nonempty(count)
     need = count * n_nodes * np.dtype(np.complex128).itemsize
     _require_fits(need, f"the 'test_set' of {count} random functions on {group_name}")
     return count, seed if seed_override is None else seed_override
@@ -496,9 +499,10 @@ def _read_samples(group: GroupModel, path, named: bool, out: np.ndarray | None =
 
 
 def _parse_sample(re: str, im: str, path) -> complex:
-    """One sample value; NaN or infinity would slip past every defect check."""
+    """One sample value, each part a number by the spec rule (so '1_0' is not
+    10); NaN or infinity would slip past every defect check."""
     what = f"sample value in {path}"
-    return parse_value(re, float, what) + 1j * parse_value(im, float, what)
+    return parse_value(re, real, what) + 1j * parse_value(im, real, what)
 
 
 def _read_csv_rows(path: Path, header: list[str]):

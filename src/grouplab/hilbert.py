@@ -15,7 +15,9 @@ applied only where members meet arithmetic: ``coefficients``, ``expand``,
 ``member`` and the Gram kernels.  A family's orthonormality defect max |G - I|
 is reduced slab by slab over the upper triangle of its Gram matrix G, so
 checking a family never allocates an (M, M) array; ``gram_matrix`` builds G
-only for callers that need the matrix itself.
+only for callers that need the matrix itself.  ``gram_defect`` is the check of
+finite and SU(2) families and the oracle of the circle's Toeplitz bound,
+``catalog.gram_defect_bound``.
 """
 from __future__ import annotations
 
@@ -138,12 +140,18 @@ class TestSet:
             raise ValueError(
                 f"a test set needs (F, {self.group.n_nodes}) node values, got {self.values.shape}"
             )
-        if not n_fns:
-            raise ConfigError("a test set must be nonempty")
+        self.require_nonempty(n_fns)
         if len(self.ids) != n_fns:
             raise ValueError(f"{len(self.ids)} function ids for {n_fns} test functions")
         if not np.isfinite(self.values).all():
             raise ValueError("test set values must be finite (no NaN or infinity)")
+
+    @staticmethod
+    def require_nonempty(count: int) -> None:
+        """The one size rule of a test set of ``count`` functions, also applied
+        to a spec before any function is made: an empty one is a ConfigError."""
+        if not count:
+            raise ConfigError("a test set must be nonempty")
 
     def __len__(self) -> int:
         return len(self.values)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from itertools import permutations
@@ -7,16 +8,19 @@ import pytest
 
 from grouplab.catalog import (
     _FINITE_SEED,
+    RepCatalog,
     _averaged_commutant,
     _cluster_eigs,
     build_catalog,
+    gram_defect_bound,
     matrix_coefficient,
     peter_weyl_basis,
     store_bytes,
     su2_irrep_matrix,
 )
 from grouplab.groups import circle_group, cyclic_group, grid_shape, make_group, su2_group
-from grouplab.hilbert import tolerance
+from grouplab.hilbert import OrthonormalFamily, tolerance
+from grouplab.semicomplete import OmissionSpec, build_riemann_lebesgue_family
 from grouplab.spec import ConfigError
 
 #: The finite groups of tests/test_groups.py, and one of order 128.
@@ -343,6 +347,82 @@ def test_peter_weyl_gram_circle64():
     fam = peter_weyl_basis(cat)
     assert fam.n_members == 11
     assert fam.gram_defect() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the circle: store rows from one table of roots, and the Toeplitz Gram bound
+
+CIRCLE_SIZES = [1, 2, 3, 16, 64, 1023, 1024, 4096]
+
+
+@pytest.mark.parametrize("n", CIRCLE_SIZES)
+def test_circle_store_is_gathered_from_one_table_of_roots(n):
+    group = circle_group(n)
+    cat = build_catalog(group)
+    roots = np.exp(1j * group.thetas)
+    nodes = np.arange(n)
+    # exp(i m theta_k) at the exact angle 2 pi (m k mod n) / n, evaluated in long
+    # double; the float product m * theta_k alone rounds by up to 2.3e-12 at n = 4096
+    angle = nodes * (8 * np.arctan(np.longdouble(1)) / n)
+    exact = (np.cos(angle) + 1j * np.sin(angle)).astype(np.complex128)
+    for row, lab in enumerate(cat.labels):
+        index = lab.payload * nodes % n
+        assert np.array_equal(cat.store[row], roots[index]), lab.key
+        assert np.max(np.abs(cat.store[row] - exact[index])) < 1e-12, lab.key
+
+
+def test_circle_store_is_gathered_through_a_bounded_index_slab():
+    # circle:1024's store is 16.7 MB; beside it the build holds one 0.5 MB
+    # index slab and the labels and grid views (about 1.5 MB), while an index
+    # of the store's size would add 8.4 MB and a gathered copy 16.7 MB
+    tracemalloc.start()
+    try:
+        cat = build_catalog(circle_group(1024))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cat.store.nbytes + 4 * 2**20, peak - cat.store.nbytes
+
+
+@pytest.mark.parametrize("n", CIRCLE_SIZES)
+def test_circle_gram_bound_is_at_least_the_dense_defect_and_within_1e_13(n):
+    cat = build_catalog(circle_group(n))
+    top = int(cat.group.capacity)
+    # a gap (m:-1 is the second store row) and the top frequency's tail
+    omissions = [()] + ([("m:-1", f"m:{top}")] if top else [])
+    for omit in omissions:
+        fam = build_riemann_lebesgue_family(cat, OmissionSpec(omitted=omit))
+        bound, dense = gram_defect_bound(cat, fam), fam.gram_defect()
+        assert dense <= bound <= dense + 1e-13, (omit, bound, dense)
+
+
+@pytest.mark.parametrize("spec", ["sym:3", "su2:j=1"])
+def test_gram_defect_bound_is_the_dense_defect_off_the_circle(spec):
+    cat = build_catalog(make_group(spec))
+    fam = peter_weyl_basis(cat)
+    assert gram_defect_bound(cat, fam) == fam.gram_defect()
+
+
+def test_circle_gram_bound_sees_one_weight_and_one_member_entry():
+    cat = build_catalog(circle_group(1024))
+    fam = peter_weyl_basis(cat)
+    limit = tolerance("gram", "circle")
+    assert gram_defect_bound(cat, fam) < 1e-13
+    members = fam.members.copy()
+    members[700, 300] += 1e-6
+    broken = OrthonormalFamily(fam.group, fam.blocks, members, fam.scale)
+    # rho = 1e-6 adds 2e-6; the dense defect sees about 1e-6 / n of it
+    assert gram_defect_bound(cat, broken) > 2e-6 > limit > broken.gram_defect()
+    weights = cat.group.weights.copy()
+    weights[300] += 1e-6
+    group = dataclasses.replace(cat.group, weights=weights)
+    moved = OrthonormalFamily(group, fam.blocks, fam.members, fam.scale)
+    moved_cat = RepCatalog(group, cat.labels, cat.store)
+    # every w^(j) moves by 1e-6
+    assert gram_defect_bound(moved_cat, moved) > 1e-6 > limit
+    members[700, 300] = np.nan
+    nan = OrthonormalFamily(fam.group, fam.blocks, members, fam.scale)
+    assert math.isnan(gram_defect_bound(cat, nan))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from grouplab.config import (
     write_csv,
 )
 from grouplab.groups import make_group
-from grouplab.catalog import build_catalog, peter_weyl_basis
+from grouplab.catalog import RepCatalog, build_catalog, peter_weyl_basis
 from grouplab.hilbert import CLI_INVARIANTS, random_function
 from grouplab.iwasawa import IwasawaModel, LiftedFamily
 from support import functions_to_csv, l2_to_csv, zero_function
@@ -344,6 +345,37 @@ def test_exit_3_on_forced_gram_breach(tmp_path):
     # an absurdly small tolerance turns rounding into an invariant breach
     cfg = write_config(tmp_path, group="circle:16", truncation=3, test_set="random:count=1,seed=0")
     assert main(["parseval", "--config", str(cfg), "--out", str(tmp_path), "--tol", "1e-18"]) == 3
+
+
+@pytest.mark.parametrize("corrupt", ["weight", "store-entry"])
+def test_circle_gram_check_exits_3_on_one_corrupted_value(tmp_path, capsys, monkeypatch, corrupt):
+    # a 1e-6 change moves every w^(j) of the Toeplitz term, or rho; on
+    # circle:1024 the dense defect would see a store entry's change only as
+    # about 1e-6 / 1024, within the 1e-8 tolerance
+    make_group_, build_catalog_ = cli.make_group, cli.build_catalog
+
+    def make_group(spec):
+        group = make_group_(spec)
+        weights = group.weights.copy()
+        weights[300] += 1e-6
+        return dataclasses.replace(group, weights=weights)
+
+    def build_catalog(group, truncation=None):
+        cat = build_catalog_(group, truncation)
+        store = cat.store.copy()
+        store[700, 300] += 1e-6
+        return RepCatalog(cat.group, cat.labels, store)
+
+    if corrupt == "weight":
+        monkeypatch.setattr(cli, "make_group", make_group)
+    else:
+        monkeypatch.setattr(cli, "build_catalog", build_catalog)
+    cfg = write_config(tmp_path, group="circle:1024", test_set="random:count=2,seed=0")
+    out = tmp_path / "out"
+    for command in ["parseval", "isometry", "semicomplete"]:
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        assert "numerical invariant failure: gram residual" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_su2_spec_parse_with_quad():
@@ -724,9 +756,10 @@ def test_cmd_lift_computes_each_gram_matrix_once(tmp_path, monkeypatch):
 
 def test_family_gram_check_holds_the_coefficients_once(tmp_path):
     # circle:1024 without its top pair: the 1021 retained members are a view of
-    # the 16.7 MB store, and the streamed Gram check adds one member slab, one
-    # block of Gram rows and its |G| values, about 10 MB; the 16.7 MB Gram
-    # matrix the check used to build would pass 30 MB on its own with the store
+    # the 16.7 MB store, and the circle's Gram check adds a few slabs of 65,536
+    # entries (a 19.4 MB peak in all; the streamed dense check added about
+    # 10 MB); the 16.7 MB Gram matrix the check once built would pass 30 MB on
+    # its own with the store
     from grouplab.cli import _analysis
 
     path = write_config(tmp_path, group="circle:1024", omit=["m:511", "m:-511"])
@@ -791,6 +824,9 @@ BAD_INPUTS = {
     "negative-function-seed": ("isometry", dict(test_set=["random:seed=-1"])),
     "negative-weights-seed": ("semicomplete", dict(weights="diag-reciprocal:seed=-3")),
     "non-numeric-sample": ("parseval", dict(test_set="samples:{tmp}/words.csv")),
+    # Python's float reads '1_0' as 10 and the Arabic-Indic digit one as 1
+    "underscore-in-sample-value": ("parseval", dict(test_set="samples:{tmp}/underscore.csv")),
+    "non-ascii-digit-in-sample-value": ("parseval", dict(test_set="samples:{tmp}/arabic.csv")),
     "non-integer-sample-node": ("parseval", dict(test_set="samples:{tmp}/node.csv")),
     "binary-samples-file": ("parseval", dict(test_set="samples:{tmp}/binary.csv")),
     "boolean-config-seed": ("parseval", dict(seed=True)),
@@ -820,6 +856,8 @@ BLAMED = {
     "nan-iwasawa-truncation": "'iwasawa.truncation': truncation for circle:16 must be a finite number",
     "name-up-a-directory": "config 'name' must be a nonempty string with no path separator",
     "repeated-omitted-label": "config 'omit' repeats 'irrep:1'",
+    "underscore-in-sample-value": "bad sample value in {tmp}/underscore.csv '1_0'",
+    "non-ascii-digit-in-sample-value": "bad sample value in {tmp}/arabic.csv '\u0661'",
 }
 
 
@@ -838,6 +876,8 @@ def test_bad_inputs_exit_2_as_config_errors(tmp_path, capsys, case):
     (tmp_path / "words.csv").write_text(samples.replace("f,3,1,0", "f,3,one,0"))
     (tmp_path / "node.csv").write_text(samples.replace("f,3,1,0", "f,3.5,1,0"))
     (tmp_path / "binary.csv").write_bytes(samples.encode() + b"f,\xff,1,0\n")
+    (tmp_path / "underscore.csv").write_text(samples.replace("f,3,1,0", "f,3,1_0,0"))
+    (tmp_path / "arabic.csv").write_text(samples.replace("f,3,1,0", "f,3,1,\u0661"), encoding="utf-8")
     command, fields = BAD_INPUTS[case]
     fields = {
         k: v.replace("{tmp}", str(tmp_path)) if isinstance(v, str) else v
@@ -847,7 +887,7 @@ def test_bad_inputs_exit_2_as_config_errors(tmp_path, capsys, case):
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and BLAMED.get(case, "") in err
+    assert "config error" in err and BLAMED.get(case, "").replace("{tmp}", str(tmp_path)) in err
     assert not out.exists()
 
 
@@ -1101,8 +1141,9 @@ def test_random_test_set_beyond_physical_memory_exits_2_and_writes_nothing(tmp_p
         ("parseval", dict(test_set="random:count=100000000"), "'test_set' of 100000000 random functions"),
         # keys are checked whatever the command: parseval reads no weights
         ("parseval", dict(weights="nonsense"), "unknown weights spec 'nonsense'"),
+        ("isometry", dict(test_set="random:count=0"), "a test set must be nonempty"),
     ],
-    ids=["weights-head", "weights-table", "test-set-size", "unused-weights"],
+    ids=["weights-head", "weights-table", "test-set-size", "unused-weights", "empty-test-set"],
 )
 def test_weights_and_test_set_errors_exit_2_before_any_catalog(tmp_path, capsys, monkeypatch, command, fields, blamed):
     def no_catalog(*args, **kwargs):
