@@ -23,7 +23,15 @@ it returns the same float as the dense defect of ``gram``.
 ``coefficients_against`` and ``combine`` take either one operand vector or a
 stack of them, one per row, and evaluate the same matrix product either way;
 callers with a whole test set make one call instead of one per function.
-Time the kernels in context with ``perfbench/run.py``.
+Their allocation contract: each returns its complex128 result and allocates
+at most one temporary, the size of the small operand (the function stack of
+``coefficients_against``, the coefficients of ``combine``); no operand is
+written; the product is one ``np.dot``, which reads ``members`` in place in
+any layout (every family and catalog keeps it C-ordered complex128; a real
+one would be cast to complex, a copy of its size).
+The Fourier transform calls them once per catalog label, so their per-call
+overhead, not their arithmetic, sets its speed on a catalog of many small
+blocks.  Time the kernels in context with ``perfbench/run.py``.
 """
 from __future__ import annotations
 
@@ -55,10 +63,17 @@ def coefficients_against(members, w, f) -> np.ndarray:
     """out[..., m] = sum_k w_k f[..., k] conj(members[m, k]).
 
     ``members`` is (M, K); ``f`` is one function (K,) or a stack (F, K), giving
-    (M,) or (F, M).  Conjugating the small operand instead of ``members``
-    spares a copy of the member matrix.
+    (M,) or (F, M).  ``w`` is real, or complex128 with zero imaginary parts,
+    which gives the same bits and spares the cast of a real ``w`` in each
+    call.  The product is conj(members @ conj(f * w).T).T: the small operand
+    is conjugated instead of ``members``, and both conjugations are made in
+    place, in the one fresh buffer of f * w and in the result.
     """
-    return np.conj(_c128(members) @ np.conj(_c128(f) * _f64(w)).T).T
+    fw = np.multiply(f, w, dtype=np.complex128, order="C")
+    np.conjugate(fw, out=fw)
+    out = np.dot(members, fw.T)
+    np.conjugate(out, out=out)
+    return out.T
 
 
 def _upper_gram_blocks(members, w, scale, out=None):
@@ -128,4 +143,4 @@ def gram_defect(members, w, scale) -> float:
 
 def combine(coeffs, members) -> np.ndarray:
     """out[..., k] = sum_m coeffs[..., m] members[m, k] for (M,) or (F, M) coeffs."""
-    return _c128(coeffs) @ _c128(members)
+    return np.dot(_c128(coeffs), members)

@@ -82,7 +82,9 @@ class RepCatalog:
 
     ``store`` is the read-only (sum d^2, n_nodes) coefficient matrix; label
     block b of ``blocks`` owns rows ``store[b.rows]`` and ``grids[b.label]``
-    is the same numbers as an (n_nodes, d, d) view.  ``scale`` is the
+    is the same numbers as an (n_nodes, d, d) view.  ``block_rows`` holds,
+    in block order, each block's row slice and its view ``store[b.rows]``,
+    made once for the per-label loops of ``fourier``.  ``scale`` is the
     read-only (sum d^2,) Peter-Weyl normalization, sqrt(d) on every row of a
     degree-d block.
     """
@@ -91,6 +93,7 @@ class RepCatalog:
     labels: tuple[IrrepLabel, ...]
     store: np.ndarray                      # (sum d^2, n_nodes), member layout
     blocks: tuple[FamilyBlock, ...] = field(init=False)   # Peter-Weyl layout
+    block_rows: tuple[tuple[slice, np.ndarray], ...] = field(init=False)  # (b.rows, store[b.rows])
     scale: np.ndarray = field(init=False)                # (sum d^2,) sqrt(d) per row
     grids: dict[str, np.ndarray] = field(init=False)   # key -> (n_nodes, d, d) view
 
@@ -107,8 +110,10 @@ class RepCatalog:
         sizes = np.array([b.size for b in self.blocks], dtype=np.float64)
         self.scale = np.repeat(np.sqrt(sizes), [b.size**2 for b in self.blocks])
         self.scale.flags.writeable = False
+        self.block_rows = tuple((b.rows, self.store[b.rows]) for b in self.blocks)
         self.grids = {
-            b.label: self.store[b.rows].T.reshape(n, b.size, b.size) for b in self.blocks
+            b.label: rows.T.reshape(n, b.size, b.size)
+            for b, (_, rows) in zip(self.blocks, self.block_rows)
         }
 
     def label_by_key(self, key: str) -> IrrepLabel:

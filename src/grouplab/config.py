@@ -412,7 +412,8 @@ def _csv_chunks(blocks, n_fields: int):
 def write_json(path: str | Path, obj) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
+    # a NaN or infinity would be written as a bare NaN or Infinity, which is not JSON
+    _atomic_write(path, [json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"])
 
 
 def _atomic_write(path: Path, chunks) -> None:

@@ -22,6 +22,7 @@ finite and SU(2) families and the oracle of the circle's Toeplitz bound,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -220,9 +221,24 @@ class OrthonormalFamily:
     def labels(self) -> tuple[str, ...]:
         return tuple(b.label for b in self.blocks)
 
-    @property
+    @cached_property
     def max_block_size(self) -> int:
         return max((b.size for b in self.blocks), default=0)
+
+    @cached_property
+    def size_table_index(self) -> tuple[tuple[int, ...], np.ndarray]:
+        """(sizes, index): the distinct block sizes, ascending, and for each
+        member row its entry in the concatenation over ``sizes`` of one
+        row-major d x d table per size d, so ``table[index]`` gathers per-size
+        values into flat order."""
+        sizes = tuple(sorted({b.size for b in self.blocks}))
+        start = dict(zip(sizes, np.cumsum([0] + [d * d for d in sizes]).tolist()))
+        # row b.offset + p of a size-d block reads entry start[d] + p
+        shift = [start[b.size] - b.offset for b in self.blocks]
+        index = np.arange(self.n_members) + np.repeat(
+            np.array(shift, dtype=np.intp), [b.size * b.size for b in self.blocks]
+        )
+        return sizes, index
 
     def flat_index(self, block: int, i: int, j: int) -> int:
         b = self.blocks[block]

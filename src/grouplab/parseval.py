@@ -46,7 +46,9 @@ class MatrixSequence:
     def __post_init__(self):
         self.blocks = tuple(self.blocks)
         self.flat = np.ascontiguousarray(self.flat, dtype=np.complex128)
-        n = sum(b.size * b.size for b in self.blocks)
+        # ``block_layout`` lays the blocks back to back from 0, so the last one
+        # ends at the entry count: an O(1) check, made once per transform
+        n = self.blocks[-1].rows.stop if self.blocks else 0
         if self.flat.shape != (n,):
             raise ValueError(
                 f"blocks hold {n} entries, got a flat vector of shape {self.flat.shape}"

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .catalog import RepCatalog, _sqrt_degree_family, peter_weyl_basis
 from .fourier import fourier_transform, synthesize
 from .hilbert import (
@@ -22,7 +23,6 @@ from .hilbert import (
     OrthonormalFamily,
     TestSet,
     coefficients,
-    expand,
     tolerance,
 )
 from .spec import ConfigError
@@ -93,7 +93,8 @@ def semi_fourier_expand(
 
     With unit weights this is the orthogonal projection onto the family span.
     Blocks larger than the weight dimension are an error; weights are never
-    reused cyclically.
+    reused cyclically.  Weights large enough that the expansion overflows are
+    a ConfigError.
     """
     if family.max_block_size > weights.n:
         raise ConfigError(
@@ -101,12 +102,16 @@ def semi_fourier_expand(
             f"{family.max_block_size}"
         )
     # member (i, j) of a size-d block is weighted by gamma[j] * beta[i, j]
-    per_size = {
-        d: (weights.gamma[:d] * weights.beta[:d, :d]).reshape(-1)
-        for d in {b.size for b in family.blocks}
-    }
-    scale = np.concatenate([per_size[b.size] for b in family.blocks] or [np.zeros(0)])
-    return expand(coefficients(f, family) * scale, family)
+    sizes, index = family.size_table_index
+    table = np.concatenate(
+        [(weights.gamma[:d] * weights.beta[:d, :d]).reshape(-1) for d in sizes] or [np.zeros(0)]
+    )
+    # ``expand``'s product, made here so that an overflow is refused as a ConfigError
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _kernels.combine(coefficients(f, family) * table[index] * family.scale, family.members)
+    if not np.isfinite(values).all():
+        raise ConfigError("expansion weights overflow: the weighted expansion is not finite")
+    return L2Function(family.group, values)
 
 
 @dataclass(eq=False)
@@ -139,7 +144,7 @@ def semicompleteness_defect(
     for k, fid in enumerate(testset.ids):
         f = testset.function(k)
         weighted = semi_fourier_expand(f, family, weights)
-        per_function.append((fid, (synthesize(fourier_transform(f, cat), cat) - weighted).norm()))
+        per_function.append((fid, _defect(synthesize(fourier_transform(f, cat), cat), weighted, fid)))
     max_defect = max(d for _, d in per_function)
     return SemicompletenessReport(
         test_set=testset.descriptor,
@@ -148,6 +153,16 @@ def semicompleteness_defect(
         weights=weights,
         epsilon=epsilon,
     )
+
+
+def _defect(full: L2Function, weighted: L2Function, fid: str) -> float:
+    """||full - weighted||_2, or a ConfigError when it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is refused below
+        diff = full.values - weighted.values
+        defect = L2Function(full.group, diff).norm() if np.isfinite(diff).all() else np.inf
+    if not np.isfinite(defect):
+        raise ConfigError(f"expansion weights overflow: the defect of {fid} is not finite")
+    return defect
 
 
 @dataclass(frozen=True)

@@ -720,6 +720,14 @@ def test_tol_override_is_a_decimal_by_the_spec_rule(tmp_path, capsys, tol):
     assert cfgmod.load_config(cfg, tol_override="1e-9").tol == 1e-9
 
 
+def test_write_json_refuses_nan_and_infinity(tmp_path):
+    # json.dumps would write the bare tokens NaN and Infinity, which are not JSON
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            cfgmod.write_json(tmp_path / "x.json", {"defect": value})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cmd_semicomplete_accepts_integer_tolerances(tmp_path):
     cfg = write_config(tmp_path, test_set="random:count=2,seed=0", tol=1, epsilon=2)
     assert main(["semicomplete", "--config", str(cfg), "--out", str(tmp_path)]) == 0
@@ -820,6 +828,11 @@ BAD_INPUTS = {
     "non-square-table-beta": ("semicomplete", dict(weights="table:{tmp}/ragged.json")),
     # sym:3 has a 2 x 2 block, which a 1 x 1 table cannot weight
     "table-smaller-than-a-block": ("semicomplete", dict(weights="table:{tmp}/small.json")),
+    # finite weights whose weighted expansion overflows, and whose defect overflows
+    "weights-overflow-the-expansion": ("semicomplete", dict(
+        group="zn:2", test_set="random:count=4,seed=1", weights="table:{tmp}/overflow.json")),
+    "weights-overflow-the-defect": ("semicomplete", dict(
+        group="zn:2", test_set="random:count=4,seed=1", weights="table:{tmp}/large.json")),
     "negative-test-set-seed": ("parseval", dict(test_set="random:count=2,seed=-1")),
     "negative-function-seed": ("isometry", dict(test_set=["random:seed=-1"])),
     "negative-weights-seed": ("semicomplete", dict(weights="diag-reciprocal:seed=-3")),
@@ -858,6 +871,8 @@ BLAMED = {
     "repeated-omitted-label": "config 'omit' repeats 'irrep:1'",
     "underscore-in-sample-value": "bad sample value in {tmp}/underscore.csv '1_0'",
     "non-ascii-digit-in-sample-value": "bad sample value in {tmp}/arabic.csv '\u0661'",
+    "weights-overflow-the-expansion": "expansion weights overflow: the weighted expansion is not finite",
+    "weights-overflow-the-defect": "expansion weights overflow: the defect of random:0 is not finite",
 }
 
 
@@ -872,6 +887,8 @@ def test_bad_inputs_exit_2_as_config_errors(tmp_path, capsys, case):
     (tmp_path / "scalar.json").write_text('{"gamma": 1, "beta": [[1]]}')
     (tmp_path / "ragged.json").write_text('{"gamma": [1, 1], "beta": [[1, 1]]}')
     (tmp_path / "small.json").write_text('{"gamma": [1], "beta": [[1]]}')
+    (tmp_path / "overflow.json").write_text('{"gamma": [1.7e308], "beta": [[1.0]]}')
+    (tmp_path / "large.json").write_text('{"gamma": [1e200], "beta": [[1.0]]}')
     samples = "fn,node,re,im\n" + "".join(f"f,{k},1,0\n" for k in range(6))
     (tmp_path / "words.csv").write_text(samples.replace("f,3,1,0", "f,3,one,0"))
     (tmp_path / "node.csv").write_text(samples.replace("f,3,1,0", "f,3.5,1,0"))

@@ -194,3 +194,34 @@ def test_hs_inner_of_transforms_is_l2_inner(sym3, sym3_catalog):
         fh = fourier_transform(f, sym3_catalog)
         hh = fourier_transform(h, sym3_catalog)
         assert abs(hs_inner(fh, hh) - inner(f, h)) < 1e-12
+
+
+@pytest.mark.parametrize("spec", ["circle:64", "su2:j=2", "dihedral:5"])
+def test_transform_and_synthesis_are_one_kernel_call_per_label(spec, monkeypatch):
+    from grouplab import _kernels
+
+    group = make_group(spec)
+    cat = build_catalog(group)
+    family = peter_weyl_basis(cat)
+    f = random_function(group, 4)
+    # the transform is the coefficient vector against the Peter-Weyl family,
+    # and synthesis its expansion
+    seq = fourier_transform(f, cat)
+    assert np.max(np.abs(seq.flat - coefficients(f, family))) < 1e-13
+    back = synthesize(seq, cat)
+    assert np.max(np.abs(back.values - expand(seq.flat, family).values)) < 1e-13
+
+    calls = {"coefficients_against": 0, "combine": 0}
+    for name in calls:
+        def counted(*args, _name=name, _kernel=getattr(_kernels, name)):
+            calls[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(_kernels, name, counted)
+    synthesize(fourier_transform(f, cat), cat)
+    # perfbench/tests pins these per-label counts; moving the transform to one
+    # call per function is ROADMAP item 3 and re-pins them in a benchmark change
+    assert calls == {"coefficients_against": len(cat.labels), "combine": len(cat.labels)}, (
+        f"{calls} for {len(cat.labels)} labels: the per-label kernel calls are the count "
+        "the benchmark pins (ROADMAP item 3)"
+    )

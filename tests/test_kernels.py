@@ -144,3 +144,97 @@ def test_streamed_gram_defect_holds_a_few_slabs_not_the_gram_matrix():
     # one member slab, one block of Gram rows and its real |G| values; the
     # (1023, 1023) Gram matrix alone would be 16 MB, four slabs
     assert peak <= 3 * slab_bytes, f"gram_defect peak {peak / 2**20:.1f} MB"
+
+
+def _c128(a):
+    return np.ascontiguousarray(a, dtype=np.complex128)
+
+
+def _oracle_coefficients_against(members, w, f):
+    # the one-expression form: four temporaries beside the result
+    return np.conj(_c128(members) @ np.conj(_c128(f) * np.ascontiguousarray(w, dtype=np.float64)).T).T
+
+
+def _oracle_combine(coeffs, members):
+    return _c128(coeffs) @ _c128(members)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _operand(rng, shape, dtype, layout):
+    a = rng.standard_normal(shape)
+    if dtype == "complex":
+        a = a + 1j * rng.standard_normal(shape)
+    if layout == "F":
+        a = np.asfortranarray(a)
+    if layout == "read-only":
+        a.flags.writeable = False
+    return a
+
+
+CONTRACT_CASES = [
+    (d * d, stacked, dtype, layout)
+    for d in (1, 2, 3)
+    for stacked in (False, True)
+    for dtype in ("real", "complex")
+    for layout in ("C", "F", "read-only")
+]
+
+
+@pytest.mark.parametrize("m, stacked, dtype, layout", CONTRACT_CASES)
+def test_per_label_kernels_keep_their_contract(m, stacked, dtype, layout):
+    # one operand (K,) or a stack (F, K) against one label's (d*d, K) store rows
+    rng = np.random.default_rng(m)
+    k, n_fns = 40, 5
+    members = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+    members.flags.writeable = False
+    w = rng.random(k) + 0.1
+    f = _operand(rng, (n_fns, k) if stacked else (k,), dtype, layout)
+    coeffs = _operand(rng, (n_fns, m) if stacked else (m,), dtype, layout)
+    before = [a.copy() for a in (members, w, f, coeffs)]
+
+    fs, cs = np.atleast_2d(f), np.atleast_2d(coeffs)
+    out = _kernels.coefficients_against(members, w, f)
+    assert out.dtype == np.complex128 and out.shape == f.shape[:-1] + (m,)
+    longhand = [[sum(w[j] * row[j] * np.conj(members[i, j]) for j in range(k)) for i in range(m)] for row in fs]
+    assert np.max(np.abs(np.atleast_2d(out) - longhand)) < 1e-13
+    assert _same_bits(out, _oracle_coefficients_against(members, w, f))
+    # the weights as complex128, as the Fourier transform passes them: the same bits
+    assert _same_bits(out, _kernels.coefficients_against(members, w.astype(np.complex128), f))
+
+    out = _kernels.combine(coeffs, members)
+    assert out.dtype == np.complex128 and out.shape == coeffs.shape[:-1] + (k,)
+    longhand = [[sum(row[i] * members[i, j] for i in range(m)) for j in range(k)] for row in cs]
+    assert np.max(np.abs(np.atleast_2d(out) - longhand)) < 1e-13
+    if m > 1:
+        # a degree-1 block takes another BLAS path than matmul's, within rounding
+        assert _same_bits(out, _oracle_combine(coeffs, members))
+
+    for a, b in zip((members, w, f, coeffs), before):
+        assert np.array_equal(a, b)
+
+
+def test_per_label_kernels_allocate_one_small_temporary():
+    # the result and one buffer of f * w, besides numpy's fixed-size buffers
+    # for casting the real weights; the one-expression form held two
+    # temporaries of the function stack at once
+    cast_buffers = 2 * 16 * np.getbufsize()
+    rng = np.random.default_rng(5)
+    members = rng.standard_normal((9, 4096)) + 1j * rng.standard_normal((9, 4096))
+    w = rng.random(4096)
+    fs = rng.standard_normal((16, 4096)) + 1j * rng.standard_normal((16, 4096))
+    coeffs = rng.standard_normal((16, 9)) + 1j * rng.standard_normal((16, 9))
+    for call, allowed in (
+        (lambda: _kernels.coefficients_against(members, w, fs), fs.nbytes + 16 * 16 * 9),
+        (lambda: _kernels.combine(coeffs, members), 16 * 16 * 4096),
+    ):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= allowed + cast_buffers, f"peak {peak} B, allowed {allowed} B"
