@@ -19,10 +19,11 @@ this module therefore sets ``OPENBLAS_THREAD_TIMEOUT`` to
 ``BLAS_THREAD_TIMEOUT``, unless ``OPENBLAS_THREAD_TIMEOUT`` or
 ``GOTO_THREAD_TIMEOUT`` is already set (a value in the environment wins).
 The workers stay, so the few large products a run makes (the Gram slabs,
-the stacked coefficient call) still use every BLAS thread.  OpenBLAS reads
-the variable once, when numpy loads it, so the setting takes effect only
-when this module is imported before numpy, as ``python -m grouplab.cli``
-and the ``grouplab`` script do; BLAS builds other than OpenBLAS ignore it.
+the stacked coefficient call of each chunk of test functions) still use
+every BLAS thread.  OpenBLAS reads the variable once, when numpy loads it,
+so the setting takes effect only when this module is imported before
+numpy, as ``python -m grouplab.cli`` and the ``grouplab`` script do; BLAS
+builds other than OpenBLAS ignore it.
 A library ``import grouplab`` leaves the environment alone.
 """
 from __future__ import annotations
@@ -60,30 +61,35 @@ def _require(name: str, residual: float, group, tol: float | None = None) -> Non
 
 
 def _analysis(cfg: ExperimentConfig):
-    """The catalog, the family and the ``TestSet`` of an analysis command.
+    """The catalog, the family and the test set of an analysis command.
     The family keeps every label not in ``omit`` (Peter-Weyl when none) and is
     checked to be orthonormal within the tolerance by ``gram_defect_bound``:
     the streamed Gram defect, which keeps none of the Gram matrix, or on the
-    circle its Toeplitz bound; the test set is built only after the check."""
+    circle its Toeplitz bound.  The test set (``config.stream_test_set``) is
+    made only after the check, and the commands walk it a chunk of rows at a
+    time, so no random row is drawn, and no member row copied, before then."""
     group = make_group(cfg.group_spec)
     cat = build_catalog(group, truncation=cfg.truncation)
     family = build_riemann_lebesgue_family(cat, OmissionSpec(omitted=cfg.omit))
     _require("gram", gram_defect_bound(cat, family), group, cfg.tol)
-    test_set = cfgmod.build_test_set(cfg.test_set_spec, group, family, seed_override=cfg.seed_override)
+    test_set = cfgmod.stream_test_set(cfg.test_set_spec, group, family, seed_override=cfg.seed_override)
     return cat, family, test_set
 
 
 def _bessel_columns(cfg: ExperimentConfig):
     """Columns (fn ids, ||f||^2, sum |<f, chi>|^2, defect) over the test set.
 
-    The coefficients of the test set's whole array come from one kernel call.
+    The sums are reduced a chunk of test functions at a time, with one kernel
+    call for the coefficients of each chunk.
     """
     _, family, test_set = _analysis(cfg)
-    coeffs = coefficients(test_set, family)
-    norm_sq = test_set.norm_sq()
-    # the kernel returns coeffs in Fortran order; C-ordered rows keep each row's
-    # pairwise summation, so the sums equal the per-row np.sum bit for bit
-    coeff_sum = np.sum(np.abs(coeffs, order="C") ** 2, axis=1)
+    columns = []
+    for chunk in test_set.chunks():
+        coeffs = coefficients(chunk, family)
+        # the kernel returns coeffs in Fortran order; C-ordered rows keep each row's
+        # pairwise summation, so the sums equal the per-row np.sum bit for bit
+        columns.append((chunk.norm_sq(), np.sum(np.abs(coeffs, order="C") ** 2, axis=1)))
+    norm_sq, coeff_sum = (np.concatenate(column) for column in zip(*columns))
     defect = norm_sq - coeff_sum
     _require("bessel", float(np.max(-defect, initial=-np.inf)), family.group)
     return test_set.ids, norm_sq, coeff_sum, defect

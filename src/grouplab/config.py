@@ -6,7 +6,9 @@ fixed config: CSV uses 17-significant-digit floats, '.' decimal separator,
 files are written atomically (temp file + rename).
 
 Weights, function and test-set specs follow the grammar of ``spec.py``, which
-also defines ``ConfigError`` (re-exported here).
+also defines ``ConfigError`` (re-exported here).  A test-set spec becomes a
+test set that the analysis commands walk a chunk of rows at a time
+(``stream_test_set``); ``build_test_set`` gives it whole.
 """
 from __future__ import annotations
 
@@ -26,9 +28,10 @@ from .groups import GroupModel, grid_shape
 from .hilbert import (
     ExpansionWeights,
     OrthonormalFamily,
+    StreamedTestSet,
     TestSet,
     diag_reciprocal_weights,
-    random_functions,
+    random_rows,
     unit_weights,
 )
 from .iwasawa import an_grid_bytes
@@ -294,13 +297,13 @@ def _complex_table(obj, depth: int):
     return complex(*parts)
 
 
-def build_test_set(
+def stream_test_set(
     spec,
     group: GroupModel,
     family: OrthonormalFamily | None = None,
     seed_override: int | None = None,
-) -> TestSet:
-    """Parse a test-set spec into a ``TestSet``, its (F, n_nodes) array filled in place.
+) -> TestSet | StreamedTestSet:
+    """Parse a test-set spec into a test set walked a chunk of rows at a time.
 
     Forms: 'random:count=N,seed=S', 'members', 'samples:PATH' (CSV with
     fn,node,re,im rows), or a JSON list of single-function specs, each
@@ -308,33 +311,64 @@ def build_test_set(
     a block index or label), 'samples:PATH' (CSV with node,re,im rows).
     ``seed_override`` replaces only the seed of the 'random:count=N,seed=S'
     form; the 'random:seed=S' entries of a list keep theirs.
+
+    Random rows, members and list entries make a ``StreamedTestSet``: one row
+    writer per form fills each chunk when it is walked (a list's entries are
+    parsed now, and a samples entry's file is read when its row is written).
+    A 'samples:PATH' file is read once, whole, into a ``TestSet`` whose
+    chunks are views of it.
     """
     if isinstance(spec, list):
-        values = np.empty((len(spec), group.n_nodes), dtype=np.complex128)
-        ids = [_write_function(s, group, family, row) for s, row in zip(spec, values)]
-        return TestSet(group, values, ids, f"list:{len(spec)}")
+        entries = [_function_writer(s, group, family) for s in spec]
+
+        def write_entries(start: int, out: np.ndarray) -> None:
+            for (_, write_row), row in zip(entries[start:start + len(out)], out):
+                write_row(row)
+
+        ids = [fid for fid, _ in entries]
+        return StreamedTestSet(group, ids, f"list:{len(spec)}", lambda: write_entries)
     head, rest = split_spec(spec)
     if head == "random":
         count, seed = _random_test_set(rest, group.n_nodes, group.name, seed_override)
         ids = [f"random:{k}" for k in range(count)]
-        return TestSet(group, random_functions(group, seed, count), ids, f"random:count={count},seed={seed}")
+        return StreamedTestSet(
+            group, ids, f"random:count={count},seed={seed}", lambda: random_rows(group, seed)
+        )
     if head == "members":
         parse_params(rest, "members test set")
         _require(family is not None, "'members' test set needs a family in context")
-        return TestSet(group, family.members * family.scale[:, None], _member_ids(family), "members")
+
+        def write_members(start: int, out: np.ndarray) -> None:
+            rows = slice(start, start + len(out))
+            np.multiply(family.members[rows], family.scale[rows, None], out=out)
+
+        return StreamedTestSet(group, _member_ids(family), "members", lambda: write_members)
     if head == "samples":
         ids, values = _read_samples(group, rest, named=True)
         return TestSet(group, values, ids, f"samples:{rest}")
     raise ConfigError(f"unknown test set spec {spec!r}")
 
 
-def _write_function(spec, group: GroupModel, family: OrthonormalFamily | None, row: np.ndarray) -> str:
-    """Write the function of one list entry's spec into ``row``; return its id."""
+def build_test_set(
+    spec,
+    group: GroupModel,
+    family: OrthonormalFamily | None = None,
+    seed_override: int | None = None,
+) -> TestSet:
+    """The whole ``TestSet`` of a test-set spec: the rows of ``stream_test_set``
+    in one (F, n_nodes) array, written in place by the same row writers."""
+    test_set = stream_test_set(spec, group, family, seed_override)
+    return test_set if isinstance(test_set, TestSet) else test_set.whole()
+
+
+def _function_writer(
+    spec, group: GroupModel, family: OrthonormalFamily | None
+) -> tuple[str, Callable[[np.ndarray], object]]:
+    """The id of one list entry's function and a writer of its values into a row."""
     head, rest = split_spec(spec)
     if head == "random":
         seed = parse_params(rest, "function", seed=_seed).get("seed", 0)
-        row[:] = random_functions(group, seed, 1)[0]
-        return f"random:{seed}"
+        return f"random:{seed}", lambda row: random_rows(group, seed)(0, row[None])
     if head == "member":
         _require(family is not None, "member function spec needs a family in context")
         params = parse_params(rest, "member function", block=str, i=integer, j=integer)
@@ -348,11 +382,9 @@ def _write_function(spec, group: GroupModel, family: OrthonormalFamily | None, r
         b = family.blocks[block_index]
         _require(0 <= i < b.size and 0 <= j < b.size, f"member index out of range in {spec!r}")
         k = family.flat_index(block_index, i, j)
-        np.multiply(family.scale[k], family.members[k], out=row)
-        return f"member:{b.label}[{i}][{j}]"
+        return f"member:{b.label}[{i}][{j}]", lambda row: np.multiply(family.scale[k], family.members[k], out=row)
     if head == "samples":
-        _read_samples(group, rest, named=False, out=row[None])
-        return f"samples:{rest}"
+        return f"samples:{rest}", lambda row: _read_samples(group, rest, named=False, out=row[None])
     raise ConfigError(f"unknown function spec {spec!r}")
 
 

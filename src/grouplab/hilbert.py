@@ -2,7 +2,11 @@
 
 Functions are complex vectors on the group's quadrature grid; "closed span"
 statements from the continuous theory become span statements on the grid.
-A finite test set of F functions is one ``TestSet``, an (F, n_nodes) array.
+A finite test set of F functions is one ``TestSet``, an (F, n_nodes) array,
+or a ``StreamedTestSet``, whose rows are written into one reused block a
+chunk of ``TEST_CHUNK_ROWS`` at a time; both are walked in the same chunks
+(``chunk_slices``), so the analysis commands hold one chunk of test
+functions and of their coefficients at a time.
 Orthonormal families are stored as a dense member matrix, one real scale per
 member row, and one ``FamilyBlock`` (label, square size, flat offset) per
 block, with the flat order fixed as: blocks in catalog order, row-major
@@ -21,7 +25,8 @@ finite and SU(2) families and the oracle of the circle's Toeplitz bound,
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -92,23 +97,38 @@ class L2Function:
     __rmul__ = __mul__
 
 
+#: ``write(start, out)``: fill ``out`` with rows start, start + 1, ... of a test set.
+RowWriter = Callable[[int, np.ndarray], None]
+
+
+def random_rows(group: GroupModel, seed: int, normalize: bool = True) -> RowWriter:
+    """A writer of seeded random rows: complex standard-normal node values, each row normalized.
+
+    The rows are consecutive draws from one generator, each filled in place
+    (its real part, then its imaginary part, then its scaling): every call
+    writes the next ``len(out)`` draws whatever its ``start``, so the calls
+    of one writer must come in row order from row 0.
+    """
+    rng = np.random.default_rng(seed)
+
+    def write(start: int, out: np.ndarray) -> None:
+        for row in out:
+            row.real = rng.standard_normal(group.n_nodes)
+            row.imag = rng.standard_normal(group.n_nodes)
+            n = L2Function(group, row).norm() if normalize else 0.0
+            if n > 0:
+                row *= 1.0 / n
+
+    return write
+
+
 def random_functions(
     group: GroupModel, seed: int, count: int, normalize: bool = True
 ) -> np.ndarray:
-    """(count, n_nodes) seeded random node values: complex standard normal, each row normalized.
-
-    The rows are consecutive draws from one generator, each filled in place
-    (its real part, then its imaginary part, then its scaling), so row 0 holds
-    the values of ``random_function(group, seed)``.
-    """
-    rng = np.random.default_rng(seed)
+    """(count, n_nodes) seeded random node values, ``random_rows`` written in one call;
+    row 0 holds the values of ``random_function(group, seed)``."""
     out = np.empty((count, group.n_nodes), dtype=np.complex128)
-    for row in out:
-        row.real = rng.standard_normal(group.n_nodes)
-        row.imag = rng.standard_normal(group.n_nodes)
-        n = L2Function(group, row).norm() if normalize else 0.0
-        if n > 0:
-            row *= 1.0 / n
+    random_rows(group, seed, normalize)(0, out)
     return out
 
 
@@ -117,13 +137,36 @@ def random_function(group: GroupModel, seed: int, normalize: bool = True) -> L2F
     return L2Function(group, random_functions(group, seed, 1, normalize)[0])
 
 
+#: Rows per chunk in which the analysis commands walk a test set: a run holds
+#: one chunk of test functions and of their coefficients at a time.
+TEST_CHUNK_ROWS = 32
+
+
+def chunk_slices(count: int) -> list[slice]:
+    """Consecutive row slices of ``count`` rows, ``TEST_CHUNK_ROWS`` each but
+    the last, except that a last single row joins the slice before it.
+
+    So every chunk starts at a multiple of 32 rows, and each row of the
+    chunks' coefficients has the bits of the whole set's one product: the
+    BLAS product kernels take the function columns in groups that divide 32,
+    while a one-row product goes through a matrix-vector kernel, whose sums
+    differ from the product's.
+    """
+    stops = list(range(TEST_CHUNK_ROWS, count, TEST_CHUNK_ROWS))
+    if stops and count - stops[-1] == 1:
+        stops.pop()
+    return [slice(start, stop) for start, stop in zip([0, *stops], [*stops, count])]
+
+
 @dataclass(eq=False)
 class TestSet:
     """A finite test set: F functions as the rows of one C-ordered
     (F, n_nodes) complex array, one id per row, and a descriptor of its spec.
 
-    It is nonempty (an empty one is a ConfigError) and its values are finite;
-    ``ids`` defaults to ``fn:<k>``.  Row k is the function ``function(k)``.
+    It is nonempty (an empty one is a ConfigError), its values are finite
+    and so are their squared norms (a row whose norm overflows is a
+    ConfigError naming its id); ``ids`` defaults to ``fn:<k>``.  Row k is
+    the function ``function(k)``.
     """
 
     __test__ = False    # a library type, not a pytest test class
@@ -132,6 +175,7 @@ class TestSet:
     values: np.ndarray
     ids: tuple[str, ...] | None = None
     descriptor: str = "explicit"
+    _norm_sq: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
@@ -146,6 +190,13 @@ class TestSet:
             raise ValueError(f"{len(self.ids)} function ids for {n_fns} test functions")
         if not np.isfinite(self.values).all():
             raise ValueError("test set values must be finite (no NaN or infinity)")
+        w = self.group.weights
+        with np.errstate(over="ignore"):    # an overflow is refused below
+            self._norm_sq = np.array([np.dot(w, np.abs(row) ** 2) for row in self.values], dtype=float)
+        over = np.flatnonzero(~np.isfinite(self._norm_sq))
+        if over.size:
+            raise ConfigError(f"the squared norm of test function {self.ids[over[0]]!r} overflows")
+        self._norm_sq.flags.writeable = False
 
     @staticmethod
     def require_nonempty(count: int) -> None:
@@ -162,9 +213,55 @@ class TestSet:
         return L2Function(self.group, self.values[k])
 
     def norm_sq(self) -> np.ndarray:
-        """(F,) squared norms, each the float ``L2Function.norm_sq`` gives its row."""
-        w = self.group.weights
-        return np.array([np.dot(w, np.abs(row) ** 2) for row in self.values], dtype=float)
+        """(F,) squared norms, each the float ``L2Function.norm_sq`` gives its
+        row; read-only, computed once when the set is made."""
+        return self._norm_sq
+
+    def chunks(self):
+        """The set as ``TestSet`` views of the row slices of ``chunk_slices``."""
+        for rows in chunk_slices(len(self)):
+            yield TestSet(self.group, self.values[rows], self.ids[rows], self.descriptor)
+
+
+@dataclass(eq=False)
+class StreamedTestSet:
+    """A test set that is never held whole: F functions on ``group`` with one
+    id per row and a descriptor, like a ``TestSet``, written a chunk at a time.
+
+    ``writer()`` starts one pass over the rows and returns its ``write(start,
+    out)``, which the pass calls on consecutive blocks of rows from row 0.
+    """
+
+    __test__ = False    # a library type, not a pytest test class
+
+    group: GroupModel
+    ids: tuple[str, ...]
+    descriptor: str
+    writer: Callable[[], RowWriter]
+
+    def __post_init__(self):
+        self.ids = tuple(self.ids)
+        TestSet.require_nonempty(len(self.ids))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def chunks(self):
+        """The rows in the chunks of ``chunk_slices``, each a ``TestSet`` written
+        into one reused block and valid until the next chunk is made."""
+        slices = chunk_slices(len(self))
+        block = np.empty((max(s.stop - s.start for s in slices), self.group.n_nodes), dtype=np.complex128)
+        write = self.writer()
+        for s in slices:
+            values = block[: s.stop - s.start]
+            write(s.start, values)
+            yield TestSet(self.group, values, self.ids[s], self.descriptor)
+
+    def whole(self) -> TestSet:
+        """Every row in one ``TestSet``, written in one call of one pass."""
+        values = np.empty((len(self), self.group.n_nodes), dtype=np.complex128)
+        self.writer()(0, values)
+        return TestSet(self.group, values, self.ids, self.descriptor)
 
 
 @dataclass(frozen=True)

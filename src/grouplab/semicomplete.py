@@ -21,6 +21,7 @@ from .hilbert import (
     ExpansionWeights,
     L2Function,
     OrthonormalFamily,
+    StreamedTestSet,
     TestSet,
     coefficients,
     tolerance,
@@ -135,16 +136,18 @@ def semicompleteness_defect(
     family: OrthonormalFamily,
     weights: ExpansionWeights,
     cat: RepCatalog,
-    testset: TestSet,
+    testset: TestSet | StreamedTestSet,
     epsilon: float | None = None,
 ) -> SemicompletenessReport:
     """Per-function ||PW-expansion(f) - weighted-expansion(f)||_2 over a test set,
-    under its ids and descriptor: one expansion, transform and synthesis per row."""
+    under its ids and descriptor: one expansion, transform and synthesis per row,
+    walking the set a chunk of rows at a time."""
     per_function = []
-    for k, fid in enumerate(testset.ids):
-        f = testset.function(k)
-        weighted = semi_fourier_expand(f, family, weights)
-        per_function.append((fid, _defect(synthesize(fourier_transform(f, cat), cat), weighted, fid)))
+    for chunk in testset.chunks():
+        for k, fid in enumerate(chunk.ids):
+            f = chunk.function(k)
+            weighted = semi_fourier_expand(f, family, weights)
+            per_function.append((fid, _defect(synthesize(fourier_transform(f, cat), cat), weighted, fid)))
     max_defect = max(d for _, d in per_function)
     return SemicompletenessReport(
         test_set=testset.descriptor,

@@ -1,17 +1,30 @@
-"""Test-only helpers: sample-file writers, small constructors, and the
-per-function test-set builders kept as oracles for ``config.build_test_set``.
+"""Test-only helpers: sample-file writers, small constructors, the
+per-function test-set builders kept as oracles for ``config.build_test_set``,
+and the whole-array analysis kept as the oracle of the chunked commands.
 
-The oracles build a test set one ``L2Function`` at a time, as the library
-did before a test set became one ``(F, n_nodes)`` array; the array's rows
-must equal their values bit for bit.
+The builder oracles make a test set one ``L2Function`` at a time, as the
+library did before a test set became one ``(F, n_nodes)`` array; the array's
+rows must equal their values bit for bit.  ``oracle_analysis`` reduces the
+whole test set at once, as the analysis commands did before they walked it
+a chunk of rows at a time; their files must equal its files byte for byte.
 """
 from pathlib import Path
 
 import numpy as np
 
+from grouplab import config as cfgmod
+from grouplab.catalog import build_catalog
 from grouplab.config import write_csv
-from grouplab.hilbert import L2Function, TestSet
+from grouplab.fourier import fourier_transform, synthesize
+from grouplab.groups import make_group
+from grouplab.hilbert import L2Function, TestSet, coefficients
 from grouplab.parseval import MatrixSequence, zero_sequence
+from grouplab.semicomplete import (
+    OmissionSpec,
+    SemicompletenessReport,
+    build_riemann_lebesgue_family,
+    semi_fourier_expand,
+)
 from grouplab.spec import split_spec
 
 
@@ -92,3 +105,38 @@ def oracle_function(spec: str, group, family=None) -> L2Function:
 
 def oracle_members(family) -> list[L2Function]:
     return [family.member_flat(k) for k in range(family.n_members)]
+
+
+# ---------------------------------------------------------------------------
+# the whole-array analysis, as the oracle
+
+
+def oracle_analysis(cfg) -> None:
+    """Write the files of ``parseval``, ``isometry`` and ``semicomplete`` for a
+    loaded config from its whole test set: one coefficient product over all
+    F rows for the Bessel columns, one loop over all rows for the defects."""
+    group = make_group(cfg.group_spec)
+    cat = build_catalog(group, truncation=cfg.truncation)
+    family = build_riemann_lebesgue_family(cat, OmissionSpec(omitted=cfg.omit))
+    ts = cfgmod.build_test_set(cfg.test_set_spec, group, family, seed_override=cfg.seed_override)
+    out = cfg.out_dir / cfg.name
+
+    norm_sq = np.array([ts.function(k).norm_sq() for k in range(len(ts))])
+    coeff_sum = np.sum(np.abs(coefficients(ts, family), order="C") ** 2, axis=1)
+    defect = norm_sq - coeff_sum
+    write_csv(f"{out}_parseval.csv", ["fn_id", "norm_sq", "coeff_sum_sq", "defect"],
+              [(ts.ids, norm_sq, coeff_sum, defect)])
+    write_csv(f"{out}_isometry.csv", ["fn_id", "norm_sq", "seq_norm_sq", "defect"],
+              [(ts.ids, norm_sq, coeff_sum, np.abs(defect))])
+
+    weights = cfg.weights(family.max_block_size)
+    per_function = []
+    for k, fid in enumerate(ts.ids):
+        f = ts.function(k)
+        full = synthesize(fourier_transform(f, cat), cat)
+        per_function.append((fid, (full - semi_fourier_expand(f, family, weights)).norm()))
+    report = SemicompletenessReport(
+        ts.descriptor, per_function, max(d for _, d in per_function), weights, cfg.epsilon
+    )
+    cfgmod.write_json(f"{out}_semicomplete.json", cfgmod.report_json_obj(report))
+    write_csv(f"{out}_semicomplete.csv", ["fn", "defect"], [tuple(zip(*per_function))])

@@ -833,6 +833,11 @@ BAD_INPUTS = {
         group="zn:2", test_set="random:count=4,seed=1", weights="table:{tmp}/overflow.json")),
     "weights-overflow-the-defect": ("semicomplete", dict(
         group="zn:2", test_set="random:count=4,seed=1", weights="table:{tmp}/large.json")),
+    # sample values whose squares overflow: the squared norm is not finite
+    **{
+        f"sample-norm-overflows-in-{command}": (command, dict(group="zn:2", test_set="samples:{tmp}/vast.csv"))
+        for command in ("parseval", "isometry", "semicomplete")
+    },
     "negative-test-set-seed": ("parseval", dict(test_set="random:count=2,seed=-1")),
     "negative-function-seed": ("isometry", dict(test_set=["random:seed=-1"])),
     "negative-weights-seed": ("semicomplete", dict(weights="diag-reciprocal:seed=-3")),
@@ -873,6 +878,10 @@ BLAMED = {
     "non-ascii-digit-in-sample-value": "bad sample value in {tmp}/arabic.csv '\u0661'",
     "weights-overflow-the-expansion": "expansion weights overflow: the weighted expansion is not finite",
     "weights-overflow-the-defect": "expansion weights overflow: the defect of random:0 is not finite",
+    **{
+        f"sample-norm-overflows-in-{command}": "the squared norm of test function 'f' overflows"
+        for command in ("parseval", "isometry", "semicomplete")
+    },
 }
 
 
@@ -895,6 +904,7 @@ def test_bad_inputs_exit_2_as_config_errors(tmp_path, capsys, case):
     (tmp_path / "binary.csv").write_bytes(samples.encode() + b"f,\xff,1,0\n")
     (tmp_path / "underscore.csv").write_text(samples.replace("f,3,1,0", "f,3,1_0,0"))
     (tmp_path / "arabic.csv").write_text(samples.replace("f,3,1,0", "f,3,1,\u0661"), encoding="utf-8")
+    (tmp_path / "vast.csv").write_text("fn,node,re,im\nf,0,1e308,0\nf,1,-1e308,0\n")
     command, fields = BAD_INPUTS[case]
     fields = {
         k: v.replace("{tmp}", str(tmp_path)) if isinstance(v, str) else v

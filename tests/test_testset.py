@@ -1,7 +1,8 @@
 """The test-set array: every form of ``config.build_test_set`` fills one
 C-ordered (F, n_nodes) block whose rows equal, bit for bit, the values the
 per-function builders give (kept in ``support`` as oracles), and the
-``TestSet`` type refuses an empty, ragged, mis-labelled or non-finite set."""
+``TestSet`` type refuses an empty, ragged, mis-labelled or non-finite set,
+and one whose squared norms overflow."""
 import numpy as np
 import pytest
 
@@ -9,6 +10,7 @@ from grouplab.catalog import build_catalog, peter_weyl_basis
 from grouplab.config import build_test_set
 from grouplab.groups import make_group
 from grouplab.hilbert import TestSet, coefficients
+from grouplab.spec import ConfigError
 from support import (
     functions_to_csv,
     l2_to_csv,
@@ -96,3 +98,6 @@ def test_test_set_type_enforces_its_conditions():
     bad[1, 2] = np.nan
     with pytest.raises(ValueError, match="finite"):
         TestSet(group, bad)
+    # finite values whose squares overflow, refused with no RuntimeWarning
+    with pytest.raises(ConfigError, match="the squared norm of test function 'b' overflows"):
+        TestSet(group, [[1, 1, 1, 1], [1e200, 0, 0, 0]], ids=["a", "b"])
