@@ -4,13 +4,11 @@ Exposes the dual object of a group model as an ordered list of labels with
 degrees d and an ordering magnitude |.|, plus the matrix coefficients
 u_ij(g) as functions on the group:
 
-* finite groups -- irreps are constructed, not tabulated (Dixon's method): a
-  random Hermitian matrix is averaged over the left regular representation by
-  gathers through one table of g^-1 x, and the orthonormal basis B of each
-  eigenvalue cluster gives its grid B^H L_g B in one batched product.  One scan
-  checks each cluster for irreducibility and keeps the first grid of each
-  character class; the classes are written once into the store, which is checked
-  against sum(d^2) = |G|, the multiplicities d and Schur orthogonality;
+* finite groups -- irreps in closed form, read off the family and size in the
+  group's name: ``zn`` characters and ``dihedral`` irreps gathered from the
+  circle's table of roots of unity, Young's orthogonal form for ``sym``.  Each
+  is checked to be a unitary homomorphism on the family's generators, and the
+  store for Schur orthogonality;
 * circle -- characters exp(i m theta) for |m| <= M.  On the uniform grid
   theta_k = 2 pi k / n every value of a character is an n-th root of unity, so
   store row m is gathered from one table of them, ``roots[(m k) mod n]``, in
@@ -49,11 +47,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
 from . import _kernels
-from .groups import GroupModel, _fmt_spin, grid_shape, require_same_group, su2_matrix_from_euler
+from .groups import (
+    TWO_PI,
+    GroupModel,
+    _fmt_spin,
+    _parse_group_spec,
+    grid_shape,
+    require_same_group,
+    su2_matrix_from_euler,
+)
 from .hilbert import FamilyBlock, OrthonormalFamily, block_layout, tolerance
 from .spec import ConfigError, is_finite, steps_of
 
@@ -201,80 +208,107 @@ def su2_irrep_matrix(two_j: int, g: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# finite-group irreps from the regular representation
+# finite-group irreps in closed form: each family's (n, d, d) grids and generators
 
-_FINITE_SEED = 0x5EED
 _CHAR_ROUND = 6
-#: Random commutant draws before the decomposition of a regular representation fails.
-_FINITE_TRIES = 12
 
 
-def _averaged_commutant(left: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """mean_g L_g H L_g^T for a random Hermitian H, where row g of ``left``
-    lists g^-1 x for every x: (L_g H L_g^T)[x, y] = H[g^-1 x, g^-1 y]."""
-    n = left.shape[0]
-    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = x + x.conj().T
-    t = np.zeros((n, n), dtype=np.complex128)
-    for inv in left:
-        t += h[np.ix_(inv, inv)]
-    return t / n
+def _cyclic(size: int, table: np.ndarray):
+    """zn:N: the characters k -> w^(h k), w = exp(2 pi i / N), from the roots table."""
+    return list(_characters(size, range(size))[:, :, None, None]), [1 % size]
 
 
-def _cluster_eigs(vals: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Indices of ``vals`` by ascending value, split before each one ``tol`` or more above the last."""
-    order = np.argsort(vals)
-    return np.split(order, np.flatnonzero(np.diff(vals[order]) >= tol) + 1)
+def _dihedral(size: int, table: np.ndarray):
+    """dihedral:N, element f N + k = s^f r^k (Serre, *Linear Representations of
+    Finite Groups*, 5.3): s^f r^k -> a^f b^k for a, b = +-1 (b = -1 for even N
+    only), and for 1 <= h < N/2, s^f r^k -> [[0, 1], [1, 0]]^f diag(w^(h k),
+    w^(-h k)), both entries from the roots table."""
+    f, k = np.divmod(np.arange(2 * size), size)
+    signs = [(a, b) for a in (1, -1) for b in (1, -1)[: 2 - size % 2]]
+    grids = [(a**f * b**k).astype(np.complex128)[:, None, None] for a, b in signs]
+    phases = _characters(size, [m for h in range(1, (size + 1) // 2) for m in (h, -h)])
+    for plus, minus in zip(phases[::2], phases[1::2]):
+        grid = np.zeros((2 * size, 2, 2), dtype=np.complex128)
+        grid[:size, 0, 0] = grid[size:, 1, 0] = plus
+        grid[:size, 1, 1] = grid[size:, 0, 1] = minus
+        grids.append(grid)
+    return grids, [1, size]
 
 
-def _finite_irreps(table: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """Degrees and coefficient store of the distinct unitary irreps of a finite group:
-    one per equivalence class, in catalog order and ``build_catalog``'s layout.
-    """
-    n = table.shape[0]
-    left = np.argsort(table, axis=1)   # row g inverts row g of the table: g^-1 x
-    rng = np.random.default_rng(_FINITE_SEED + 977 * n)
-    char_tol = tolerance("irrep_character")
+def _symmetric(size: int, table: np.ndarray):
+    """sym:N in Young's orthogonal form (G. James and A. Kerber, 1981) on the standard
+    tableaux T of each shape, as Yamanouchi words (letter t in row word[t]): with
+    r the axial distance from letter i to i + 1, s_i = (i, i + 1) takes T to
+    T / r + sqrt(1 - 1/r^2) s_i T, where s_i T swaps the two letters (|r| = 1 if
+    they share a row or a column); then u(s_i g) = u(s_i) u(g), breadth first."""
+    perms = sorted(permutations(range(size)))      # the element order of ``symmetric_group``
+    generators = [perms.index((*range(i), i + 1, i, *range(i + 2, size))) for i in range(size - 1)]
+    queue, seen, steps = [0], {0}, []
+    for g in queue:             # (h, i, g): h = s_i g, with g reached before h
+        for i, s in enumerate(generators):
+            if (h := int(table[s, g])) not in seen:
+                seen.add(h)
+                queue.append(h)
+                steps.append((h, i, g))
+    words = [()]
+    for _ in range(size):
+        words = [w + (r,) for w in words for r in range(size) if r == 0 or w.count(r - 1) > w.count(r)]
+    shapes: dict[tuple, list] = {}
+    for w in words:
+        shapes.setdefault(tuple(map(w.count, range(size))), []).append(w)
+    grids = []
+    for tableaux in shapes.values():
+        d, index = len(tableaux), {w: a for a, w in enumerate(tableaux)}
+        images = np.zeros((size - 1, d, d))
+        for a, w in enumerate(tableaux):
+            content = [w[:t].count(row) - row for t, row in enumerate(w)]     # column - row
+            for i in range(size - 1):
+                r = content[i + 1] - content[i]
+                images[i, a, a] = 1 / r
+                if abs(r) > 1:
+                    images[i, index[w[:i] + (w[i + 1], w[i]) + w[i + 2 :]], a] = math.sqrt(1 - 1 / r**2)
+        grid = np.empty((len(table), d, d), dtype=np.complex128)
+        grid[0] = np.eye(d)
+        for h, i, g in steps:
+            grid[h] = images[i] @ grid[g]
+        grids.append(grid)
+    return grids, generators
 
-    # deterministic order: trivial first, then by degree and character key
-    def sort_key(entry):
-        grid, chars, _ = entry
-        d = grid.shape[1]
-        rounded = tuple((round(c.real, _CHAR_ROUND), round(c.imag, _CHAR_ROUND)) for c in chars)
-        trivial = d == 1 and np.max(np.abs(chars - 1.0)) < char_tol
-        return (0 if trivial else 1, d, rounded)
 
-    for _ in range(_FINITE_TRIES):
-        vals, vecs = np.linalg.eigh(_averaged_commutant(left, rng))
-        spread = max(float(vals[-1] - vals[0]), 1.0)
-        classes = []    # [grid, characters, copies] per class, with its first copy's grid
-        for cluster in _cluster_eigs(vals, tolerance("irrep_cluster") * spread):
-            basis, _ = np.linalg.qr(vecs[:, cluster])
-            grid = basis.conj().T @ basis[left]    # B^H L_g B, as (L_g B)[x] = B[g^-1 x]
-            chars = np.einsum("gii->g", grid)
-            # irreducibility: mean |character|^2 == 1; a reducible cluster abandons the draw
-            if abs(np.mean(np.abs(chars) ** 2) - 1.0) > char_tol:
-                classes = None
-                break
-            # equivalent copies share a character
-            copy_of = next((c for c in classes if np.max(np.abs(c[1] - chars)) < char_tol), None)
-            if copy_of is None:
-                classes.append([grid, chars, 1])
-            else:
-                copy_of[2] += 1
-        if classes is None:
-            continue
-        classes.sort(key=sort_key)
-        degrees = [grid.shape[1] for grid, _, _ in classes]
-        if sum(d * d for d in degrees) != n or degrees != [copies for _, _, copies in classes]:
-            continue
-        store = np.empty((n, n), dtype=np.complex128)
-        np.concatenate([grid.reshape(n, -1).T for grid, _, _ in classes], out=store)
-        # Schur orthogonality: {sqrt(d) u_ij} is orthonormal within the Gram tolerance
-        scale = np.repeat(np.sqrt(degrees), [d * d for d in degrees])
-        if _kernels.gram_defect(store, np.full(n, 1.0 / n), scale) <= tolerance("gram", "finite"):
-            return degrees, store
-    raise RuntimeError(f"failed to decompose the regular representation in {_FINITE_TRIES} tries")
+def _catalog_order(grids) -> np.ndarray:
+    """Indices of ``grids`` in catalog order: trivial first, then by degree, then by the
+    characters rounded to ``_CHAR_ROUND`` places, compared (re, im) element by element."""
+    chars = np.array([np.einsum("gii->g", grid) for grid in grids])
+    rounded = np.round(np.stack([chars.real, chars.imag], axis=-1).reshape(len(grids), -1), _CHAR_ROUND)
+    return np.lexsort([*rounded.T[::-1], [grid.shape[1] for grid in grids], ~np.all(chars == 1, axis=1)])
+
+
+_FINITE_FORMS = {"zn": _cyclic, "dihedral": _dihedral, "sym": _symmetric}
+
+
+def _finite_irreps(group: GroupModel) -> tuple[list[int], np.ndarray]:
+    """Degrees and coefficient store of the distinct unitary irreps of a finite group,
+    in catalog order and ``build_catalog``'s layout.  Each irrep must be unitary on
+    the family's generators s and satisfy u(s g) = u(s) u(g) for every g, which
+    makes it a unitary homomorphism, and the store must be Schur orthogonal."""
+    head, (size,) = _parse_group_spec(group.name)
+    grids, generators = _FINITE_FORMS[head](size, group.table)
+    grids = [grids[k] for k in _catalog_order(grids)]
+    for idx, grid in enumerate(grids):
+        images = grid[generators]
+        residual = np.maximum(
+            np.max(np.abs(grid[group.table[generators]] - images[:, None] @ grid)),
+            np.max(np.abs(images @ images.conj().transpose(0, 2, 1) - np.eye(grid.shape[1]))),
+        )
+        if not residual <= tolerance("homomorphism"):
+            raise RuntimeError(f"irrep:{idx} of {group.name} has homomorphism residual {residual:.3g}")
+    degrees = [grid.shape[1] for grid in grids]
+    store = np.empty((sum(np.square(degrees)), group.n_nodes), dtype=np.complex128)   # rows in C order
+    np.concatenate([grid.reshape(group.n_nodes, -1).T for grid in grids], out=store)
+    schur = _kernels.gram_defect(store, group.weights, np.repeat(np.sqrt(degrees), np.square(degrees)))
+    if not schur <= tolerance("gram", "finite"):
+        raise RuntimeError(f"the irreps of {group.name} have Schur orthogonality defect {schur:.3g}")
+    return degrees, store
 
 
 # ---------------------------------------------------------------------------
@@ -298,18 +332,18 @@ _FFT_ERROR = 8
 _SUM_ERROR = 4
 
 
-def _circle_table(group: GroupModel, ms):
-    """The circle's one table of roots of unity and the index rule into it.
+def _circle_table(n: int, ms):
+    """The one table of n-th roots of unity and the index rule into it.
 
-    Returns ``roots``, exp(i theta_j) at the n nodes theta_j = 2 pi j / n,
-    and an iterator of ``(rows, index)`` over slabs of the frequencies ``ms``
-    with index[r, k] = (m k) mod n for m = ms[rows][r]: character m takes the
+    Returns ``roots``, exp(i theta_j) at the nodes theta_j = 2 pi j / n of
+    ``circle_group(n)``, computed as it computes them, and an iterator of
+    ``(rows, index)`` over slabs of the frequencies ``ms`` with
+    index[r, k] = (m k) mod n for m = ms[rows][r]: character m takes the
     value roots[index[r, k]] at node k, since m theta_k = 2 pi (m k mod n) / n
     modulo 2 pi.  Every slab is a view of one reused index buffer of at most
     ``_CIRCLE_SLAB_ENTRIES`` entries (one row, if a row is longer), valid until
     the next slab is yielded.
     """
-    n = group.n_nodes
     ms = np.asarray(ms, dtype=np.int64)
     step = max(1, _CIRCLE_SLAB_ENTRIES // n)
     nodes = np.arange(n, dtype=np.int64)
@@ -322,7 +356,17 @@ def _circle_table(group: GroupModel, ms):
             np.remainder(index, n, out=index)
             yield slice(start, start + len(index)), index
 
-    return np.exp(1j * group.thetas), slabs()
+    return np.exp(1j * (TWO_PI * nodes / n)), slabs()
+
+
+def _characters(n: int, ms) -> np.ndarray:
+    """(len(ms), n) rows k -> exp(2 pi i m k / n), one per m in ``ms``, gathered
+    from the table of n-th roots of unity (``_circle_table``)."""
+    roots, slabs = _circle_table(n, ms)
+    out = np.empty((len(ms), n), dtype=np.complex128)
+    for rows, index in slabs:
+        np.take(roots, index, out=out[rows])
+    return out
 
 
 def _differences(ms: np.ndarray) -> np.ndarray:
@@ -361,7 +405,7 @@ def gram_defect_bound(cat: RepCatalog, family: OrthonormalFamily) -> float:
     n, w = group.n_nodes, group.weights
     frequency = {lab.key: lab.payload for lab in cat.labels}
     ms = np.array([frequency[b.label] for b in family.blocks], dtype=np.int64)
-    roots, slabs = _circle_table(group, ms)
+    roots, slabs = _circle_table(n, ms)
     rho = 0.0
     for rows, index in slabs:
         gap = family.members[rows] * family.scale[rows, None]
@@ -419,7 +463,7 @@ def build_catalog(group: GroupModel, truncation: float | None = None) -> RepCata
     n = group.n_nodes
     steps = _bound_in_steps(truncation, group.kind, group.name, group.capacity)
     if group.kind == "finite":
-        degrees, store = _finite_irreps(group.table)
+        degrees, store = _finite_irreps(group)
         labels = [
             IrrepLabel(kind="finite", payload=idx, degree=d, magnitude=float(idx))
             for idx, d in enumerate(degrees)
@@ -429,10 +473,7 @@ def build_catalog(group: GroupModel, truncation: float | None = None) -> RepCata
         labels = [
             IrrepLabel(kind="circle", payload=m, degree=1, magnitude=float(abs(m))) for m in ms
         ]
-        _, store = _empty_store(labels, n)   # one row per label, in label order
-        roots, slabs = _circle_table(group, ms)
-        for rows, index in slabs:
-            np.take(roots, index, out=store[rows])
+        store = _characters(n, ms)   # one row per label, in label order
     elif group.kind == "su2":
         labels = [
             IrrepLabel(kind="su2", payload=two_j / 2.0, degree=two_j + 1, magnitude=two_j / 2.0)
@@ -440,7 +481,8 @@ def build_catalog(group: GroupModel, truncation: float | None = None) -> RepCata
         ]
         alphas, betas, gammas = group.eulers.T
         beta_nodes, beta_index = np.unique(betas, return_inverse=True)
-        blocks, store = _empty_store(labels, n)
+        blocks = _peter_weyl_layout(labels)
+        store = np.empty((sum(b.size**2 for b in blocks), n), dtype=np.complex128)
         for lab, b in zip(labels, blocks):
             d, rows = lab.degree, store[b.rows]
             small = np.array(
@@ -478,12 +520,6 @@ def store_bytes(spec: str, truncation: float | None = None) -> int:
         d = steps + 1                          # degree of the top spin
         rows = d * (d + 1) * (2 * d + 1) // 6  # sum of d'^2 for d' <= d
     return rows * n_nodes * np.dtype(np.complex128).itemsize
-
-
-def _empty_store(labels, n_nodes: int) -> tuple[tuple[FamilyBlock, ...], np.ndarray]:
-    """The Peter-Weyl layout of ``labels`` and an uninitialised store it describes."""
-    blocks = _peter_weyl_layout(labels)
-    return blocks, np.empty((sum(b.size**2 for b in blocks), n_nodes), np.complex128)
 
 
 def _peter_weyl_layout(labels) -> tuple[FamilyBlock, ...]:

@@ -48,8 +48,7 @@ TOLERANCES = {
     "lift_norm": _GRAM,             # max |Gram(lift)_mm - 1|
     "membership": {"finite": 1e-10, "circle": 1e-8, "su2": 1e-8},  # Parseval defect of a member
     "weights_diagonal": 1e-12,      # |gamma_i beta_ii - 1| of admissible weights
-    "irrep_cluster": 1e-6,          # eigenvalue gap within one finite irrep, per unit spread
-    "irrep_character": 1e-6,        # irreducibility and equality of finite characters
+    "homomorphism": 1e-12,          # max |u(s g) - u(s) u(g)|, |u(s) u(s)^H - I| over generators s
 }
 #: The invariants the CLI checks; a breach of one exits 3.
 CLI_INVARIANTS = ("gram", "bessel", "lift_restriction", "lift_condition_i", "lift_gram", "lift_norm")

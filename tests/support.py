@@ -1,12 +1,16 @@
 """Test-only helpers: sample-file writers, small constructors, the
 per-function test-set builders kept as oracles for ``config.build_test_set``,
-and the whole-array analysis kept as the oracle of the chunked commands.
+the whole-array analysis kept as the oracle of the chunked commands, and
+Dixon's method kept as the oracle of the finite catalog's closed forms.
 
 The builder oracles make a test set one ``L2Function`` at a time, as the
 library did before a test set became one ``(F, n_nodes)`` array; the array's
 rows must equal their values bit for bit.  ``oracle_analysis`` reduces the
 whole test set at once, as the analysis commands did before they walked it
 a chunk of rows at a time; their files must equal its files byte for byte.
+``dixon_irreps`` decomposes the regular representation, as the catalog did
+before it built each finite family's irreps in closed form; the label order,
+degrees and characters of the two must agree.
 """
 from pathlib import Path
 
@@ -140,3 +144,61 @@ def oracle_analysis(cfg) -> None:
     )
     cfgmod.write_json(f"{out}_semicomplete.json", cfgmod.report_json_obj(report))
     write_csv(f"{out}_semicomplete.csv", ["fn", "defect"], [tuple(zip(*per_function))])
+
+
+# ---------------------------------------------------------------------------
+# Dixon's method, as the oracle of the finite closed forms
+
+DIXON_SEED = 0x5EED
+#: Random commutant draws before the decomposition fails.
+DIXON_TRIES = 12
+#: Eigenvalue gap within one irrep, per unit spread.
+DIXON_CLUSTER = 1e-6
+#: Irreducibility and equality of characters.
+DIXON_CHARACTER = 1e-6
+
+
+def dixon_irreps(table) -> list[tuple[int, np.ndarray]]:
+    """(degree, characters) of the distinct irreps of the finite group of
+    multiplication ``table``, in catalog order, by Dixon's method (J. D. Dixon,
+    "Computing irreducible representations of groups", Math. Comp. 24 (1970)).
+
+    A random Hermitian matrix averaged over the left regular representation
+    commutes with it; the orthonormal basis B of each of its eigenvalue
+    clusters spans an irrep, whose grid is B^H L_g B.  A draw whose clusters
+    are reducible, or whose classes miss sum d^2 = |G| or the multiplicities
+    d, is drawn again.
+    """
+    n = table.shape[0]
+    left = np.argsort(table, axis=1)   # row g inverts row g of the table: g^-1 x
+    rng = np.random.default_rng(DIXON_SEED + 977 * n)
+
+    def sort_key(entry):    # trivial first, then by degree and rounded characters
+        d, chars, _ = entry
+        rounded = tuple((round(c.real, 6), round(c.imag, 6)) for c in chars)
+        return (0 if d == 1 and np.max(np.abs(chars - 1.0)) < DIXON_CHARACTER else 1, d, rounded)
+
+    for _ in range(DIXON_TRIES):
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = x + x.conj().T
+        commutant = sum(h[np.ix_(inv, inv)] for inv in left) / n   # mean_g L_g H L_g^T
+        vals, vecs = np.linalg.eigh(commutant)
+        order = np.argsort(vals)
+        gap = DIXON_CLUSTER * max(float(vals[-1] - vals[0]), 1.0)
+        classes = []    # [degree, characters, copies]
+        for cluster in np.split(order, np.flatnonzero(np.diff(vals[order]) >= gap) + 1):
+            basis, _ = np.linalg.qr(vecs[:, cluster])
+            chars = np.einsum("gii->g", basis.conj().T @ basis[left])   # tr B^H L_g B
+            if abs(np.mean(np.abs(chars) ** 2) - 1.0) > DIXON_CHARACTER:
+                break    # a reducible cluster abandons the draw
+            copy_of = next((c for c in classes if np.max(np.abs(c[1] - chars)) < DIXON_CHARACTER), None)
+            if copy_of is None:
+                classes.append([len(cluster), chars, 1])
+            else:
+                copy_of[2] += 1
+        else:
+            classes.sort(key=sort_key)
+            degrees = [d for d, _, _ in classes]
+            if sum(d * d for d in degrees) == n and degrees == [copies for _, _, copies in classes]:
+                return [(d, chars) for d, chars, _ in classes]
+    raise RuntimeError(f"failed to decompose the regular representation in {DIXON_TRIES} tries")

@@ -1,16 +1,18 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from grouplab import catalog
 from grouplab.catalog import (
-    _FINITE_SEED,
     RepCatalog,
-    _averaged_commutant,
-    _cluster_eigs,
     build_catalog,
     gram_defect_bound,
     matrix_coefficient,
@@ -22,6 +24,7 @@ from grouplab.groups import circle_group, cyclic_group, grid_shape, make_group, 
 from grouplab.hilbert import OrthonormalFamily, tolerance
 from grouplab.semicomplete import OmissionSpec, build_riemann_lebesgue_family
 from grouplab.spec import ConfigError
+from support import dixon_irreps
 
 #: The finite groups of tests/test_groups.py, and one of order 128.
 FINITE = ["zn:1", "zn:4", "zn:12", "dihedral:3", "dihedral:5", "sym:3", "sym:4", "dihedral:64"]
@@ -88,98 +91,122 @@ def test_homomorphism_unitarity_on_samples(spec):
             assert np.max(np.abs(ua @ ua.conj().T - np.eye(lab.degree))) < 1e-10
 
 
-def _scatter_add_commutant(table, rng):
-    # the longhand construction the gathers replaced: (L_g H L_g^T)[perm[i], perm[j]] = H[i, j]
-    n = table.shape[0]
-    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = x + x.conj().T
-    t = np.zeros((n, n), dtype=np.complex128)
-    for g in range(n):
-        perm = table[g, :]
-        t[np.ix_(perm, perm)] += h
-    return t / n
+# ---------------------------------------------------------------------------
+# finite groups: the closed forms, their checks, and Dixon's method as the oracle
+
+#: Every group of FINITE, and the cyclic and dihedral groups up to order 80.
+ORACLE = list(dict.fromkeys([*FINITE, *(f"zn:{n}" for n in range(1, 41)), *(f"dihedral:{n}" for n in range(3, 41))]))
 
 
-def _first_draw(table):
-    """The inverse-translation table and the first draw's averaged commutant, as the catalog makes them."""
-    n = table.shape[0]
-    left = np.argsort(table, axis=1)
-    t = _averaged_commutant(left, np.random.default_rng(_FINITE_SEED + 977 * n))
-    return left, t
-
-
-@pytest.mark.parametrize("spec", FINITE)
-def test_gathered_commutant_equals_the_scatter_add_loop_bitwise(spec):
-    table = make_group(spec).table
-    n = table.shape[0]
-    left, t = _first_draw(table)
-    # row g of ``left`` lists g^-1 x: it inverts row g of the table
-    assert np.array_equal(np.take_along_axis(table, left, axis=1), np.tile(np.arange(n), (n, 1)))
-    assert np.array_equal(t, _scatter_add_commutant(table, np.random.default_rng(_FINITE_SEED + 977 * n)))
-
-
-def _cluster_eigs_loop(vals, tol):
-    # the longhand chaining the split replaced: a value joins the last cluster
-    # when it is less than tol above the cluster's last value
-    order = np.argsort(vals)
-    clusters = [[order[0]]]
-    for idx in order[1:]:
-        if vals[idx] - vals[clusters[-1][-1]] < tol:
-            clusters[-1].append(idx)
-        else:
-            clusters.append([idx])
-    return [np.array(c) for c in clusters]
-
-
-def _assert_same_clusters(got, want):
-    assert len(got) == len(want)
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-
-@pytest.mark.parametrize("spec", FINITE)
-def test_cluster_split_equals_the_chaining_loop_on_the_first_draw(spec):
-    vals = np.linalg.eigh(_first_draw(make_group(spec).table)[1])[0]
-    tol = tolerance("irrep_cluster") * max(float(vals[-1] - vals[0]), 1.0)
-    _assert_same_clusters(_cluster_eigs(vals, tol), _cluster_eigs_loop(vals, tol))
-
-
-@pytest.mark.parametrize("tol, sizes", [(0.5, [2, 1, 1, 1]), (np.nextafter(0.5, 1.0), [4, 1])])
-def test_cluster_split_at_a_gap_of_exactly_tol_and_just_below_it(tol, sizes):
-    # the gaps are 0, 0.5, 0.5 and 1.0: a gap of exactly tol splits, one just below chains
-    vals = np.array([1.0, 0.0, 2.0, 0.5, 0.0])
-    got = _cluster_eigs(vals, tol)
-    _assert_same_clusters(got, _cluster_eigs_loop(vals, tol))
-    assert [len(c) for c in got] == sizes
-
-
-@pytest.mark.parametrize("spec", FINITE)
-def test_store_grids_match_the_per_element_loop_on_each_first_copy(spec):
-    # the store keeps each class's first cluster, whose grid B^H L_g B the
-    # per-element loop rebuilds; no bitwise claim, since another BLAS may
-    # split the catalog's batched product differently
+@pytest.mark.parametrize("spec", ORACLE)
+def test_closed_forms_match_dixon_label_by_label(spec):
+    # characters do not depend on the basis, so the sort by rounded characters
+    # gives Dixon's order, keys and degrees
     group = make_group(spec)
-    table = group.table
-    n = table.shape[0]
-    vals, vecs = np.linalg.eigh(_first_draw(table)[1])
-    spread = max(float(vals[-1] - vals[0]), 1.0)
     cat = build_catalog(group)
-    unmatched = {lab.key: cat.grids[lab.key] for lab in cat.labels}
-    for cluster in _cluster_eigs(vals, tolerance("irrep_cluster") * spread):
-        basis, _ = np.linalg.qr(vecs[:, cluster])
-        want = np.empty((n, len(cluster), len(cluster)), dtype=np.complex128)
-        for g in range(n):
-            # L_g basis: row permutation e_h -> e_{g h}
-            lb = np.zeros_like(basis)
-            lb[table[g, :], :] = basis
-            want[g] = basis.conj().T @ lb
-        chars = np.einsum("gii->g", want)
-        key = next(
-            (k for k, grid in unmatched.items() if np.allclose(np.einsum("gii->g", grid), chars, atol=1e-6)),
-            None,
+    want = dixon_irreps(group.table)
+    assert [lab.key for lab in cat.labels] == [f"irrep:{k}" for k in range(len(want))]
+    assert [lab.degree for lab in cat.labels] == [d for d, _ in want]
+    for lab, (_, chars) in zip(cat.labels, want):
+        assert np.max(np.abs(np.einsum("gii->g", cat.grids[lab.key]) - chars)) <= 1e-12, lab.key
+
+
+@pytest.mark.parametrize("spec", FINITE)
+def test_every_product_is_unitary_homomorphic_and_schur_orthogonal_within_1e_12(spec):
+    # the build checks the generators only; every pair of elements is what that stands for
+    group = make_group(spec)
+    cat = build_catalog(group)
+    assert peter_weyl_basis(cat).gram_defect() <= 1e-12
+    for lab in cat.labels:
+        grid = cat.grids[lab.key]
+        assert np.max(np.abs(grid[group.table] - grid[:, None] @ grid[None])) <= 1e-12, lab.key
+        assert np.max(np.abs(grid @ grid.conj().transpose(0, 2, 1) - np.eye(lab.degree))) <= 1e-12
+
+
+@pytest.mark.parametrize("spec", FINITE)
+def test_the_trivial_irrep_and_the_identity_images_are_exact(spec):
+    cat = build_catalog(make_group(spec))
+    assert np.all(cat.store[0] == 1.0)
+    for lab in cat.labels:
+        assert np.array_equal(cat.grids[lab.key][0], np.eye(lab.degree)), lab.key
+
+
+def test_the_finite_build_draws_no_random_numbers_and_calls_no_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the finite build called a random or LAPACK routine")
+
+    for name in ("eig", "eigh", "qr", "svd", "solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for spec in FINITE:
+        build_catalog(make_group(spec))
+
+
+def _corrupted_form(monkeypatch, spec, corrupt):
+    """Patch the closed form of ``spec``'s family to pass its grids through ``corrupt``."""
+    head = spec.split(":")[0]
+    form = catalog._FINITE_FORMS[head]
+
+    def patched(size, table):
+        grids, generators = form(size, table)
+        return corrupt(grids), generators
+
+    monkeypatch.setitem(catalog._FINITE_FORMS, head, patched)
+
+
+@pytest.mark.parametrize("spec, element", [("zn:12", 5), ("dihedral:5", 7), ("sym:4", 13), ("sym:4", 0)])
+def test_a_grid_entry_off_by_1e_9_fails_the_generator_check_naming_its_label(monkeypatch, spec, element):
+    group = make_group(spec)
+    clean = build_catalog(group)
+    head, size = spec.split(":")
+    last = catalog._FINITE_FORMS[head](int(size), group.table)[0][-1]    # the irrep to corrupt
+    key = next(lab.key for lab in clean.labels if np.array_equal(clean.grids[lab.key], last))
+
+    def corrupt(grids):
+        grids[-1][element, 0, -1] += 1e-9
+        return grids
+
+    _corrupted_form(monkeypatch, spec, corrupt)
+    with pytest.raises(RuntimeError, match=f"{key} of {spec} has homomorphism residual") as raised:
+        build_catalog(group)
+    assert 0.5e-9 <= float(str(raised.value).split()[-1]) <= 2e-9
+
+
+def test_a_non_unitary_equivalent_irrep_fails_the_generator_check(monkeypatch):
+    # A u A^-1 still multiplies like the group, but its images are not unitary
+    a = np.array([[1.0, 0.5], [0.0, 1.0]])
+    _corrupted_form(monkeypatch, "dihedral:5", lambda grids: grids[:-1] + [a @ grids[-1] @ np.linalg.inv(a)])
+    with pytest.raises(RuntimeError, match=r"irrep:\d of dihedral:5 has homomorphism residual 0\.\d"):
+        build_catalog(make_group("dihedral:5"))
+
+
+def test_a_repeated_irrep_fails_the_schur_check(monkeypatch):
+    # a copy of an irrep is a unitary homomorphism but not orthogonal to its original
+    _corrupted_form(monkeypatch, "dihedral:5", lambda grids: grids + grids[-1:])
+    with pytest.raises(RuntimeError, match="dihedral:5 have Schur orthogonality defect 1"):
+        build_catalog(make_group("dihedral:5"))
+
+
+def test_finite_stores_have_the_same_bytes_under_one_and_two_blas_threads():
+    script = (
+        "import hashlib, sys\n"
+        "from grouplab.catalog import build_catalog\n"
+        "from grouplab.groups import make_group\n"
+        "for spec in sys.argv[1:]:\n"
+        "    print(spec, hashlib.sha256(build_catalog(make_group(spec)).store.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(catalog.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script, "dihedral:64", "sym:4"],
+            capture_output=True, text=True, env=env, timeout=120,
         )
-        if key is not None:    # a later copy of a class finds its key taken
-            assert np.max(np.abs(unmatched.pop(key) - want)) <= 1e-14
-    assert not unmatched
+        assert result.returncode == 0, result.stderr
+        digests.append(result.stdout)
+    assert digests[0] == digests[1] and digests[0].count("\n") == 2
 
 
 def test_identity_matrix_at_identity(sym3, sym3_catalog):

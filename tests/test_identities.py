@@ -1,0 +1,69 @@
+"""The same group built two ways: identities between group kinds.
+
+Schur orthogonality and the homomorphism check pass any consistent
+construction.  These identities need no oracle, and they also catch a wrong
+basis convention, label order or table of roots: ``zn:n`` against
+``circle:n``, the rotations of ``dihedral:n`` against ``zn:n``, and
+``sym:3`` against ``dihedral:3``.
+"""
+from itertools import permutations
+
+import numpy as np
+import pytest
+
+from grouplab.catalog import build_catalog
+from grouplab.groups import make_group
+
+
+def _characters(cat, lab):
+    return np.einsum("gii->g", cat.grids[lab.key])
+
+
+@pytest.mark.parametrize("n", [5, 7, 12, 64])
+def test_zn_rows_are_the_circle_rows_bit_for_bit_and_for_even_n_one_more(n):
+    # both gather exp(2 pi i m k / n) from one table of roots; the circle's
+    # full catalog stops at |m| <= (n - 1) // 2, so for even n it lacks m = n/2
+    zn = build_catalog(make_group(f"zn:{n}"))
+    circle = build_catalog(make_group(f"circle:{n}"))
+    zn_rows = {row.tobytes() for row in zn.store}
+    circle_rows = {row.tobytes() for row in circle.store}
+    assert len(zn_rows) == n and len(circle_rows) == len(circle.labels)
+    assert circle_rows <= zn_rows
+    roots = np.exp(1j * circle.group.thetas)
+    nyquist = {roots[(n // 2) * np.arange(n) % n].tobytes()} if n % 2 == 0 else set()
+    assert zn_rows - circle_rows == nyquist
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 12, 64])
+def test_dihedral_2d_irreps_on_the_rotations_are_diagonals_of_two_zn_characters(n):
+    # element k < n of dihedral:n is the rotation r^k, and k of zn:n its image
+    dihedral = build_catalog(make_group(f"dihedral:{n}"))
+    zn = build_catalog(make_group(f"zn:{n}"))
+    characters = {row.tobytes() for row in zn.store}
+    pairs = set()
+    for lab in (lab for lab in dihedral.labels if lab.degree == 2):
+        rotations = dihedral.grids[lab.key][:n]
+        assert not np.any(rotations[:, 0, 1]) and not np.any(rotations[:, 1, 0]), lab.key
+        a, b = rotations[:, 0, 0].copy(), rotations[:, 1, 1].copy()
+        assert a.tobytes() in characters and b.tobytes() in characters, lab.key
+        assert a.tobytes() != b.tobytes() and np.max(np.abs(a * b - 1.0)) <= 1e-15, lab.key
+        pairs.add(frozenset((a.tobytes(), b.tobytes())))
+    assert len(pairs) == (n - 1) // 2    # one conjugate pair per 2-D irrep, none repeated
+
+
+def test_sym3_and_dihedral3_characters_agree_under_every_table_isomorphism():
+    sym, dihedral = make_group("sym:3"), make_group("dihedral:3")
+    # maps phi that fix the identity with phi(a b) = phi(a) phi(b)
+    maps = [
+        phi for phi in (np.array((0, *p)) for p in permutations(range(1, 6)))
+        if np.array_equal(phi[sym.table], dihedral.table[np.ix_(phi, phi)])
+    ]
+    assert len(maps) == 6    # the automorphisms of S_3
+    sym_cat, dihedral_cat = build_catalog(sym), build_catalog(dihedral)
+    assert [(lab.key, lab.degree) for lab in sym_cat.labels] == [
+        (lab.key, lab.degree) for lab in dihedral_cat.labels
+    ]
+    for phi in maps:
+        for s, d in zip(sym_cat.labels, dihedral_cat.labels):
+            gap = np.max(np.abs(_characters(dihedral_cat, d)[phi] - _characters(sym_cat, s)))
+            assert gap <= 1e-12, (s.key, gap)
