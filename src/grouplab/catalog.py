@@ -14,8 +14,9 @@ u_ij(g) as functions on the group:
   store row m is gathered from one table of them, ``roots[(m k) mod n]``, in
   slabs of rows through one small index buffer.  ``gram_defect_bound`` reads
   the same table and index rule (``_circle_table``): the characters' Gram
-  matrix is Toeplitz, so one FFT of the weights and one pass over the members
-  bound its defect in O(M n + n log n), where the dense check costs O(M^2 n);
+  matrix is Toeplitz, so the largest entry of one FFT of the weights and one
+  pass over the members bound its defect in O(M n + n log n), where the dense
+  check costs O(M^2 n);
 * SU(2) -- spin-j Wigner matrices for j = 0, 1/2, ..., jmax.  On the Euler
   product grid they are built from the factorization
   D^j(alpha, beta, gamma) = diag(e^{-i m alpha}) d^j(beta) diag(e^{-i m' gamma}):
@@ -39,9 +40,9 @@ of store rows (every Peter-Weyl family and every tail omission) has members
 and scale that are views of ``store`` and ``scale``; only a retained set with
 a gap gathers its rows.  So an analysis run holds the coefficient grid once.
 
-``gram_defect_bound`` is the one orthonormality check of an analysis family,
-per group kind: the streamed dense defect for finite groups and SU(2), the
-Toeplitz bound for the circle.
+``gram_defect_bound`` is the one orthonormality check of every family a
+command builds, per group kind: the streamed dense defect for finite groups
+and SU(2), the Toeplitz bound for the circle.
 """
 from __future__ import annotations
 
@@ -369,28 +370,15 @@ def _characters(n: int, ms) -> np.ndarray:
     return out
 
 
-def _differences(ms: np.ndarray) -> np.ndarray:
-    """The positive differences m' - m over pairs of the distinct integers ``ms``,
-    ascending: the nonzero lags of their indicator's autocorrelation, from two
-    real FFTs of length 2L + 1 for the span L = max - min."""
-    if len(ms) < 2:
-        return np.zeros(0, dtype=np.int64)
-    span = int(ms.max() - ms.min())
-    indicator = np.zeros(span + 1)
-    indicator[ms - ms.min()] = 1.0
-    spectrum = np.fft.rfft(indicator, 2 * span + 1)
-    pairs = np.fft.irfft(spectrum * spectrum.conj(), 2 * span + 1)[1 : span + 1]
-    return np.flatnonzero(pairs > 0.5) + 1     # pair counts are integers
-
-
 def gram_defect_bound(cat: RepCatalog, family: OrthonormalFamily) -> float:
     """An upper bound on max |G - I| over the Gram matrix G of a family of ``cat``.
 
     Finite groups and SU(2): the streamed dense defect ``family.gram_defect()``
     itself.  Circle, in O(M n + n log n) for M members on n nodes: the Gram
     matrix of exact characters is Toeplitz, G[a, b] = w^(m_b - m_a) for the
-    DFT w^ of the weights, so its defect is the larger of |w^(0) - 1| and
-    |w^(j)| over the differences j of the family's frequencies, from one FFT.
+    DFT w^ of the weights, and every label has |m| <= (n - 1) / 2, so each
+    difference is a nonzero index of w^ mod n and the defect is at most the
+    larger of |w^(0) - 1| and |w^(j)| over the whole spectrum, from one FFT.
     The members are those characters up to rho, the largest distance of a
     stored member entry from its table value (``_circle_table``), which adds
     ||w||_1 (2 rho + rho^2).  A rounding term covers the table's distance from
@@ -412,10 +400,8 @@ def gram_defect_bound(cat: RepCatalog, family: OrthonormalFamily) -> float:
         gap -= roots[index]
         rho = np.maximum(rho, np.max(np.abs(gap)))     # carries a NaN through
     spectrum = np.fft.fft(w)
-    lags = _differences(ms)
-    toeplitz = np.max(np.abs(np.concatenate(
-        [[spectrum[0] - 1.0], spectrum[lags % n], spectrum[-lags % n]]
-    )))
+    spectrum[0] -= 1.0
+    toeplitz = np.max(np.abs(spectrum))
     l1, l2 = np.sum(np.abs(w)), np.linalg.norm(w)
     rounding = _U * (
         2 * _ROOT_ERROR * l1

@@ -6,10 +6,11 @@ directory with experiment-name prefixes.  Exit codes: 0 success, 2 config
 error (a ``ConfigError``: a bad config value, spec or referenced file), 3
 breach of a numerical invariant (a row of ``hilbert.CLI_INVARIANTS``, each
 checked by ``_require``).  Any other exception is an internal failure: it is
-not caught, so the process exits 1 with its traceback.  The ``gram`` residual
-of ``parseval``, ``isometry`` and ``semicomplete`` is
-``catalog.gram_defect_bound``, one check per group kind (the circle's is a
-Toeplitz bound); ``lift`` takes it from the one Gram matrix it builds.
+not caught, so the process exits 1 with its traceback.  Every command that
+builds a family checks it with ``catalog.gram_defect_bound``, one check per
+group kind (the circle's is a Toeplitz bound), and no command builds a Gram
+matrix: ``lift`` reads its two residuals off the AN mass and the diagonal of
+Gram(xi), since Gram(lift) = Gram(xi) * mass.
 
 BLAS idle policy: numpy's bundled OpenBLAS starts a pool of worker threads
 when numpy loads, and by default an idle worker busy-waits for 2**28 cycles
@@ -60,18 +61,24 @@ def _require(name: str, residual: float, group, tol: float | None = None) -> Non
         raise InvariantBreach(f"{name} residual {residual:.3e} exceeds tolerance {limit:.3e}")
 
 
+def _checked_family(cat, cfg: ExperimentConfig):
+    """The family of ``cat`` that keeps every label not in ``cfg.omit``
+    (Peter-Weyl when none), checked to be orthonormal within the tolerance by
+    ``gram_defect_bound``: the streamed Gram defect, which keeps none of the
+    Gram matrix, or on the circle its Toeplitz bound."""
+    family = build_riemann_lebesgue_family(cat, OmissionSpec(omitted=cfg.omit))
+    _require("gram", gram_defect_bound(cat, family), cat.group, cfg.tol)
+    return family
+
+
 def _analysis(cfg: ExperimentConfig):
-    """The catalog, the family and the test set of an analysis command.
-    The family keeps every label not in ``omit`` (Peter-Weyl when none) and is
-    checked to be orthonormal within the tolerance by ``gram_defect_bound``:
-    the streamed Gram defect, which keeps none of the Gram matrix, or on the
-    circle its Toeplitz bound.  The test set (``config.stream_test_set``) is
+    """The catalog, the checked family (``_checked_family``) and the test set
+    of an analysis command.  The test set (``config.stream_test_set``) is
     made only after the check, and the commands walk it a chunk of rows at a
     time, so no random row is drawn, and no member row copied, before then."""
     group = make_group(cfg.group_spec)
     cat = build_catalog(group, truncation=cfg.truncation)
-    family = build_riemann_lebesgue_family(cat, OmissionSpec(omitted=cfg.omit))
-    _require("gram", gram_defect_bound(cat, family), group, cfg.tol)
+    family = _checked_family(cat, cfg)
     test_set = cfgmod.stream_test_set(cfg.test_set_spec, group, family, seed_override=cfg.seed_override)
     return cat, family, test_set
 
@@ -149,18 +156,17 @@ def cmd_lift(cfg: ExperimentConfig) -> int:
     model = make_iwasawa_model(
         iw.k_spec, iw.a_range, iw.n_range, iw.a_size, iw.n_size, profile=iw.profile
     )
-    cat = build_catalog(model.K, truncation=iw.truncation)
-    xi = build_riemann_lebesgue_family(cat, OmissionSpec(omitted=cfg.omit))
-    # one Gram matrix of xi gives its defect, the same float as the streamed
-    # check's, and the lift's Gram matrix, xi's times the AN mass
-    gram = xi.gram_matrix()
-    _require("gram", float(np.max(np.abs(gram - np.eye(xi.n_members)))), model.K, cfg.tol)
+    xi = _checked_family(build_catalog(model.K, truncation=iw.truncation), cfg)
     restricted = lift_family(model, xi).restrict_to_k()
     restriction_residual = float(np.max(np.abs(restricted.members - xi.members)))
     condition_i_residual = model.condition_i_residual()
-    lifted_gram = gram * model.an_mass
-    gram_residual = float(np.max(np.abs(lifted_gram - gram)))
-    norm_residual = float(np.max(np.abs(np.diag(lifted_gram) - 1.0)))
+    # Gram(lift) = Gram(xi) * mass, and a Gram matrix, positive semidefinite, has
+    # its largest entry on its diagonal G_mm = s_m^2 sum_k w_k |u_mk|^2
+    mass = model.an_mass
+    parts = xi.members.view(np.float64)      # (re, im) pairs of each member row
+    diagonal = xi.scale**2 * np.einsum("mk,mk,k->m", parts, parts, np.repeat(xi.group.weights, 2))
+    gram_residual = abs(mass - 1.0) * float(np.max(diagonal))
+    norm_residual = float(np.max(np.abs(diagonal * mass - 1.0)))
     _require("lift_restriction", restriction_residual, model.K)
     _require("lift_condition_i", condition_i_residual, model.K)
     _require("lift_gram", gram_residual, model.K, cfg.tol)

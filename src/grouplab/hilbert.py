@@ -19,9 +19,9 @@ applied only where members meet arithmetic: ``coefficients``, ``expand``,
 ``member`` and the Gram kernels.  A family's orthonormality defect max |G - I|
 is reduced slab by slab over the upper triangle of its Gram matrix G, so
 checking a family never allocates an (M, M) array; ``gram_matrix`` builds G
-only for callers that need the matrix itself.  ``gram_defect`` is the check of
-finite and SU(2) families and the oracle of the circle's Toeplitz bound,
-``catalog.gram_defect_bound``.
+for library callers and tests that need the matrix itself, and no CLI command
+calls it.  ``gram_defect`` is the check of finite and SU(2) families and the
+oracle of the circle's Toeplitz bound, ``catalog.gram_defect_bound``.
 """
 from __future__ import annotations
 
@@ -121,19 +121,12 @@ def random_rows(group: GroupModel, seed: int, normalize: bool = True) -> RowWrit
     return write
 
 
-def random_functions(
-    group: GroupModel, seed: int, count: int, normalize: bool = True
-) -> np.ndarray:
-    """(count, n_nodes) seeded random node values, ``random_rows`` written in one call;
-    row 0 holds the values of ``random_function(group, seed)``."""
-    out = np.empty((count, group.n_nodes), dtype=np.complex128)
-    random_rows(group, seed, normalize)(0, out)
-    return out
-
-
 def random_function(group: GroupModel, seed: int, normalize: bool = True) -> L2Function:
-    """Seeded random function: complex standard-normal node values, normalized."""
-    return L2Function(group, random_functions(group, seed, 1, normalize)[0])
+    """Seeded random function: complex standard-normal node values, normalized;
+    row 0 of ``random_rows(group, seed)``."""
+    out = np.empty((1, group.n_nodes), dtype=np.complex128)
+    random_rows(group, seed, normalize)(0, out)
+    return L2Function(group, out[0])
 
 
 #: Rows per chunk in which the analysis commands walk a test set: a run holds

@@ -452,6 +452,18 @@ def test_circle_gram_bound_sees_one_weight_and_one_member_entry():
     assert math.isnan(gram_defect_bound(cat, nan))
 
 
+def test_circle_gram_bound_sees_a_weight_ripple_at_a_lag_the_family_lacks():
+    # frequencies |m| <= 3 differ by at most 6, so a ripple at lag 20 leaves the
+    # dense defect at rounding; the whole weight spectrum still shows it
+    cat = build_catalog(circle_group(64), truncation=3)
+    weights = 1.0 + 1e-6 * np.cos(2 * np.pi * 20 * np.arange(64) / 64)
+    group = dataclasses.replace(cat.group, weights=weights / weights.sum())
+    rippled = RepCatalog(group, cat.labels, cat.store)
+    fam = peter_weyl_basis(rippled)
+    assert fam.gram_defect() < 1e-15
+    assert gram_defect_bound(rippled, fam) > 1e-8 >= tolerance("gram", "circle")
+
+
 # ---------------------------------------------------------------------------
 # the coefficient store
 

@@ -12,8 +12,8 @@ from grouplab import config as cfgmod
 from grouplab.catalog import _CIRCLE_SLAB_ENTRIES, build_catalog
 from grouplab.cli import main
 from grouplab.groups import make_group
-from grouplab.hilbert import TEST_CHUNK_ROWS, TestSet, chunk_slices, random_functions
-from support import functions_to_csv, l2_to_csv, oracle_analysis, oracle_random_functions
+from grouplab.hilbert import TEST_CHUNK_ROWS, TestSet, chunk_slices
+from support import functions_to_csv, l2_to_csv, oracle_analysis, oracle_random_functions, stack
 
 GROUPS = ["zn:12", "dihedral:5", "sym:4", "circle:64", "su2:j=2"]
 SIZES = [1, 31, 32, 33, 70]
@@ -83,7 +83,7 @@ def test_chunks_start_at_multiples_of_32_rows_and_none_is_one_row_of_many(count)
 def test_random_chunks_are_the_rows_of_the_whole_draw():
     group = make_group("circle:16")
     streamed = cfgmod.stream_test_set("random:count=70,seed=2", group)
-    whole = random_functions(group, 2, 70)
+    whole = stack(oracle_random_functions(group, 2, 70)).values
     for _ in range(2):      # each walk starts its own generator
         rows = np.concatenate([chunk.values.copy() for chunk in streamed.chunks()])
         assert rows.tobytes() == whole.tobytes()

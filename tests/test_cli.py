@@ -734,9 +734,7 @@ def test_cmd_semicomplete_accepts_integer_tolerances(tmp_path):
     assert json.loads((tmp_path / "exp_semicomplete.json").read_text())["epsilon"] == 2
 
 
-def test_cmd_lift_computes_each_gram_matrix_once(tmp_path, monkeypatch):
-    from grouplab import _kernels
-
+def test_cmd_lift_builds_no_gram_matrix(tmp_path, monkeypatch):
     calls = []
     gram = _kernels.gram
 
@@ -756,10 +754,53 @@ def test_cmd_lift_computes_each_gram_matrix_once(tmp_path, monkeypatch):
         },
     )
     assert main(["lift", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    # the one Gram matrix of xi gives both the family's defect and gram_residual,
-    # and the lift's Gram matrix is it times the AN mass
-    assert calls == [(7, 16)]
+    # xi is checked by gram_defect_bound, and the lift's residuals come from
+    # the AN mass and the diagonal of Gram(xi)
+    assert calls == []
     assert json.loads((tmp_path / "exp_lift.json").read_text())["gram_residual"] < 1e-10
+
+
+@pytest.mark.parametrize("k_spec, truncation, omit", [
+    ("circle:16", None, []),
+    ("circle:16", 5, ["m:1"]),
+    ("circle:128", 16, []),
+])
+def test_lift_residuals_match_the_dense_gram_formula(tmp_path, k_spec, truncation, omit):
+    # the oracle builds Gram(xi) and the lift's Gram(xi) * mass in full
+    from grouplab.iwasawa import make_iwasawa_model
+    from grouplab.semicomplete import OmissionSpec, build_riemann_lebesgue_family
+
+    iwasawa = {"K": k_spec, "A": {"range": [-2, 2], "nodes": 8}, "N": {"range": [-2, 2], "nodes": 8},
+               "profile": "gauss:sigma=0.7", "truncation": truncation}
+    cfg = write_config(tmp_path, group=k_spec, omit=omit, iwasawa=iwasawa)
+    assert main(["lift", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    lift = json.loads((tmp_path / "exp_lift.json").read_text())
+    model = make_iwasawa_model(k_spec, (-2, 2), (-2, 2), 8, 8, profile="gauss:sigma=0.7")
+    xi = build_riemann_lebesgue_family(
+        build_catalog(model.K, truncation=truncation), OmissionSpec(omitted=tuple(omit))
+    )
+    gram = xi.gram_matrix()
+    lifted = gram * model.an_mass
+    assert lift["n_members"] == xi.n_members
+    assert abs(lift["gram_residual"] - np.max(np.abs(lifted - gram))) <= 1e-15
+    assert abs(lift["norm_residual"] - np.max(np.abs(np.diag(lifted) - 1.0))) <= 1e-15
+
+
+def test_cmd_lift_holds_no_gram_matrix(tmp_path):
+    # circle:1024 at full truncation: xi is a view of the 16.7 MB store, and
+    # the Gram check and the Gram diagonal add a few slabs; the 16.7 MB dense
+    # Gram matrix and its temporaries took the peak to 88.8 MB
+    cfg = write_config(tmp_path, group="circle:1024", iwasawa={
+        "K": "circle:1024", "A": {"range": [-2, 2], "nodes": 8}, "N": {"range": [-2, 2], "nodes": 8},
+    })
+    tracemalloc.start()
+    try:
+        assert main(["lift", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads((tmp_path / "exp_lift.json").read_text())["n_members"] == 1023
+    assert peak <= 64 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MB"
 
 
 def test_family_gram_check_holds_the_coefficients_once(tmp_path):
@@ -1027,8 +1068,8 @@ def test_gram_check_fails_on_a_nan_defect():
 
 
 def _break_gram(monkeypatch):
-    # lift checks the Gram matrix it keeps; test_exit_3_on_forced_gram_breach
-    # covers the streamed check of the analysis commands
+    # lift checks xi as the analysis commands check their family;
+    # test_exit_3_on_forced_gram_breach covers those commands
     return "lift", ["--tol", "1e-18"]
 
 
@@ -1059,9 +1100,16 @@ def _break_lift_gram(monkeypatch):
 
 def _break_lift_norm(monkeypatch):
     # a Gram diagonal and an AN mass each off by less than the circle's Gram
-    # tolerance 1e-8, whose product is off by more
-    gram = _kernels.gram
-    monkeypatch.setattr(_kernels, "gram", lambda *args: gram(*args) + 0.75e-8 * np.eye(len(args[0])))
+    # tolerance 1e-8, whose product is off by more: a scale off by
+    # sqrt(1 + 0.75e-8) moves the members by rho = 3.75e-9, so the Gram bound
+    # reads about 7.5e-9, gram_residual about 5e-9 and norm_residual 1.25e-8
+    build = cli.build_riemann_lebesgue_family
+
+    def rescaled(cat, omit):
+        xi = build(cat, omit)
+        return dataclasses.replace(xi, scale=xi.scale * np.sqrt(1.0 + 0.75e-8))
+
+    monkeypatch.setattr(cli, "build_riemann_lebesgue_family", rescaled)
     monkeypatch.setattr(IwasawaModel, "an_mass", property(lambda self: 1.0 + 0.5e-8))
     return "lift", []
 

@@ -4,7 +4,8 @@ Schur orthogonality and the homomorphism check pass any consistent
 construction.  These identities need no oracle, and they also catch a wrong
 basis convention, label order or table of roots: ``zn:n`` against
 ``circle:n``, the rotations of ``dihedral:n`` against ``zn:n``, and
-``sym:3`` against ``dihedral:3``.
+``sym:3`` against ``dihedral:3``, and the spin-1/2 grid of ``su2`` against
+``su2_matrix_from_euler``, the elements the grid is made of.
 """
 from itertools import permutations
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from grouplab.catalog import build_catalog
-from grouplab.groups import make_group
+from grouplab.groups import make_group, su2_matrix_from_euler
 
 
 def _characters(cat, lab):
@@ -67,3 +68,13 @@ def test_sym3_and_dihedral3_characters_agree_under_every_table_isomorphism():
         for s, d in zip(sym_cat.labels, dihedral_cat.labels):
             gap = np.max(np.abs(_characters(dihedral_cat, d)[phi] - _characters(sym_cat, s)))
             assert gap <= 1e-12, (s.key, gap)
+
+
+@pytest.mark.parametrize("spec", ["su2:j=0.5", "su2:j=1", "su2:j=2", "su2:j=4"])
+def test_su2_spin_half_grid_is_the_euler_element_at_every_node(spec):
+    # the catalog orders rows and columns m = +1/2, -1/2, as su2_matrix_from_euler
+    # does, so D^(1/2) is the element itself; the store multiplies d(beta) by two
+    # torus phases, while the element takes one phase of (alpha +- gamma) / 2
+    cat = build_catalog(make_group(spec), truncation=0.5)
+    elements = np.array([su2_matrix_from_euler(*angles) for angles in cat.group.eulers])
+    assert np.max(np.abs(cat.grids["j:0.5"] - elements)) <= 1e-15

@@ -15,7 +15,6 @@ from grouplab.hilbert import (
     inner,
     project,
     random_function,
-    random_functions,
     unit_weights,
 )
 from grouplab.semicomplete import (
@@ -28,7 +27,7 @@ from grouplab.semicomplete import (
     validate_weights,
 )
 from grouplab.spec import ConfigError
-from support import oracle_members, stack
+from support import oracle_members, oracle_random_functions, stack
 
 
 def test_omit_nothing_gives_peter_weyl(sym3_catalog):
@@ -104,7 +103,7 @@ def test_stacked_tails_match_the_per_label_transform_loop(spec):
     # the oracle is the longhand loop: one Fourier transform per function, and
     # sqrt(d) * sum_ij |fhat_ij| read from each label's matrix
     cat = build_catalog(make_group(spec))
-    testset = TestSet(cat.group, random_functions(cat.group, 21, 4))
+    testset = stack(oracle_random_functions(cat.group, 21, 4))
     fns = [testset.function(k) for k in range(len(testset))]
     oracle = np.array([
         [math.sqrt(lab.degree) * np.sum(np.abs(fourier_transform(f, cat).matrix(lab.key)))
@@ -198,7 +197,7 @@ def test_choose_omissions_validation(sym3_catalog):
 def test_semicompleteness_defect_needs_one_id_per_function(sym3_catalog):
     # zip would drop the functions past the ids, and max_defect with them; the
     # TestSet that semicompleteness_defect takes refuses the mismatch
-    values = random_functions(sym3_catalog.group, 0, 3)
+    values = stack(oracle_random_functions(sym3_catalog.group, 0, 3)).values
     with pytest.raises(ValueError, match="1 function ids for 3 test functions"):
         TestSet(sym3_catalog.group, values, ids=["a"])
     assert TestSet(sym3_catalog.group, values).ids == ("fn:0", "fn:1", "fn:2")

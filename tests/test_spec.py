@@ -22,10 +22,10 @@ from grouplab.groups import (
     su2_group,
     symmetric_group,
 )
-from grouplab.hilbert import diag_reciprocal_weights, random_function, random_functions
+from grouplab.hilbert import diag_reciprocal_weights, random_function
 from grouplab.iwasawa import make_iwasawa_model
 from grouplab.spec import parse_params, split_spec
-from support import functions_to_csv, l2_to_csv
+from support import functions_to_csv, l2_to_csv, oracle_random_functions, stack
 
 
 def test_config_error_is_one_class():
@@ -251,7 +251,7 @@ def test_function_forms_keep_their_meaning(tmp_path):
 def test_test_set_forms_keep_their_meaning(tmp_path):
     group = circle_group(16)
     family = peter_weyl_basis(build_catalog(group, truncation=2))
-    ref = random_functions(group, 7, 3)
+    ref = stack(oracle_random_functions(group, 7, 3)).values
     for text in ["random:count=3,seed=7", "RANDOM:Count=3,SEED=7", "random:,count=3,,seed=7,"]:
         ts = build_test_set(text, group, family)
         assert ts.ids == ("random:0", "random:1", "random:2")
