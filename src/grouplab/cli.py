@@ -3,14 +3,14 @@
 Subcommands build groups, catalogs and families from a JSON config, run one
 named experiment, and write defect tables and transforms under the output
 directory with experiment-name prefixes.  Exit codes: 0 success, 2 config
-error (a ``ConfigError``: a bad config value, spec or referenced file), 3
-breach of a numerical invariant (a row of ``hilbert.CLI_INVARIANTS``, each
-checked by ``_require``).  Any other exception is an internal failure: it is
-not caught, so the process exits 1 with its traceback.  Every command that
-builds a family checks it with ``catalog.gram_defect_bound``, one check per
-group kind (the circle's is a Toeplitz bound), and no command builds a Gram
-matrix: ``lift`` reads its two residuals off the AN mass and the diagonal of
-Gram(xi), since Gram(lift) = Gram(xi) * mass.
+error (a ``ConfigError``: a bad config value, spec, referenced file or output
+path), 3 breach of a numerical invariant (a row of ``hilbert.CLI_INVARIANTS``,
+each checked by ``_require``).  Any other exception is not caught: the process
+exits 1 with its traceback.  Every command that builds a family checks it with
+``catalog.gram_defect_bound`` (the circle's is a Toeplitz bound), and none
+builds a Gram matrix or copies the lift's K factor: ``lift`` reads the
+restriction residual as |envelope[id_index] - 1| * max |xi| and the others
+off the AN mass and the diagonal of Gram(xi) = Gram(lift) / mass.
 
 BLAS idle policy: numpy's bundled OpenBLAS starts a pool of worker threads
 when numpy loads, and by default an idle worker busy-waits for 2**28 cycles
@@ -157,8 +157,9 @@ def cmd_lift(cfg: ExperimentConfig) -> int:
         iw.k_spec, iw.a_range, iw.n_range, iw.a_size, iw.n_size, profile=iw.profile
     )
     xi = _checked_family(build_catalog(model.K, truncation=iw.truncation), cfg)
-    restricted = lift_family(model, xi).restrict_to_k()
-    restriction_residual = float(np.max(np.abs(restricted.members - xi.members)))
+    lifted = lift_family(model, xi)
+    # chi(., identity AN node) = envelope[id_index] * xi: one real |xi| pass, no restricted copy
+    restriction_residual = float(abs(lifted.envelope[model.id_index] - 1.0) * np.max(np.abs(lifted.members)))
     condition_i_residual = model.condition_i_residual()
     # Gram(lift) = Gram(xi) * mass, and a Gram matrix, positive semidefinite, has
     # its largest entry on its diagonal G_mm = s_m^2 sum_k w_k |u_mk|^2

@@ -6,8 +6,10 @@ fixed config: CSV uses 17-significant-digit floats, '.' decimal separator,
 files are written atomically (temp file + rename).
 
 Weights, function and test-set specs follow the grammar of ``spec.py``, which
-also defines ``ConfigError`` (re-exported here).  A test-set spec becomes a
-test set that the analysis commands walk a chunk of rows at a time
+also defines ``ConfigError`` (re-exported here).  ``load_config`` parses every
+spec, a test set's with the parsers that later build it, so a bad one is a
+ConfigError before any catalog is built.  A test-set spec becomes a test set
+that the analysis commands walk a chunk of rows at a time
 (``stream_test_set``); ``build_test_set`` gives it whole.
 """
 from __future__ import annotations
@@ -127,6 +129,17 @@ def _require_store_fits(group_spec: str, truncation, keys: tuple[str, str]) -> N
     _require_fits(need, f"the coefficient store of '{keys[0]}' {group_spec!r}")
 
 
+def _require_directory_path(path: str | None, what: str) -> None:
+    """An output directory may not be, or lie under, an existing file: the
+    nearest existing path among ``path`` and its parents must be a directory."""
+    if path is not None:
+        existing = next((p for p in (Path(path), *Path(path).parents) if p.exists()), None)
+        _require(
+            existing is None or existing.is_dir(),
+            f"{what} {path!r} names or lies under the file {str(existing)!r}",
+        )
+
+
 def _require_positive(value, what: str) -> None:
     """A tolerance is absent or a finite positive number; bools, NaN and
     infinities never pass (an infinite epsilon would also be written to JSON
@@ -173,10 +186,12 @@ def load_config(
     truncation = raw.get("truncation")
     _require_store_fits(group_spec, truncation, ("group", "truncation"))
     test_set = raw.get("test_set", "random:count=16,seed=0")
-    if isinstance(test_set, list):
+    if isinstance(test_set, list):   # parsed now, by the builders' parsers; drawn and read later
         TestSet.require_nonempty(len(test_set))
-    elif isinstance(test_set, str) and split_spec(test_set)[0] == "random":   # sized now, drawn later
-        _random_test_set(split_spec(test_set)[1], grid_shape(group_spec)[1], group_spec, seed_override)
+        for entry in test_set:
+            _function_form(entry)
+    else:
+        _test_set_form(test_set, grid_shape(group_spec)[1], group_spec, seed_override)
 
     tol = raw.get("tol") if tol_override is None else parse_value(str(tol_override), real, "--tol")
     _require_positive(tol, "'tol'" if tol_override is None else "--tol")
@@ -192,6 +207,8 @@ def load_config(
         f"config 'out' must be a nonempty string with no NUL, got {out!r}",
     )
     _require(out_override != "", "--out must not be empty")
+    for where, directory in (("config 'out'", out), ("--out", out_override)):
+        _require_directory_path(directory, where)
     return ExperimentConfig(
         name=name,
         group_spec=group_spec,
@@ -327,15 +344,14 @@ def stream_test_set(
 
         ids = [fid for fid, _ in entries]
         return StreamedTestSet(group, ids, f"list:{len(spec)}", lambda: write_entries)
-    head, rest = split_spec(spec)
+    head, params = _test_set_form(spec, group.n_nodes, group.name, seed_override)
     if head == "random":
-        count, seed = _random_test_set(rest, group.n_nodes, group.name, seed_override)
+        count, seed = params
         ids = [f"random:{k}" for k in range(count)]
         return StreamedTestSet(
             group, ids, f"random:count={count},seed={seed}", lambda: random_rows(group, seed)
         )
     if head == "members":
-        parse_params(rest, "members test set")
         _require(family is not None, "'members' test set needs a family in context")
 
         def write_members(start: int, out: np.ndarray) -> None:
@@ -343,10 +359,8 @@ def stream_test_set(
             np.multiply(family.members[rows], family.scale[rows, None], out=out)
 
         return StreamedTestSet(group, _member_ids(family), "members", lambda: write_members)
-    if head == "samples":
-        ids, values = _read_samples(group, rest, named=True)
-        return TestSet(group, values, ids, f"samples:{rest}")
-    raise ConfigError(f"unknown test set spec {spec!r}")
+    ids, values = _read_samples(group, params, named=True)
+    return TestSet(group, values, ids, f"samples:{params}")
 
 
 def build_test_set(
@@ -361,19 +375,51 @@ def build_test_set(
     return test_set if isinstance(test_set, TestSet) else test_set.whole()
 
 
+def _test_set_form(spec, n_nodes: int, group_name: str, seed_override: int | None):
+    """``(head, params)`` of a test-set spec that is not a list, checked from the
+    spec alone: 'random' gives ``(count, seed)`` (``_random_test_set``),
+    'members' None and 'samples' its path, which must name a file.  Nothing is
+    drawn and no file read, so ``load_config`` checks a spec with it before
+    any catalog is built."""
+    head, rest = split_spec(spec)
+    if head == "random":
+        return head, _random_test_set(rest, n_nodes, group_name, seed_override)
+    if head == "members":
+        parse_params(rest, "members test set")
+        return head, None
+    if head == "samples":
+        _samples_file(rest)
+        return head, rest
+    raise ConfigError(f"unknown test set spec {spec!r}")
+
+
+def _function_form(spec) -> tuple[str, object]:
+    """``(head, params)`` of one list entry, checked from the spec alone:
+    'random' gives its seed, 'member' its ``(block, i, j)`` and 'samples' its
+    path, which must name a file."""
+    head, rest = split_spec(spec)
+    if head == "random":
+        return head, parse_params(rest, "function", seed=_seed).get("seed", 0)
+    if head == "member":
+        params = parse_params(rest, "member function", block=str, i=integer, j=integer)
+        _require(len(params) == 3, f"member spec {spec!r} needs block, i and j")
+        return head, (params["block"], params["i"], params["j"])
+    if head == "samples":
+        _samples_file(rest)
+        return head, rest
+    raise ConfigError(f"unknown function spec {spec!r}")
+
+
 def _function_writer(
     spec, group: GroupModel, family: OrthonormalFamily | None
 ) -> tuple[str, Callable[[np.ndarray], object]]:
     """The id of one list entry's function and a writer of its values into a row."""
-    head, rest = split_spec(spec)
+    head, params = _function_form(spec)
     if head == "random":
-        seed = parse_params(rest, "function", seed=_seed).get("seed", 0)
-        return f"random:{seed}", lambda row: random_rows(group, seed)(0, row[None])
+        return f"random:{params}", lambda row: random_rows(group, params)(0, row[None])
     if head == "member":
         _require(family is not None, "member function spec needs a family in context")
-        params = parse_params(rest, "member function", block=str, i=integer, j=integer)
-        _require(len(params) == 3, f"member spec {spec!r} needs block, i and j")
-        blk, i, j = params["block"], params["i"], params["j"]
+        blk, i, j = params
         try:
             block_index = family.labels.index(blk) if blk in family.labels else integer(blk)
         except ValueError:
@@ -383,9 +429,7 @@ def _function_writer(
         _require(0 <= i < b.size and 0 <= j < b.size, f"member index out of range in {spec!r}")
         k = family.flat_index(block_index, i, j)
         return f"member:{b.label}[{i}][{j}]", lambda row: np.multiply(family.scale[k], family.members[k], out=row)
-    if head == "samples":
-        return f"samples:{rest}", lambda row: _read_samples(group, rest, named=False, out=row[None])
-    raise ConfigError(f"unknown function spec {spec!r}")
+    return f"samples:{params}", lambda row: _read_samples(group, params, named=False, out=row[None])
 
 
 def _random_test_set(rest: str, n_nodes: int, group_name: str, seed_override: int | None):
@@ -506,8 +550,7 @@ def _read_samples(group: GroupModel, path, named: bool, out: np.ndarray | None =
     exactly once: a missing or repeated node index is a ConfigError, and a
     node index is an integer by the spec rule.
     """
-    path = Path(path)
-    _require(path.is_file(), f"samples file not found: {path}")
+    path = _samples_file(path)
     header = ["fn", "node", "re", "im"] if named else ["node", "re", "im"]
     ids = list(dict.fromkeys(row[0] for row in _read_csv_rows(path, header))) if named else [""]
     row_of = {fid: k for k, fid in enumerate(ids)}
@@ -529,6 +572,13 @@ def _read_samples(group: GroupModel, path, named: bool, out: np.ndarray | None =
         missing = int(np.count_nonzero(np.isnan(values)))
         _require(not missing, f"{where(fid)} misses {missing} of {group.n_nodes} nodes")
     return ids, out
+
+
+def _samples_file(path) -> Path:
+    """The file a samples spec names; a missing one is a ConfigError."""
+    path = Path(path)
+    _require(path.is_file(), f"samples file not found: {path}")
+    return path
 
 
 def _parse_sample(re: str, im: str, path) -> complex:

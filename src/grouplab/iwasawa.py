@@ -11,9 +11,9 @@ profile f on the AN grid satisfies
 
 Lifted members chi(k, an) = exp(f(an)) * xi(k) then restrict to xi on K
 bitwise and inherit the Gram matrix of xi.  Each member is a rank-one
-product, so a ``LiftedFamily`` keeps its two factors, the K factor xi and the
-AN envelope exp(f), and never the members x (n_K * n_AN) product matrix:
-memory is O(members * n_K + n_AN).
+product, so a ``LiftedFamily`` keeps its two factors, the family xi itself
+(no copy) and the AN envelope exp(f), and never the members x (n_K * n_AN)
+product matrix: memory is O(members * n_K + n_AN).
 
 One number carries the AN factor into every check: the AN mass
 ``IwasawaModel.an_mass`` = sum_an w_an exp(2 Re f(an)), 1 up to rounding
@@ -168,17 +168,20 @@ class LiftedFamily:
     """Functions chi(k, an) = exp(f(an)) xi(k) on the K x AN product grid,
     stored as their two factors.
 
-    ``members`` is the (n_members, nK) K factor, the source family's own
-    unscaled member matrix with row scale s = ``source.scale``, and
-    ``envelope`` = exp(profile) the (nAN,) AN factor.  Product nodes are
-    ordered K-major: member m at flat node k * n_an + an has the value
-    s[m] * members[m, k] * envelope[an].
+    ``source`` is the K factor xi, with unscaled member matrix ``members``
+    and row scale s = ``source.scale``, and ``envelope`` = exp(profile) the
+    (nAN,) AN factor.  Product nodes are ordered K-major: member m at flat
+    node k * n_an + an has the value s[m] * members[m, k] * envelope[an].
     """
 
     model: IwasawaModel
-    source: OrthonormalFamily
-    members: np.ndarray          # (n_members, nK), the K factor xi
+    source: OrthonormalFamily    # the K factor xi
     envelope: np.ndarray         # (nAN,), the AN factor exp(f)
+
+    @property
+    def members(self) -> np.ndarray:
+        """The (n_members, nK) K factor: ``source.members`` itself, never a copy."""
+        return self.source.members
 
     def gram_matrix(self) -> np.ndarray:
         """Gram(xi) times the AN mass."""
@@ -196,9 +199,7 @@ def lift_family(model: IwasawaModel, xi: OrthonormalFamily) -> LiftedFamily:
         raise ValueError(
             f"family lives on {xi.group.name}, model K factor is {model.K.name}"
         )
-    return LiftedFamily(
-        model=model, source=xi, members=xi.members, envelope=np.exp(model.profile)
-    )
+    return LiftedFamily(model=model, source=xi, envelope=np.exp(model.profile))
 
 
 def check_K_semicomplete(

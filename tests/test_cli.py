@@ -787,9 +787,11 @@ def test_lift_residuals_match_the_dense_gram_formula(tmp_path, k_spec, truncatio
 
 
 def test_cmd_lift_holds_no_gram_matrix(tmp_path):
-    # circle:1024 at full truncation: xi is a view of the 16.7 MB store, and
-    # the Gram check and the Gram diagonal add a few slabs; the 16.7 MB dense
-    # Gram matrix and its temporaries took the peak to 88.8 MB
+    # circle:1024 at full truncation: xi is a view of the 16.7 MB store, and the
+    # restriction residual's one real |xi| pass (8.4 MB) outweighs the slabs of
+    # the Gram check and the Gram diagonal (a 24.5 MiB peak in all); the dense
+    # Gram matrix and its temporaries took the peak to 88.8 MB, and the
+    # restricted copy of xi and its difference from xi to 56.2 MiB
     cfg = write_config(tmp_path, group="circle:1024", iwasawa={
         "K": "circle:1024", "A": {"range": [-2, 2], "nodes": 8}, "N": {"range": [-2, 2], "nodes": 8},
     })
@@ -800,7 +802,43 @@ def test_cmd_lift_holds_no_gram_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert json.loads((tmp_path / "exp_lift.json").read_text())["n_members"] == 1023
-    assert peak <= 64 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MB"
+    assert peak <= 28 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("k_spec", ["circle:16", "circle:1024"])
+@pytest.mark.parametrize("identity_envelope", [1.0, 2.0])
+def test_cli_restriction_residual_is_the_restrict_to_k_oracle(tmp_path, monkeypatch, k_spec, identity_envelope):
+    # the CLI reads the residual off the factors, |envelope[id_index] - 1| * max |xi|;
+    # restrict_to_k forms chi(., identity AN node) and its difference from xi entry
+    # by entry (near 1 that form cancels: at 1.001 the two differ by 9e-14 relative)
+    residuals, lifts = {}, []
+    require, lift = cli._require, cli.lift_family
+
+    def recording(name, residual, group, tol=None):
+        residuals[name] = residual
+        require(name, residual, group, tol)
+
+    def lifted_with_identity_envelope(model, xi):
+        lifted = lift(model, xi)
+        lifted.envelope[model.id_index] = identity_envelope
+        lifts.append(lifted)
+        return lifted
+
+    monkeypatch.setattr(cli, "_require", recording)
+    monkeypatch.setattr(cli, "lift_family", lifted_with_identity_envelope)
+    cfg = write_config(tmp_path, group=k_spec, iwasawa={
+        "K": k_spec, "A": {"range": [-2, 2], "nodes": 4}, "N": {"range": [-2, 2], "nodes": 4},
+        "profile": "gauss:sigma=0.7",
+    })
+    code = main(["lift", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == (0 if identity_envelope == 1.0 else 3)
+    (lifted,) = lifts
+    assert lifted.members is lifted.source.members
+    oracle = float(np.max(np.abs(lifted.restrict_to_k().members - lifted.source.members)))
+    if identity_envelope == 1.0:
+        assert residuals["lift_restriction"] == oracle == 0.0
+    else:
+        assert oracle > 0 and abs(residuals["lift_restriction"] - oracle) <= 1e-15 * oracle
 
 
 def test_family_gram_check_holds_the_coefficients_once(tmp_path):
@@ -901,6 +939,12 @@ BAD_INPUTS = {
     "boolean-out": ("catalog", dict(out=True)),
     "empty-out": ("catalog", dict(out="")),
     "nul-in-out": ("catalog", dict(out="res\0ults")),
+    # an output directory may not be an existing file or lie under one; a
+    # "--out" field is the flag's value in place of {tmp}/out
+    "out-is-a-file": ("catalog", dict(out="{tmp}/inf.json")),
+    "out-under-a-file": ("catalog", dict(out="{tmp}/inf.json/sub")),
+    "out-flag-is-a-file": ("catalog", {"--out": "{tmp}/inf.json"}),
+    "out-flag-under-a-file": ("lift", {"--out": "{tmp}/inf.json/sub/deeper", "iwasawa": {"K": "circle:16"}}),
     # the name prefixes each output file, so a path in it would write elsewhere
     "name-up-a-directory": ("catalog", dict(name="../escaped")),
     "name-with-a-separator": ("catalog", dict(name="sub/exp")),
@@ -914,6 +958,10 @@ BLAMED = {
     "boolean-table-weight": "cannot read complex value from True",
     "nan-iwasawa-truncation": "'iwasawa.truncation': truncation for circle:16 must be a finite number",
     "name-up-a-directory": "config 'name' must be a nonempty string with no path separator",
+    "out-is-a-file": "config 'out' '{tmp}/inf.json' names or lies under the file '{tmp}/inf.json'",
+    "out-under-a-file": "config 'out' '{tmp}/inf.json/sub' names or lies under the file '{tmp}/inf.json'",
+    "out-flag-is-a-file": "--out '{tmp}/inf.json' names or lies under the file '{tmp}/inf.json'",
+    "out-flag-under-a-file": "--out '{tmp}/inf.json/sub/deeper' names or lies under the file '{tmp}/inf.json'",
     "repeated-omitted-label": "config 'omit' repeats 'irrep:1'",
     "underscore-in-sample-value": "bad sample value in {tmp}/underscore.csv '1_0'",
     "non-ascii-digit-in-sample-value": "bad sample value in {tmp}/arabic.csv '\u0661'",
@@ -951,12 +999,69 @@ def test_bad_inputs_exit_2_as_config_errors(tmp_path, capsys, case):
         k: v.replace("{tmp}", str(tmp_path)) if isinstance(v, str) else v
         for k, v in fields.items()
     }
+    out = fields.pop("--out", str(tmp_path / "out"))
     cfg = write_config(tmp_path, **fields)
-    out = tmp_path / "out"
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    files = _file_bytes(tmp_path)
+    assert main([command, "--config", str(cfg), "--out", out]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and BLAMED.get(case, "").replace("{tmp}", str(tmp_path)) in err
+    assert not (tmp_path / "out").exists()
+    assert _file_bytes(tmp_path) == files
+
+
+def _file_bytes(root):
+    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+#: Test-set specs that are refused when the config loads, from the spec alone:
+#: no catalog is built, no function drawn and no samples file read.
+TEST_SETS_REFUSED_AT_LOAD = {
+    "misspelled-list-entry-key": (["random:sed=1"], "unknown function parameter 'sed'"),
+    "unknown-list-entry-head": (["random:seed=1", "gauss:seed=2"], "unknown function spec 'gauss:seed=2'"),
+    "member-entry-without-j": (["member:block=j:1,i=0"], "member spec 'member:block=j:1,i=0' needs block, i and j"),
+    "missing-list-samples-file": (["samples:{tmp}/missing.csv"], "samples file not found: {tmp}/missing.csv"),
+    "unknown-test-set-head": ("randn:count=4", "unknown test set spec 'randn:count=4'"),
+    "members-with-a-parameter": ("members:count=2", "unknown members test set parameter 'count'"),
+    "missing-samples-file": ("samples:{tmp}/missing.csv", "samples file not found: {tmp}/missing.csv"),
+    "samples-under-a-directory": ("samples:{tmp}", "samples file not found: {tmp}"),
+    "non-string-test-set": (3, "a spec must be a string, got 3"),
+}
+
+
+@pytest.mark.parametrize("case", list(TEST_SETS_REFUSED_AT_LOAD))
+def test_bad_test_set_spec_exits_2_before_the_catalog(tmp_path, capsys, case):
+    # su2:j=6 stores 106 MB of coefficients: building it first took about 1 s and
+    # 170 MB of RSS before these specs were read
+    spec, blamed = TEST_SETS_REFUSED_AT_LOAD[case]
+    spec = json.loads(json.dumps(spec).replace("{tmp}", str(tmp_path)))
+    cfg = write_config(tmp_path, group="su2:j=6", test_set=spec)
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = main(["parseval", "--config", str(cfg), "--out", str(out)])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"config error: {blamed}".replace("{tmp}", str(tmp_path)) in capsys.readouterr().err
+    assert peak < 2**20 and elapsed < 1.0, (peak, elapsed)
     assert not out.exists()
+
+
+def test_loading_a_test_set_spec_draws_nothing(tmp_path):
+    # the specs are parsed when the config loads, but numpy.random, whose first
+    # import raises a run's RSS by about 6 MB, loads only when a row is drawn
+    cfg = write_config(tmp_path, group="su2:j=6", test_set=["random:seed=1", "member:block=j:1,i=0,j=0"])
+    script = (
+        "import sys\n"
+        "from grouplab import config\n"
+        f"config.load_config({str(cfg)!r})\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"
 
 
 @pytest.mark.parametrize("seed, code", [(2**64 - 1, 0), (2**64, 2)])
@@ -1083,7 +1188,7 @@ def _break_lift_restriction(monkeypatch):
     monkeypatch.setattr(
         cli,
         "lift_family",
-        lambda model, xi: LiftedFamily(model, xi, 2 * xi.members, np.exp(model.profile)),
+        lambda model, xi: LiftedFamily(model, xi, 2 * np.exp(model.profile)),
     )
     return "lift", []
 

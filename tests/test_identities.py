@@ -4,15 +4,16 @@ Schur orthogonality and the homomorphism check pass any consistent
 construction.  These identities need no oracle, and they also catch a wrong
 basis convention, label order or table of roots: ``zn:n`` against
 ``circle:n``, the rotations of ``dihedral:n`` against ``zn:n``, and
-``sym:3`` against ``dihedral:3``, and the spin-1/2 grid of ``su2`` against
-``su2_matrix_from_euler``, the elements the grid is made of.
+``sym:3`` against ``dihedral:3``, the spin-1/2 grid of ``su2`` against
+``su2_matrix_from_euler``, the elements the grid is made of, and each spin
+on the torus beta = 0 against the circle characters of alpha + gamma.
 """
 from itertools import permutations
 
 import numpy as np
 import pytest
 
-from grouplab.catalog import build_catalog
+from grouplab.catalog import build_catalog, su2_irrep_matrix
 from grouplab.groups import make_group, su2_matrix_from_euler
 
 
@@ -78,3 +79,21 @@ def test_su2_spin_half_grid_is_the_euler_element_at_every_node(spec):
     cat = build_catalog(make_group(spec), truncation=0.5)
     elements = np.array([su2_matrix_from_euler(*angles) for angles in cat.group.eulers])
     assert np.max(np.abs(cat.grids["j:0.5"] - elements)) <= 1e-15
+
+
+def test_su2_irreps_on_the_torus_are_diagonal_with_circle_characters():
+    # at beta = 0 the element is diag(a, conj(a)) with a = e^{-i(alpha + gamma)/2}
+    # and b = 0, so every term that moves m carries a power of b and is exactly 0;
+    # the diagonal is a^(j+m) conj(a)^(j-m) = e^{-im(alpha + gamma)}, m = j, ..., -j
+    group = make_group("su2:j=4")
+    alphas, gammas = np.unique(group.eulers[:, 0]), np.unique(group.eulers[:, 2])
+    assert len(alphas) == len(gammas) == 17
+    for two_j in range(9):
+        m = (two_j - 2 * np.arange(two_j + 1)) / 2
+        off_diagonal = ~np.eye(two_j + 1, dtype=bool)
+        for alpha in alphas:
+            for gamma in gammas:
+                u = su2_irrep_matrix(two_j, su2_matrix_from_euler(alpha, 0.0, gamma))
+                assert not np.any(u[off_diagonal]), (two_j, alpha, gamma)
+                gap = np.max(np.abs(np.diag(u) - np.exp(-1j * m * (alpha + gamma))))
+                assert gap <= 1e-14, (two_j, alpha, gamma, gap)

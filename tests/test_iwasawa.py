@@ -10,6 +10,7 @@ from grouplab.catalog import build_catalog, peter_weyl_basis
 from grouplab.groups import circle_group
 from grouplab.hilbert import L2Function, OrthonormalFamily, TestSet, random_function, unit_weights
 from grouplab.iwasawa import (
+    LiftedFamily,
     an_grid_bytes,
     check_K_semicomplete,
     lift_family,
@@ -159,6 +160,15 @@ def test_lift_gram_matches_source(gauss_model, k_catalog):
     residual = np.max(np.abs(lifted.gram_matrix() - xi.gram_matrix()))
     assert residual < 1e-9
     assert np.max(np.abs(np.diag(lifted.gram_matrix()) - 1.0)) < 1e-9
+
+
+def test_lift_holds_its_k_factor_once(gauss_model, k_catalog):
+    # the K factor is the source family itself, so no lift can carry another one
+    assert [field.name for field in dataclasses.fields(LiftedFamily)] == ["model", "source", "envelope"]
+    lifted = lift_family(gauss_model, peter_weyl_basis(k_catalog))
+    assert lifted.members is lifted.source.members
+    with pytest.raises(AttributeError):
+        lifted.members = 2 * lifted.source.members
 
 
 def test_lift_restriction_is_bitwise_source(gauss_model, k_catalog):
