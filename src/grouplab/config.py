@@ -359,7 +359,9 @@ def stream_test_set(
             np.multiply(family.members[rows], family.scale[rows, None], out=out)
 
         return StreamedTestSet(group, _member_ids(family), "members", lambda: write_members)
-    ids, values = _read_samples(group, params, named=True)
+    from .samples import read_samples   # only a test set that reads a samples file compiles the reader
+
+    ids, values = read_samples(group, params, named=True)
     return TestSet(group, values, ids, f"samples:{params}")
 
 
@@ -429,7 +431,9 @@ def _function_writer(
         _require(0 <= i < b.size and 0 <= j < b.size, f"member index out of range in {spec!r}")
         k = family.flat_index(block_index, i, j)
         return f"member:{b.label}[{i}][{j}]", lambda row: np.multiply(family.scale[k], family.members[k], out=row)
-    return f"samples:{params}", lambda row: _read_samples(group, params, named=False, out=row[None])
+    from .samples import read_samples
+
+    return f"samples:{params}", lambda row: read_samples(group, params, named=False, out=row[None])
 
 
 def _random_test_set(rest: str, n_nodes: int, group_name: str, seed_override: int | None):
@@ -523,55 +527,28 @@ def coefficient_grid_text(cat: RepCatalog, label_key: str):
     blocks for ``write_csv``.
 
     Rows run node-major, then i, then j; each block is a slab of whole nodes,
-    about ``CSV_CHUNK_ROWS`` rows.  Only the floats are converted: the d^2 rows
-    of one node are one template with ``i,j`` as literal text, each node number
-    is stamped into it once, and one ``%`` fills a slab's template from a
-    contiguous copy of the slab read as interleaved (re, im) float64 pairs.
+    about ``CSV_CHUNK_ROWS`` rows.  The d^2 rows of one node are one template
+    with ``i,j`` as literal text, each node number is stamped into it once,
+    and one ``%`` fills a slab's template with the text of its (re, im)
+    floats.  That text comes from a table of the label's distinct float64 bit
+    patterns, each converted with ``%.17g`` once (``dump.distinct_float_text``):
+    the grids repeat values, and bit patterns keep ``0.0`` and ``-0.0`` apart.
     The bytes are those of ``%d`` and ``%.17g`` applied row by row.
     """
+    from .dump import distinct_float_text   # only a run that dumps compiles the table code
+
     grid = cat.grids[label_key]
     n, d, _ = grid.shape
-    # str(k).join(rows) is node k's text: k before each of the d^2 rows
-    rows = [""] + [f",{i},{j},%.17g,%.17g\n" for i in range(d) for j in range(d)]
+    # a grid is the transpose of its store rows: row i*d + j holds the (re, im) pairs node by node
+    codes, table = distinct_float_text(np.ascontiguousarray(grid.transpose(1, 2, 0)).view(np.float64))
+    codes = codes.reshape(d * d, n, 2)
+    # (b"%d" % k).join(rows) is node k's text: k before each of the d^2 rows
+    rows = [b""] + [b",%d,%d,%%s,%%s\n" % (i, j) for i in range(d) for j in range(d)]
     step = max(1, CSV_CHUNK_ROWS // (d * d))
     for start in range(0, n, step):
-        slab = np.ascontiguousarray(grid[start:start + step])
-        template = "".join([str(k).join(rows) for k in range(start, start + len(slab))])
-        yield template % tuple(slab.view(np.float64).reshape(-1).tolist())
-
-
-def _read_samples(group: GroupModel, path, named: bool, out: np.ndarray | None = None):
-    """The ids and the (F, n_nodes) values of the functions in a CSV of
-    ``[fn,]node,re,im`` rows, the values written into ``out`` when it is given.
-
-    Without the fn column the file holds one function, with id "".  A first
-    pass finds the ids, in order of first appearance, so that the second can
-    write each row of values in place.  Every function must give each node
-    exactly once: a missing or repeated node index is a ConfigError, and a
-    node index is an integer by the spec rule.
-    """
-    path = _samples_file(path)
-    header = ["fn", "node", "re", "im"] if named else ["node", "re", "im"]
-    ids = list(dict.fromkeys(row[0] for row in _read_csv_rows(path, header))) if named else [""]
-    row_of = {fid: k for k, fid in enumerate(ids)}
-    if out is None:
-        out = np.empty((len(ids), group.n_nodes), dtype=np.complex128)
-    out.fill(np.nan)    # NaN marks a node not read yet: every sample read is finite
-
-    def where(fid: str) -> str:
-        return f"function {fid!r} of {path}" if named else str(path)
-
-    for row in _read_csv_rows(path, header):
-        fid = row[0] if named else ""
-        values = out[row_of[fid]]
-        k = parse_value(row[-3], integer, f"node index in {path}")
-        _require(0 <= k < group.n_nodes, f"node index {k} out of range in {path}")
-        _require(np.isnan(values[k]), f"node index {k} repeated in {where(fid)}")
-        values[k] = _parse_sample(row[-2], row[-1], path)
-    for fid, values in zip(ids, out):
-        missing = int(np.count_nonzero(np.isnan(values)))
-        _require(not missing, f"{where(fid)} misses {missing} of {group.n_nodes} nodes")
-    return ids, out
+        slab = codes[:, start:start + step].transpose(1, 0, 2).reshape(-1)
+        template = b"".join([(b"%d" % k).join(rows) for k in range(start, min(start + step, n))])
+        yield (template % tuple(table[slab].tolist())).decode("ascii")
 
 
 def _samples_file(path) -> Path:
@@ -579,26 +556,6 @@ def _samples_file(path) -> Path:
     path = Path(path)
     _require(path.is_file(), f"samples file not found: {path}")
     return path
-
-
-def _parse_sample(re: str, im: str, path) -> complex:
-    """One sample value, each part a number by the spec rule (so '1_0' is not
-    10); NaN or infinity would slip past every defect check."""
-    what = f"sample value in {path}"
-    return parse_value(re, real, what) + 1j * parse_value(im, real, what)
-
-
-def _read_csv_rows(path: Path, header: list[str]):
-    with open(path, newline="") as fh:
-        try:
-            rows = (line.split(",") for line in map(str.strip, fh) if line)
-            for k, parts in enumerate(rows):
-                if k == 0 and parts == header:
-                    continue
-                _require(len(parts) == len(header), f"{path}: expected {len(header)} columns, got {len(parts)}")
-                yield parts
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path} is not a text file: {exc}") from exc
 
 
 def _member_ids(family: OrthonormalFamily) -> list[str]:

@@ -1,8 +1,11 @@
 """The coefficient dump of ``catalog``: one CSV per label, written on every
 usable CPU by forked workers, with files byte-identical to a one-process dump.
 
-This module is imported only by a ``catalog`` run that dumps, so the other
-commands neither compile nor hold it.
+Each label's text comes from ``config.coefficient_grid_text``, which takes
+the ``%.17g`` text of each distinct float64 bit pattern of the label from
+``distinct_float_text``, converted once.  This module is imported only by a
+``catalog`` run that dumps, so the other commands neither compile nor hold
+it.
 """
 from __future__ import annotations
 
@@ -10,6 +13,8 @@ import os
 import sys
 import traceback
 from pathlib import Path
+
+import numpy as np
 
 from . import config
 from .catalog import RepCatalog
@@ -94,3 +99,43 @@ def _write_coefficients(cat: RepCatalog, out_dir: Path, name: str, labels) -> No
             ["node", "i", "j", "re", "im"],
             config.coefficient_grid_text(cat, lab.key),
         )
+
+
+def distinct_float_text(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(codes, table)`` for a C-contiguous float64 array: ``table`` holds the
+    ``%.17g`` text of each distinct bit pattern, in bit order, as ``S24`` (the
+    longest such text has 24 characters); ``codes`` is the int32 row of
+    ``table`` for each value, flat.  The text is made ``config.CSV_CHUNK_ROWS``
+    values at a time."""
+    codes, distinct = _distinct_codes(values.view(np.uint64).reshape(-1))
+    distinct = np.concatenate(distinct).view(np.float64)
+    table = np.empty(len(distinct), dtype="S24")
+    step = config.CSV_CHUNK_ROWS
+    for start in range(0, len(distinct), step):
+        part = distinct[start:start + step].tolist()
+        table[start:start + len(part)] = (b"%.17g\n" * len(part) % tuple(part)).split(b"\n")[:-1]
+    return codes, table
+
+
+def _distinct_codes(keys: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The int32 rank of each key among the distinct keys, and the distinct
+    keys in order as a list of pieces.  One argsort orders the keys; its
+    index is walked ``config.CSV_CHUNK_ROWS`` entries at a time and is freed on
+    return, before any text is made."""
+    order = np.argsort(keys)
+    codes = np.empty(len(keys), dtype=np.int32)
+    distinct = []
+    n_distinct = 0
+    step = config.CSV_CHUNK_ROWS
+    for start in range(0, len(keys), step):
+        at = order[start:start + step]
+        run = keys[at]
+        new = np.empty(len(run), dtype=bool)
+        new[0] = start == 0 or run[0] != keys[order[start - 1]]
+        np.not_equal(run[1:], run[:-1], out=new[1:])
+        ranks = np.cumsum(new, dtype=np.int32)
+        ranks += n_distinct - 1
+        codes[at] = ranks
+        n_distinct = int(ranks[-1]) + 1
+        distinct.append(run[new])
+    return codes, distinct

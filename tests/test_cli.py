@@ -20,10 +20,10 @@ from grouplab.config import (
     write_csv,
 )
 from grouplab.groups import make_group
-from grouplab.catalog import RepCatalog, build_catalog, peter_weyl_basis
+from grouplab.catalog import IrrepLabel, RepCatalog, build_catalog, peter_weyl_basis
 from grouplab.hilbert import CLI_INVARIANTS, random_function
 from grouplab.iwasawa import IwasawaModel, LiftedFamily
-from support import functions_to_csv, l2_to_csv, zero_function
+from support import functions_to_csv, l2_to_csv, oracle_samples, zero_function
 
 
 def write_config(tmp_path, name="exp", **kwargs):
@@ -450,6 +450,55 @@ def test_repeated_sample_node_exits_2(tmp_path, capsys, form):
     assert not out.exists()
 
 
+#: Bad zn:4 samples files (fn, node, re, im per line) and the error on their first bad line.
+FIRST_BAD_LINE = {
+    # a repeat two lines after its first sight, across every chunk boundary of 2 lines
+    "repeat-across-chunks": (["f,0,1,0", "f,1,1,0", "f,2,1,0", "f,0,1,0", "f,3,x,0"], "node index 0 repeated in function 'f'"),
+    "repeat-before-its-bad-value": (["f,0,1,0", "f,0,x,0"], "node index 0 repeated"),
+    "bad-node-before-a-repeat": (["f,0,1,0", "f,+1,1,0", "f,0,1,0"], "bad node index in .* '\\+1'"),
+    "range-before-a-bad-value": (["f,0,1,0", "f,4,x,0"], "node index 4 out of range"),
+    "negative-node": (["f,0,1,0", "f,1,1,0", "f,-1,1,0"], "node index -1 out of range"),
+    "node-beyond-int64": (["f,0,1,0", f"f,{10**30},1,0"], f"node index {10**30} out of range"),
+    "real-part-before-imaginary-part": (["f,0,1,0", "f,1,1_0,x"], "bad sample value in .* '1_0'"),
+    "non-finite-imaginary-part": (["f,0,1,0", "f,1,1,0", "f,2,1,-inf"], "bad sample value in .* '-inf': not finite"),
+    "bad-value-before-a-malformed-line": (["f,0,1,0", "f,1,1,0", "f,2,x,0", "f,3,1"], "'x': could not convert"),
+    "malformed-line-before-a-bad-value": (["f,0,1,0", "f,1,1", "f,2,x,0"], "expected 4 columns, got 3"),
+    # only the file's first line may be the header; with 2-line chunks this one opens a chunk
+    "a-later-header-is-a-row": (["f,0,1,0", "fn,node,re,im", "f,1,1,0"], "bad node index in .* 'node'"),
+    "missing-node-after-every-line-passed": (["g,0,1,0", "f,0,1,0", "f,1,1,0", "f,2,1,0", "f,3,1,0"], "function 'g' of .* misses 3 of 4 nodes"),
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [2, CSV_CHUNK_ROWS])
+@pytest.mark.parametrize("case", list(FIRST_BAD_LINE))
+def test_samples_file_reports_its_first_bad_line(tmp_path, monkeypatch, case, chunk_rows):
+    # the file is checked a chunk of lines at a time, in bulk; the error is that
+    # of the first bad line, and on it of the first rule in the order node
+    # index, range, repeat, real part, imaginary part
+    monkeypatch.setattr(cfgmod, "CSV_CHUNK_ROWS", chunk_rows)
+    lines, message = FIRST_BAD_LINE[case]
+    path = tmp_path / "samples.csv"
+    path.write_text("fn,node,re,im\n" + "".join(line + "\n" for line in lines))
+    with pytest.raises(ConfigError, match=message):
+        build_test_set(f"samples:{path}", make_group("zn:4"))
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, CSV_CHUNK_ROWS])
+def test_samples_file_read_in_chunks_equals_the_per_line_oracle(tmp_path, monkeypatch, chunk_rows):
+    monkeypatch.setattr(cfgmod, "CSV_CHUNK_ROWS", chunk_rows)
+    group = make_group("zn:5")
+    rng = np.random.default_rng(8)
+    lines = [f"{fid},{k},{rng.choice(['-0', '0', '1e-320', '-2.5'])},{rng.standard_normal()!r}"
+             for fid in ("b", "a", "c") for k in rng.permutation(5)]
+    order = rng.permutation(len(lines))
+    path = tmp_path / "samples.csv"
+    path.write_text("fn,node,re,im\n" + "".join(lines[r] + "\n" for r in order))
+    test_set = build_test_set(f"samples:{path}", group)
+    want = oracle_samples(group, path, named=True)
+    assert list(test_set.ids) == list(want)
+    assert test_set.values.tobytes() == np.array([f.values for f in want.values()]).tobytes()
+
+
 @pytest.mark.parametrize("n_rows", [0, 1, 5])
 def test_write_csv_exact_bytes(tmp_path, n_rows):
     k = np.arange(n_rows)
@@ -654,7 +703,8 @@ def test_cmd_catalog_dump_bytes_match_per_row_format(tmp_path, monkeypatch):
     # a small chunk makes every dump cross chunk boundaries; circle:64 adds
     # negative frequencies and multi-digit node numbers, dihedral:5 degrees 1 and 2
     monkeypatch.setattr(cfgmod, "CSV_CHUNK_ROWS", 20)
-    for group, n_labels in [("su2:j=1", 3), ("circle:64", 63), ("dihedral:5", 4)]:
+    # su2:j=2 adds half-integer spins, sym:4 degree 3 by Young's orthogonal form
+    for group, n_labels in [("su2:j=1", 3), ("circle:64", 63), ("dihedral:5", 4), ("su2:j=2", 5), ("sym:4", 5)]:
         out = tmp_path / group.replace(":", "-")
         cfg = write_config(tmp_path, group=group, dump_coefficients=True)
         assert main(["catalog", "--config", str(cfg), "--out", str(out)]) == 0
@@ -676,6 +726,52 @@ def test_coefficient_grid_text_streams_node_slabs(monkeypatch):
     header = ["node", "i", "j", "re", "im"]
     text = ",".join(header) + "\n" + "".join(chunks)
     assert text.encode() == _per_row_bytes(header, _grid_rows(cat.grids["j:1"]))
+
+
+def _edge_catalog() -> RepCatalog:
+    """A hand-built catalog on the 10 nodes of dihedral:5 whose grids hold the
+    floats a shared table of formatted values could get wrong."""
+    group = make_group("dihedral:5")
+    labels = tuple(IrrepLabel("finite", k, d, float(k)) for k, d in enumerate([2, 1, 2]))
+    store = np.zeros((9, group.n_nodes), dtype=np.complex128)
+    floats = store.view(np.float64)    # (re, im) pairs, written as floats to keep each -0.0
+    # signed zeros, the least subnormal and a 24-character value, each more than once
+    edge = [0.0, -0.0, 5e-324, -5e-324, -2.2250738585072014e-308, 1e300, 0.1]
+    floats[:4] = np.array(edge * 12)[:80].reshape(4, 20)
+    floats[4] = -0.1    # one value at every node, in both parts
+    floats[5:] = np.random.default_rng(3).standard_normal((4, 20))
+    return RepCatalog(group, labels, store)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, 20, CSV_CHUNK_ROWS])
+def test_coefficient_dump_of_edge_values_matches_per_value_format(tmp_path, monkeypatch, chunk_rows):
+    # a small chunk cuts the distinct-value scan inside runs of equal values
+    monkeypatch.setattr(cfgmod, "CSV_CHUNK_ROWS", chunk_rows)
+    cat = _edge_catalog()
+    floats = cat.store.view(np.float64)
+    assert len(np.unique(floats[4:5])) == 1 and len(np.unique(floats[5:])) == floats[5:].size
+    header = ["node", "i", "j", "re", "im"]
+    for lab in cat.labels:
+        path = tmp_path / f"{lab.key}.csv"
+        write_csv(path, header, cfgmod.coefficient_grid_text(cat, lab.key))
+        assert path.read_bytes() == _per_row_bytes(header, _grid_rows(cat.grids[lab.key]))
+    text = (tmp_path / "irrep:0.csv").read_text()
+    assert {"0", "-0", "4.9406564584124654e-324", "-2.2250738585072014e-308"} <= set(text.replace("\n", ",").split(","))
+
+
+def test_coefficient_grid_text_peaks_under_two_and_a_half_grids():
+    # the distinct-value table, the int32 row codes and one slab's text, not a
+    # Python object per value; the grid of j:4 is 3.37 MB
+    cat = build_catalog(make_group("su2:j=4"))
+    grid_bytes = cat.grids["j:4"].nbytes
+    tracemalloc.start()
+    try:
+        for _ in cfgmod.coefficient_grid_text(cat, "j:4"):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * grid_bytes, (peak, grid_bytes)
 
 
 @pytest.mark.parametrize(

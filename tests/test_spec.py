@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from grouplab import samples as samplesmod
 from grouplab import spec as specmod
 from grouplab.catalog import build_catalog, peter_weyl_basis
 from grouplab.cli import main
@@ -284,3 +285,17 @@ def test_profile_forms_keep_their_meaning(tmp_path):
     path = tmp_path / "p.txt"
     np.savetxt(path, np.zeros((4, 4)))
     assert np.all(model(f"table:{path}").profile == 0)
+
+
+@pytest.mark.parametrize("bad", ["1_0", "+3", " 3", "3.5", "", "٣", "-"])
+def test_leading_integers_stop_where_the_integer_rule_does(bad):
+    good = ["0", "-3", "0007", str(10**30)]
+    assert samplesmod.leading_integers(good + [bad] + good) == [specmod.integer(t) for t in good]
+    assert samplesmod.leading_integers(good) == [0, -3, 7, 10**30]
+
+
+@pytest.mark.parametrize("bad", ["1_0", "١", "one", "", "0x10", "1e5_0"])
+def test_leading_reals_stop_where_the_real_rule_does(bad):
+    good = ["-0", "1e-320", " 2.5 ", "nan", "-inf", "1e999"]
+    got = samplesmod.leading_reals(good + [bad] + good)
+    assert np.array(got).tobytes() == np.array([specmod.real(t) for t in good]).tobytes()
