@@ -26,6 +26,15 @@ so the setting takes effect only when this module is imported before
 numpy, as ``python -m grouplab.cli`` and the ``grouplab`` script do; BLAS
 builds other than OpenBLAS ignore it.
 A library ``import grouplab`` leaves the environment alone.
+
+Processes: the coefficient dump of ``catalog`` and the test-set walk of
+``semicomplete`` run on every usable CPU, in workers forked by
+``workers.run_shares``; the outputs do not depend on the CPU count.  The
+walk's workers enter BLAS, so its split pays only under the idle policy
+above: under OpenBLAS's default spin, the idle BLAS threads of each process
+spin on the CPUs the other needs, and the split walk is slower than one
+process's.  Threads in place of the workers would not help, as the walk's
+per-label calls hold the GIL.
 """
 from __future__ import annotations
 

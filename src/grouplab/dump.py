@@ -1,5 +1,6 @@
 """The coefficient dump of ``catalog``: one CSV per label, written on every
-usable CPU by forked workers, with files byte-identical to a one-process dump.
+usable CPU by forked workers (``workers.run_shares``), with files
+byte-identical to a one-process dump.
 
 Each label's text comes from ``config.coefficient_grid_text``, which takes
 the ``%.17g`` text of each distinct float64 bit pattern of the label from
@@ -9,23 +10,13 @@ it.
 """
 from __future__ import annotations
 
-import os
-import sys
-import traceback
 from pathlib import Path
 
 import numpy as np
 
 from . import config
 from .catalog import RepCatalog
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity set); 1 where the platform
-    cannot report them or cannot fork."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
+from .workers import run_shares, usable_cpus
 
 
 def label_shares(labels, k: int) -> list[list]:
@@ -46,50 +37,24 @@ def write_coefficient_dump(cat: RepCatalog, out_dir: Path, name: str) -> None:
     the CPUs this process may use.
 
     The labels are cut into k = min(usable CPUs, labels) shares of about
-    equal rows (``label_shares``).  k - 1 workers made with ``os.fork`` write
-    shares 1 to k - 1 while this process writes share 0; with one CPU, or
-    where the platform cannot fork, nothing is forked.  Every file is written
-    by one process through ``config.write_csv``, so its bytes do not depend
-    on k.  A worker only slices the read-only store and formats text, with no BLAS
-    call and no thread.  It exits 0 when its share is written; on any
-    exception it prints the traceback and exits 1.  Every worker is reaped,
-    also when this process's own share fails; a failed worker then makes this
-    raise ``RuntimeError`` naming its labels, an internal failure (CLI exit 1).
-
-    On Python >= 3.12 ``os.fork`` issues a ``DeprecationWarning`` when the
-    process has other threads, as it does once OpenBLAS has started its pool.
-    The hazard it warns of, a lock held by another thread at the fork, does
-    not reach the workers, which never enter BLAS.
+    equal rows (``label_shares``), which ``workers.run_shares`` writes: share
+    0 in this process, each other share in a forked worker.  Every file is
+    written by one process through ``config.write_csv``, so its bytes do not
+    depend on k.  A dump worker only slices the read-only store and formats
+    text, with no BLAS call and no thread.  A share that fails fails the
+    dump: this process's own with its exception, a worker's internal failure
+    as a ``RuntimeError`` naming the worker's labels (CLI exit 1); the other
+    shares are still written whole.
     """
-    shares = label_shares(cat.labels, min(_usable_cpus(), len(cat.labels)))
-    workers: dict[int, list] = {}
-    try:
-        for share in shares[1:]:
-            sys.stdout.flush()   # a failing worker flushes stderr: it must inherit no buffered text
-            sys.stderr.flush()
-            pid = os.fork()
-            if pid == 0:
-                _dump_worker(cat, out_dir, name, share)
-            workers[pid] = share
-        _write_coefficients(cat, out_dir, name, shares[0])
-    finally:
-        codes = {pid: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in workers}
-    failed = [lab.key for pid, share in workers.items() if codes[pid] != 0 for lab in share]
-    if failed:
-        raise RuntimeError(f"coefficient dump worker failed for labels {', '.join(failed)}")
+    shares = label_shares(cat.labels, min(usable_cpus(), len(cat.labels)))
 
+    def write(labels) -> bytes:
+        _write_coefficients(cat, out_dir, name, labels)
+        return b""
 
-def _dump_worker(cat: RepCatalog, out_dir: Path, name: str, share: list) -> None:
-    """The body of a forked dump worker; it ends the process and never returns."""
-    code = 1
-    try:
-        _write_coefficients(cat, out_dir, name, share)
-        code = 0
-    except BaseException:  # a forked worker must not unwind into its parent's stack
-        traceback.print_exc()
-    finally:
-        sys.stderr.flush()
-        os._exit(code)
+    run_shares(shares, write, lambda labels: (
+        f"coefficient dump worker failed for labels {', '.join(lab.key for lab in labels)}"
+    ))
 
 
 def _write_coefficients(cat: RepCatalog, out_dir: Path, name: str, labels) -> None:

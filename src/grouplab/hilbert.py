@@ -44,8 +44,8 @@ TOLERANCES = {
     "bessel": 1e-9,                 # max of sum |<f, chi>|^2 - ||f||^2 over a test set
     "lift_restriction": 0.0,        # max |chi(., identity AN node) - xi| on K
     "lift_condition_i": 0.0,        # |f| at the identity AN node
-    "lift_gram": _GRAM,             # max |Gram(lift) - Gram(xi)|
-    "lift_norm": _GRAM,             # max |Gram(lift)_mm - 1|
+    "lift_gram": 1e-9,              # max |Gram(lift) - Gram(xi)|; K is a circle
+    "lift_norm": 1e-9,              # max |Gram(lift)_mm - 1|
     "membership": {"finite": 1e-10, "circle": 1e-8, "su2": 1e-8},  # Parseval defect of a member
     "weights_diagonal": 1e-12,      # |gamma_i beta_ii - 1| of admissible weights
     "homomorphism": 1e-12,          # max |u(s g) - u(s) u(g)|, |u(s) u(s)^H - I| over generators s

@@ -11,6 +11,7 @@ records which test set was used; nothing is asserted uniformly over L2(G)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .hilbert import (
     OrthonormalFamily,
     StreamedTestSet,
     TestSet,
+    chunk_slices,
     coefficients,
     tolerance,
 )
@@ -141,13 +143,38 @@ def semicompleteness_defect(
 ) -> SemicompletenessReport:
     """Per-function ||PW-expansion(f) - weighted-expansion(f)||_2 over a test set,
     under its ids and descriptor: one expansion, transform and synthesis per row,
-    walking the set a chunk of rows at a time."""
-    per_function = []
-    for chunk in testset.chunks():
-        for k, fid in enumerate(chunk.ids):
-            f = chunk.function(k)
-            weighted = semi_fourier_expand(f, family, weights)
-            per_function.append((fid, _defect(synthesize(fourier_transform(f, cat), cat), weighted, fid)))
+    walking the set a chunk of rows at a time.
+
+    The chunks (``chunk_slices``) are cut into k = min(usable CPUs, chunks)
+    contiguous shares of about equal rows, which ``workers.run_shares`` walks:
+    share 0 in this process, each other share in a forked worker, which draws
+    the set up to its share's last chunk and sends back its float64 defects.
+    Each defect is computed as in a one-process walk, so the report does not
+    depend on k; a one-chunk set forks nothing.  The first failing row in
+    test-set order decides the error, a ``ConfigError`` (weights overflow)
+    included.
+    """
+    from .workers import run_shares, usable_cpus  # compiled only by the runs that walk a test set
+
+    slices = chunk_slices(len(testset))
+    k = min(usable_cpus(), len(slices))
+    shares = [range(len(slices) * i // k, len(slices) * (i + 1) // k) for i in range(k)]
+
+    def walk(share: range) -> bytes:
+        defects = []
+        for chunk in islice(testset.chunks(), share.start, share.stop):
+            for row, fid in enumerate(chunk.ids):
+                f = chunk.function(row)
+                weighted = semi_fourier_expand(f, family, weights)
+                defects.append(_defect(synthesize(fourier_transform(f, cat), cat), weighted, fid))
+        return np.array(defects, dtype=np.float64).tobytes()
+
+    def failure(share: range) -> str:
+        rows = f"{slices[share[0]].start}-{slices[share[-1]].stop - 1}"
+        return f"semicomplete worker failed for test set rows {rows}"
+
+    defects = np.frombuffer(b"".join(run_shares(shares, walk, failure)))
+    per_function = list(zip(testset.ids, defects.tolist()))
     max_defect = max(d for _, d in per_function)
     return SemicompletenessReport(
         test_set=testset.descriptor,

@@ -1300,18 +1300,18 @@ def _break_lift_gram(monkeypatch):
 
 
 def _break_lift_norm(monkeypatch):
-    # a Gram diagonal and an AN mass each off by less than the circle's Gram
-    # tolerance 1e-8, whose product is off by more: a scale off by
-    # sqrt(1 + 0.75e-8) moves the members by rho = 3.75e-9, so the Gram bound
-    # reads about 7.5e-9, gram_residual about 5e-9 and norm_residual 1.25e-8
+    # a Gram diagonal and an AN mass each off by less than the lift's
+    # tolerance 1e-9, whose product is off by more: a scale off by
+    # sqrt(1 + 0.75e-9) moves the members by rho = 3.75e-10, so the Gram bound
+    # reads about 7.5e-10, gram_residual about 5e-10 and norm_residual 1.25e-9
     build = cli.build_riemann_lebesgue_family
 
     def rescaled(cat, omit):
         xi = build(cat, omit)
-        return dataclasses.replace(xi, scale=xi.scale * np.sqrt(1.0 + 0.75e-8))
+        return dataclasses.replace(xi, scale=xi.scale * np.sqrt(1.0 + 0.75e-9))
 
     monkeypatch.setattr(cli, "build_riemann_lebesgue_family", rescaled)
-    monkeypatch.setattr(IwasawaModel, "an_mass", property(lambda self: 1.0 + 0.5e-8))
+    monkeypatch.setattr(IwasawaModel, "an_mass", property(lambda self: 1.0 + 0.5e-9))
     return "lift", []
 
 
@@ -1344,6 +1344,19 @@ def test_every_cli_invariant_can_fail_with_exit_3(tmp_path, capsys, monkeypatch,
     assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"numerical invariant failure: {row} residual "), err
+    assert not out.exists()
+
+
+def test_lift_gram_residual_between_1e_9_and_1e_8_exits_3(tmp_path, capsys, monkeypatch):
+    # the lift's rows share the benchmark gate's limit of 1e-9, ten times
+    # tighter than the circle's family Gram tolerance: an AN mass off by 5e-9
+    # passes the family check and breaches lift_gram
+    monkeypatch.setattr(IwasawaModel, "an_mass", property(lambda self: 1.0 + 5e-9))
+    cfg = write_config(tmp_path, **LIFT_FIELDS)
+    out = tmp_path / "out"
+    assert main(["lift", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical invariant failure: lift_gram residual 5.000e-09 exceeds tolerance 1.000e-09"), err
     assert not out.exists()
 
 
