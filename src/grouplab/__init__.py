@@ -21,14 +21,13 @@ __version__ = "0.1.0"
 #: Each submodule -> the public names the package takes from it.
 _PUBLIC = {
     "_kernels": ("backend_name",),
-    "catalog": ("IrrepLabel", "RepCatalog", "build_catalog", "matrix_coefficient", "peter_weyl_basis"),
+    "catalog": ("IrrepLabel", "RepCatalog", "build_catalog", "peter_weyl_basis"),
     "fourier": ("fourier_transform", "synthesize"),
     "groups": (
         "GroupModel",
         "circle_group",
         "cyclic_group",
         "dihedral_group",
-        "haar_integrate",
         "make_group",
         "su2_group",
         "symmetric_group",
@@ -47,7 +46,7 @@ _PUBLIC = {
         "random_function",
         "unit_weights",
     ),
-    "iwasawa": ("IwasawaModel", "LiftedFamily", "check_K_semicomplete", "lift_family", "make_iwasawa_model"),
+    "iwasawa": ("IwasawaModel", "LiftedFamily", "lift_family", "make_iwasawa_model"),
     "parseval": (
         "MatrixSequence",
         "MembershipVerdict",

@@ -4,8 +4,9 @@ All inner products here reduce to sums of the form sum_k w_k a_k conj(b_k)
 over quadrature nodes: a single weighted inner product, coefficients of
 functions against a family, linear combinations of family members, and two
 kernels over a family's Gram matrix.  Each product is one BLAS-backed matrix
-product.  Three weighted sums call ``np.dot`` themselves:
-``L2Function.norm_sq``, ``groups.haar_integrate`` and ``IwasawaModel.an_mass``.
+product.  Two weighted sums call ``np.dot`` themselves:
+``L2Function.norm_sq`` (and ``TestSet``'s row norms, the same sum row by
+row) and ``IwasawaModel.an_mass``.
 
 The Gram kernels share one slab generator.  A family's member m is
 ``scale[m] * members[m]`` for one real scale per row, so the Gram matrix is
@@ -23,12 +24,15 @@ it returns the same float as the dense defect of ``gram``.
 ``coefficients_against`` and ``combine`` take either one operand vector or a
 stack of them, one per row, and evaluate the same matrix product either way;
 callers with a whole test set make one call instead of one per function.
-Their allocation contract: each returns its complex128 result and allocates
-at most one temporary, the size of the small operand (the function stack of
-``coefficients_against``, the coefficients of ``combine``); no operand is
-written; the product is one ``np.dot``, which reads ``members`` in place in
-any layout (every family and catalog keeps it C-ordered complex128; a real
-one would be cast to complex, a copy of its size).
+``coefficients_against`` takes its functions as the operand
+``conj_weighted(f, w)``, which a caller makes once per function or stack,
+not once per call.  The allocation contract: ``conj_weighted`` allocates its
+result, the size of the function stack; ``coefficients_against`` allocates
+only its result, and ``combine`` at most one temporary, the size of its
+coefficients, beside its result; no operand is written; each product is one
+``np.dot``, which reads ``members`` in place in any layout (every family and
+catalog keeps it C-ordered complex128; a real one would be cast to complex,
+a copy of its size).
 The Fourier transform calls them once per catalog label, so their per-call
 overhead, not their arithmetic, sets its speed on a catalog of many small
 blocks.  Time the kernels in context with ``perfbench/run.py``.
@@ -59,18 +63,26 @@ def weighted_inner(a, b, w) -> complex:
     return complex(np.dot(_c128(a) * _f64(w), np.conj(_c128(b))))
 
 
-def coefficients_against(members, w, f) -> np.ndarray:
-    """out[..., m] = sum_k w_k f[..., k] conj(members[m, k]).
+def conj_weighted(f, w) -> np.ndarray:
+    """conj(f * w), the operand of ``coefficients_against``, in one fresh C-ordered buffer.
 
-    ``members`` is (M, K); ``f`` is one function (K,) or a stack (F, K), giving
-    (M,) or (F, M).  ``w`` is real, or complex128 with zero imaginary parts,
-    which gives the same bits and spares the cast of a real ``w`` in each
-    call.  The product is conj(members @ conj(f * w).T).T: the small operand
-    is conjugated instead of ``members``, and both conjugations are made in
-    place, in the one fresh buffer of f * w and in the result.
+    ``f`` is one function (K,) or a stack (F, K); ``w`` is real, or complex128
+    with zero imaginary parts, which gives the same bits.  The conjugation is
+    made in place.
     """
     fw = np.multiply(f, w, dtype=np.complex128, order="C")
     np.conjugate(fw, out=fw)
+    return fw
+
+
+def coefficients_against(members, fw) -> np.ndarray:
+    """out[..., m] = sum_k w_k f[..., k] conj(members[m, k]) for fw = ``conj_weighted(f, w)``.
+
+    ``members`` is (M, K); ``fw`` is (K,) or (F, K), giving (M,) or (F, M).
+    The product is conj(members @ fw.T).T: the small operand is conjugated
+    instead of ``members``, and the result in place.  A caller with one
+    function and many member blocks makes ``fw`` once for all of them.
+    """
     out = np.dot(members, fw.T)
     np.conjugate(out, out=out)
     return out.T

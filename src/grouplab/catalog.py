@@ -130,24 +130,6 @@ class RepCatalog:
                 return lab
         raise KeyError(f"label {key!r} not in catalog")
 
-    def coefficient_matrix(self, label: IrrepLabel, g) -> np.ndarray:
-        """u(g) for an arbitrary group element (not necessarily a grid node)."""
-        if label.key not in self.grids:
-            raise KeyError(f"label {label.key!r} not in catalog")
-        if self.group.kind == "finite":
-            return self.grids[label.key][int(g)]
-        if self.group.kind == "circle":
-            return np.array([[np.exp(1j * label.payload * g)]], dtype=np.complex128)
-        return su2_irrep_matrix(int(round(2 * label.payload)), np.asarray(g))
-
-
-def matrix_coefficient(cat: RepCatalog, label: IrrepLabel, i: int, j: int, g) -> complex:
-    """Entry (i, j) of u(g), 0-based; raises IndexError outside the degree."""
-    d = label.degree
-    if not (0 <= i < d and 0 <= j < d):
-        raise IndexError(f"coefficient index ({i}, {j}) out of range for degree {d}")
-    return complex(cat.coefficient_matrix(label, g)[i, j])
-
 
 def peter_weyl_basis(cat: RepCatalog) -> OrthonormalFamily:
     """The orthonormal family {sqrt(d) u_ij} over all catalog labels."""

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import tempfile
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -90,6 +89,16 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; a repeated key, which ``json.loads``
+    would resolve to its last value, is a ConfigError."""
+    obj = {}
+    for key, value in pairs:
+        _require(key not in obj, f"JSON object repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _require_known_keys(obj: dict, known: frozenset, where: str) -> None:
     unknown = sorted(set(obj) - known)
     _require(
@@ -159,7 +168,7 @@ def load_config(
     path = Path(path)
     _require(path.is_file(), f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require(isinstance(raw, dict), "config must be a JSON object")
@@ -285,7 +294,7 @@ def _weights_reader(spec, seed_override: int | None) -> Callable[[int], Expansio
         path = Path(rest)
         _require(path.is_file(), f"weights table not found: {path}")
         try:
-            data = json.loads(path.read_text())
+            data = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
             table = ExpansionWeights(_complex_table(data["gamma"], 1), _complex_table(data["beta"], 2))
         except (KeyError, ValueError, TypeError, OverflowError, json.JSONDecodeError) as exc:
             raise ConfigError(f"malformed weights table {path}: {exc}") from exc
@@ -467,7 +476,7 @@ def write_csv(path: str | Path, header: list[str], blocks) -> None:
     columns, one per header field, all of one length, each converted with
     ``np.asarray``: integer columns print with ``%d``, float columns with
     ``%.17g`` (the digits of ``format(x, ".17g")``) and any other column with
-    ``str()``.
+    ``str()``, quoted as RFC 4180 quotes a field (``_csv_field``).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -484,9 +493,20 @@ def _csv_chunks(blocks, n_fields: int):
         if len(cols) != n_fields or any(c.shape != cols[0].shape or c.ndim != 1 for c in cols):
             raise ValueError(f"a CSV block needs {n_fields} one-dimensional columns of one length")
         line = ",".join(_CONVERSIONS.get(c.dtype.kind, "%s") for c in cols) + "\n"
+        text = [c.dtype.kind not in _CONVERSIONS for c in cols]
         for start in range(0, len(cols[0]), CSV_CHUNK_ROWS):
             part = [c[start:start + CSV_CHUNK_ROWS].tolist() for c in cols]
+            part = [list(map(_csv_field, p)) if t else p for p, t in zip(part, text)]
             yield (line * len(part[0])) % tuple(itertools.chain.from_iterable(zip(*part)))
+
+
+def _csv_field(value) -> str:
+    """``str(value)``, in double quotes with each quote doubled when it holds a
+    comma, a quote, CR or LF, so that it reads back as one field."""
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_json(path: str | Path, obj) -> None:
@@ -497,7 +517,20 @@ def write_json(path: str | Path, obj) -> None:
 
 
 def _atomic_write(path: Path, chunks) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    """Write ``chunks`` to a temp file beside ``path``, then rename it to ``path``.
+
+    The temp file is created with mode 0666 less the umask, as ``open`` creates
+    a file (``tempfile.mkstemp`` would make it 0600), and ``os.replace`` keeps
+    that mode.  Its name carries the process id, so the dump's forked workers
+    never share one, and a counter, past any file left by an earlier run.
+    """
+    for n in itertools.count():
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.{n}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.writelines(chunks)

@@ -8,11 +8,11 @@ come from one kernel call on its store rows, written into its slice of the
 one flat vector, and the vector is multiplied by ``cat.scale`` (sqrt(d) per
 row) once; synthesis multiplies the sequence by ``cat.scale`` once and makes
 one kernel call per label.  Both loops run over ``cat.block_rows``, the row
-slices and store views the catalog makes once, with the weights (as
-complex128, so that no call casts them), values and kernel read before the
-loop; the kernel is looked up on ``_kernels`` at each call of the transform,
-so a wrapper installed there sees every label.  The family is orthonormal,
-so the Plancherel sum is the plain ``norm_sq`` of the sequence and
+slices and store views the catalog makes once, with the kernel and its
+operand ``conj_weighted(f, w)`` made before the loop, once per function;
+the kernel is looked up on ``_kernels`` at each call of the transform, so a
+wrapper installed there sees every label.  The family is orthonormal, so
+the Plancherel sum is the plain ``norm_sq`` of the sequence and
 ``hs_inner`` of two transforms is the L2 inner product of the functions.  On
 a finite group with the complete catalog the round trip is the identity, and
 on a truncated continuous catalog it is the band-limited projection.  The
@@ -33,12 +33,10 @@ from .parseval import MatrixSequence
 def fourier_transform(f: L2Function, cat: RepCatalog) -> MatrixSequence:
     """fhat(label)_ij = <f, sqrt(d) u_ij> for every label in the catalog."""
     require_same_group(f.group, cat.group)
-    # cast once here to the complex values each kernel call would cast them to
-    w = cat.group.weights.astype(np.complex128)
-    kernel, values = _kernels.coefficients_against, f.values
+    kernel, fw = _kernels.coefficients_against, _kernels.conj_weighted(f.values, cat.group.weights)
     flat = np.empty(cat.store.shape[0], dtype=np.complex128)
     for rows, members in cat.block_rows:
-        flat[rows] = kernel(members, w, values)
+        flat[rows] = kernel(members, fw)
     flat *= cat.scale
     return MatrixSequence(cat.blocks, flat)
 

@@ -36,8 +36,8 @@ class GroupModel:
 
     The per-kind payload fields are mutually exclusive: finite groups carry a
     multiplication ``table``, the circle carries ``thetas``, SU(2) carries
-    each node's z-y-z Euler angles ``eulers``, from which ``node_element``
-    makes the node's 2x2 matrix with ``su2_matrix_from_euler``; no node
+    each node's z-y-z Euler angles ``eulers``, which
+    ``su2_matrix_from_euler`` turns into the node's 2x2 matrix; no node
     matrix is stored.  ``capacity`` is the largest irrep magnitude the
     quadrature integrates exactly (None for finite groups, whose integration
     is exact outright).
@@ -62,14 +62,6 @@ class GroupModel:
         if self.kind != "finite":
             raise ValueError(f"{self.name} is not a finite group")
         return self.n_nodes
-
-    def node_element(self, k: int):
-        """The group element sitting at quadrature node k."""
-        if self.kind == "finite":
-            return int(k)
-        if self.kind == "circle":
-            return float(self.thetas[k])
-        return su2_matrix_from_euler(*self.eulers[k])
 
     def multiply(self, a, b):
         """Group product a*b in the element encoding of this group kind."""
@@ -276,22 +268,3 @@ def grid_shape(spec: str) -> tuple[str, int, float | None]:
     if head == "circle":
         return "circle", n_nodes, _circle_capacity(n_nodes)
     return "finite", n_nodes, None
-
-
-def haar_integrate(group: GroupModel, phi) -> complex:
-    """Normalized Haar integral of ``phi``.
-
-    ``phi`` is either a callable evaluated at every quadrature node element or
-    an array of values already sampled on the grid.
-    """
-    if callable(phi):
-        values = np.array(
-            [phi(group.node_element(k)) for k in range(group.n_nodes)], dtype=np.complex128
-        )
-    else:
-        values = np.asarray(phi, dtype=np.complex128)
-        if values.shape != (group.n_nodes,):
-            raise ValueError(
-                f"expected {group.n_nodes} sampled values, got shape {values.shape}"
-            )
-    return complex(np.dot(group.weights, values))

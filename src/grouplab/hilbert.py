@@ -336,9 +336,7 @@ class OrthonormalFamily:
         return b.offset + i * b.size + j
 
     def member(self, block: int, i: int, j: int) -> L2Function:
-        return self.member_flat(self.flat_index(block, i, j))
-
-    def member_flat(self, k: int) -> L2Function:
+        k = self.flat_index(block, i, j)
         return L2Function(self.group, self.scale[k] * self.members[k])
 
     def flat_positions(self) -> list[tuple[str, int, int]]:
@@ -429,7 +427,8 @@ def coefficients(f, family: OrthonormalFamily) -> np.ndarray:
     functions, giving (F, n_members) from one kernel call on its array.
     """
     require_same_group(f.group, family.group)
-    out = _kernels.coefficients_against(family.members, family.group.weights, f.values)
+    fw = _kernels.conj_weighted(f.values, family.group.weights)
+    out = _kernels.coefficients_against(family.members, fw)
     out *= family.scale
     return out
 

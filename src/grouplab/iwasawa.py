@@ -36,10 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import RepCatalog
 from .groups import GroupModel, make_group, same_group
-from .hilbert import ExpansionWeights, L2Function, OrthonormalFamily, TestSet
-from .semicomplete import SemicompletenessReport, semicompleteness_defect
+from .hilbert import L2Function, OrthonormalFamily
 from .spec import ConfigError, parse_params, real, split_spec
 
 
@@ -200,18 +198,6 @@ def lift_family(model: IwasawaModel, xi: OrthonormalFamily) -> LiftedFamily:
             f"family lives on {xi.group.name}, model K factor is {model.K.name}"
         )
     return LiftedFamily(model=model, source=xi, envelope=np.exp(model.profile))
-
-
-def check_K_semicomplete(
-    lifted: LiftedFamily,
-    cat_k: RepCatalog,
-    weights: ExpansionWeights,
-    testset: TestSet,
-    epsilon: float | None = None,
-) -> SemicompletenessReport:
-    """Semicompleteness defect of the lifted family's restriction to K, over a
-    test set on K."""
-    return semicompleteness_defect(lifted.restrict_to_k(), weights, cat_k, testset, epsilon=epsilon)
 
 
 def reproduction_residual(

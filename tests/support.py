@@ -1,7 +1,10 @@
 """Test-only helpers: sample-file writers, small constructors, the
 per-function test-set builders kept as oracles for ``config.build_test_set``,
-the whole-array analysis kept as the oracle of the chunked commands, and
-Dixon's method kept as the oracle of the finite catalog's closed forms.
+the whole-array analysis kept as the oracle of the chunked commands,
+Dixon's method kept as the oracle of the finite catalog's closed forms, and
+the per-element helpers that no command reaches (node elements, the Haar
+integral of a callable, matrix coefficients off the grid, the
+K-semicompleteness of a lift).
 
 The builder oracles make a test set one ``L2Function`` at a time, as the
 library did before a test set became one ``(F, n_nodes)`` array; the array's
@@ -10,17 +13,21 @@ whole test set at once, as the analysis commands did before they walked it
 a chunk of rows at a time; their files must equal its files byte for byte.
 ``dixon_irreps`` decomposes the regular representation, as the catalog did
 before it built each finite family's irreps in closed form; the label order,
-degrees and characters of the two must agree.
+degrees and characters of the two must agree.  ``check_K_semicomplete`` is
+the semicompleteness defect of a lift's restriction to K; the CLI's
+``lift_restriction`` row requires that restriction to equal the K factor,
+so the library evaluates the notion as ``semicompleteness_defect`` of the
+K factor itself.
 """
 from pathlib import Path
 
 import numpy as np
 
 from grouplab import config as cfgmod
-from grouplab.catalog import build_catalog
+from grouplab.catalog import build_catalog, su2_irrep_matrix
 from grouplab.config import write_csv
 from grouplab.fourier import fourier_transform, synthesize
-from grouplab.groups import make_group
+from grouplab.groups import make_group, su2_matrix_from_euler
 from grouplab.hilbert import L2Function, TestSet, coefficients
 from grouplab.parseval import MatrixSequence, zero_sequence
 from grouplab.semicomplete import (
@@ -28,6 +35,7 @@ from grouplab.semicomplete import (
     SemicompletenessReport,
     build_riemann_lebesgue_family,
     semi_fourier_expand,
+    semicompleteness_defect,
 )
 from grouplab.spec import split_spec
 
@@ -108,7 +116,61 @@ def oracle_function(spec: str, group, family=None) -> L2Function:
 
 
 def oracle_members(family) -> list[L2Function]:
-    return [family.member_flat(k) for k in range(family.n_members)]
+    return [member_flat(family, k) for k in range(family.n_members)]
+
+
+# ---------------------------------------------------------------------------
+# per-element helpers
+
+
+def node_element(group, k: int):
+    """The group element at quadrature node k: an index, an angle or an SU(2) matrix."""
+    if group.kind == "finite":
+        return int(k)
+    if group.kind == "circle":
+        return float(group.thetas[k])
+    return su2_matrix_from_euler(*group.eulers[k])
+
+
+def haar_integrate(group, phi) -> complex:
+    """Normalized Haar integral of ``phi``, a callable evaluated at every node
+    element or an array of values already sampled on the grid."""
+    if callable(phi):
+        values = np.array([phi(node_element(group, k)) for k in range(group.n_nodes)], dtype=np.complex128)
+    else:
+        values = np.asarray(phi, dtype=np.complex128)
+        if values.shape != (group.n_nodes,):
+            raise ValueError(f"expected {group.n_nodes} sampled values, got shape {values.shape}")
+    return complex(np.dot(group.weights, values))
+
+
+def coefficient_matrix(cat, label, g) -> np.ndarray:
+    """u(g) for an arbitrary group element, not necessarily a grid node."""
+    if label.key not in cat.grids:
+        raise KeyError(f"label {label.key!r} not in catalog")
+    if cat.group.kind == "finite":
+        return cat.grids[label.key][int(g)]
+    if cat.group.kind == "circle":
+        return np.array([[np.exp(1j * label.payload * g)]], dtype=np.complex128)
+    return su2_irrep_matrix(int(round(2 * label.payload)), np.asarray(g))
+
+
+def matrix_coefficient(cat, label, i: int, j: int, g) -> complex:
+    """Entry (i, j) of u(g), 0-based; IndexError outside the degree."""
+    d = label.degree
+    if not (0 <= i < d and 0 <= j < d):
+        raise IndexError(f"coefficient index ({i}, {j}) out of range for degree {d}")
+    return complex(coefficient_matrix(cat, label, g)[i, j])
+
+
+def member_flat(family, k: int) -> L2Function:
+    """Member k of a family, in flat order, as a function."""
+    return L2Function(family.group, family.scale[k] * family.members[k])
+
+
+def check_K_semicomplete(lifted, cat_k, weights, testset, epsilon=None) -> SemicompletenessReport:
+    """Semicompleteness defect of a lift's restriction to K over a test set on K."""
+    return semicompleteness_defect(lifted.restrict_to_k(), weights, cat_k, testset, epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from grouplab.catalog import (
     RepCatalog,
     build_catalog,
     gram_defect_bound,
-    matrix_coefficient,
     peter_weyl_basis,
     store_bytes,
     su2_irrep_matrix,
@@ -24,7 +23,7 @@ from grouplab.groups import circle_group, cyclic_group, grid_shape, make_group, 
 from grouplab.hilbert import OrthonormalFamily, tolerance
 from grouplab.semicomplete import OmissionSpec, build_riemann_lebesgue_family
 from grouplab.spec import ConfigError
-from support import dixon_irreps
+from support import coefficient_matrix, dixon_irreps, matrix_coefficient, node_element
 
 #: The finite groups of tests/test_groups.py, and one of order 128.
 FINITE = ["zn:1", "zn:4", "zn:12", "dihedral:3", "dihedral:5", "sym:3", "sym:4", "dihedral:64"]
@@ -84,9 +83,9 @@ def test_homomorphism_unitarity_on_samples(spec):
         a, b = rng.integers(0, g.order, 2)
         ab = g.multiply(int(a), int(b))
         for lab in cat.labels:
-            ua = cat.coefficient_matrix(lab, int(a))
-            ub = cat.coefficient_matrix(lab, int(b))
-            uab = cat.coefficient_matrix(lab, ab)
+            ua = coefficient_matrix(cat, lab, int(a))
+            ub = coefficient_matrix(cat, lab, int(b))
+            uab = coefficient_matrix(cat, lab, ab)
             assert np.max(np.abs(ua @ ub - uab)) < 1e-10
             assert np.max(np.abs(ua @ ua.conj().T - np.eye(lab.degree))) < 1e-10
 
@@ -211,7 +210,7 @@ def test_finite_stores_have_the_same_bytes_under_one_and_two_blas_threads():
 
 def test_identity_matrix_at_identity(sym3, sym3_catalog):
     for lab in sym3_catalog.labels:
-        u = sym3_catalog.coefficient_matrix(lab, sym3.identity)
+        u = coefficient_matrix(sym3_catalog, lab, sym3.identity)
         assert np.max(np.abs(u - np.eye(lab.degree))) < 1e-10
 
 
@@ -257,8 +256,8 @@ def test_su2_defining_representation():
     cat = build_catalog(g)
     lab = cat.label_by_key("j:0.5")
     for k in [0, 5, 17]:
-        mat = g.node_element(k)
-        assert np.max(np.abs(cat.coefficient_matrix(lab, mat) - mat)) < 1e-12
+        mat = node_element(g, k)
+        assert np.max(np.abs(coefficient_matrix(cat, lab, mat) - mat)) < 1e-12
 
 
 def test_su2_spin1_is_symmetric_square_of_defining():
@@ -273,7 +272,7 @@ def test_su2_spin1_is_symmetric_square_of_defining():
     )
     rng = np.random.default_rng(5)
     for k in rng.integers(0, g.n_nodes, 10):
-        mat = g.node_element(k)
+        mat = node_element(g, k)
         sym_sq = p @ np.kron(mat, mat) @ p.conj().T
         spin1 = su2_irrep_matrix(2, mat)
         assert np.max(np.abs(sym_sq - spin1)) < 1e-12
@@ -288,7 +287,7 @@ def test_su2_grid_matches_per_node_oracle(spec):
         two_j = int(round(2 * lab.payload))
         grid = cat.grids[lab.key]
         assert grid.shape == (g.n_nodes, two_j + 1, two_j + 1)
-        oracle = np.array([su2_irrep_matrix(two_j, g.node_element(k)) for k in range(g.n_nodes)])
+        oracle = np.array([su2_irrep_matrix(two_j, node_element(g, k)) for k in range(g.n_nodes)])
         assert np.max(np.abs(grid - oracle)) < 1e-13
 
 

@@ -8,19 +8,25 @@ import pytest
 from grouplab import _kernels
 from grouplab.catalog import build_catalog, peter_weyl_basis
 from grouplab.groups import circle_group
-from grouplab.hilbert import L2Function, OrthonormalFamily, TestSet, random_function, unit_weights
+from grouplab.hilbert import (
+    L2Function,
+    OrthonormalFamily,
+    TestSet,
+    diag_reciprocal_weights,
+    random_function,
+    unit_weights,
+)
 from grouplab.iwasawa import (
     LiftedFamily,
     an_grid_bytes,
-    check_K_semicomplete,
     lift_family,
     make_iwasawa_model,
     max_reproduction_residual,
     reproduction_residual,
 )
-from grouplab.semicomplete import OmissionSpec, build_riemann_lebesgue_family
+from grouplab.semicomplete import OmissionSpec, build_riemann_lebesgue_family, semicompleteness_defect
 from grouplab.spec import ConfigError
-from support import oracle_members, stack
+from support import check_K_semicomplete, member_flat, oracle_members, stack
 
 
 @pytest.fixture(scope="module")
@@ -194,7 +200,7 @@ def test_lift_depends_on_the_member_functions_not_their_row_scale(gauss_model, k
     lifted, lifted_halved = lift_family(gauss_model, xi), lift_family(gauss_model, halved)
     restricted = lifted_halved.restrict_to_k()
     for m in range(xi.n_members):
-        assert np.array_equal(restricted.member_flat(m).values, lifted.restrict_to_k().member_flat(m).values)
+        assert np.array_equal(member_flat(restricted, m).values, member_flat(lifted.restrict_to_k(), m).values)
     assert np.array_equal(lifted_halved.gram_matrix(), lifted.gram_matrix())
 
 
@@ -242,6 +248,16 @@ def test_check_k_semicomplete_retained_span(gauss_model, k_catalog):
     testset = stack(oracle_members(xi))
     report = check_K_semicomplete(lifted, k_catalog, unit_weights(1), testset)
     assert report.max_defect < 1e-9
+
+
+def test_k_semicompleteness_is_semicompleteness_of_xi(gauss_model, k_catalog):
+    # the restriction equals xi bit for bit (the lift_restriction row), so the
+    # K-semicompleteness of a lift is the semicompleteness of its K factor
+    xi = build_riemann_lebesgue_family(k_catalog, OmissionSpec(omitted=("m:3",)))
+    testset = stack(random_function(gauss_model.K, s) for s in range(4))
+    weights = diag_reciprocal_weights(1, 3)
+    lifted = check_K_semicomplete(lift_family(gauss_model, xi), k_catalog, weights, testset)
+    assert lifted.per_function == semicompleteness_defect(xi, weights, k_catalog, testset).per_function
 
 
 def test_reproduction_residual_uniform_profile_zero():

@@ -25,7 +25,7 @@ def test_weighted_inner_matches_direct_sum(random_inputs):
 
 def test_coefficients_matches_loop(random_inputs):
     members, w, f = random_inputs
-    out = _kernels.coefficients_against(members, w, f)
+    out = _kernels.coefficients_against(members, _kernels.conj_weighted(f, w))
     for m in range(members.shape[0]):
         direct = sum(w[k] * f[k] * np.conj(members[m, k]) for k in range(40))
         assert abs(out[m] - direct) < 1e-13
@@ -62,10 +62,11 @@ def test_stacked_operands_match_one_at_a_time(random_inputs):
     members, w, _ = random_inputs
     rng = np.random.default_rng(8)
     fs = rng.standard_normal((5, 40)) + 1j * rng.standard_normal((5, 40))
-    stacked = _kernels.coefficients_against(members, w, fs)
+    stacked = _kernels.coefficients_against(members, _kernels.conj_weighted(fs, w))
     assert stacked.shape == (5, 9)
     for f, row in zip(fs, stacked):
-        assert np.max(np.abs(row - _kernels.coefficients_against(members, w, f))) < 1e-14
+        one = _kernels.coefficients_against(members, _kernels.conj_weighted(f, w))
+        assert np.max(np.abs(row - one)) < 1e-14
     combined = _kernels.combine(stacked, members)
     assert combined.shape == (5, 40)
     for c, row in zip(stacked, combined):
@@ -193,16 +194,19 @@ def test_per_label_kernels_keep_their_contract(m, stacked, dtype, layout):
     w = rng.random(k) + 0.1
     f = _operand(rng, (n_fns, k) if stacked else (k,), dtype, layout)
     coeffs = _operand(rng, (n_fns, m) if stacked else (m,), dtype, layout)
-    before = [a.copy() for a in (members, w, f, coeffs)]
+    fw = _kernels.conj_weighted(f, w)
+    assert fw.dtype == np.complex128 and fw.shape == f.shape and fw.flags.c_contiguous
+    assert _same_bits(fw, np.conj(_c128(f) * w))
+    # the weights as complex128: the same bits
+    assert _same_bits(fw, _kernels.conj_weighted(f, w.astype(np.complex128)))
+    before = [a.copy() for a in (members, w, f, coeffs, fw)]
 
     fs, cs = np.atleast_2d(f), np.atleast_2d(coeffs)
-    out = _kernels.coefficients_against(members, w, f)
+    out = _kernels.coefficients_against(members, fw)
     assert out.dtype == np.complex128 and out.shape == f.shape[:-1] + (m,)
     longhand = [[sum(w[j] * row[j] * np.conj(members[i, j]) for j in range(k)) for i in range(m)] for row in fs]
     assert np.max(np.abs(np.atleast_2d(out) - longhand)) < 1e-13
     assert _same_bits(out, _oracle_coefficients_against(members, w, f))
-    # the weights as complex128, as the Fourier transform passes them: the same bits
-    assert _same_bits(out, _kernels.coefficients_against(members, w.astype(np.complex128), f))
 
     out = _kernels.combine(coeffs, members)
     assert out.dtype == np.complex128 and out.shape == coeffs.shape[:-1] + (k,)
@@ -212,22 +216,25 @@ def test_per_label_kernels_keep_their_contract(m, stacked, dtype, layout):
         # a degree-1 block takes another BLAS path than matmul's, within rounding
         assert _same_bits(out, _oracle_combine(coeffs, members))
 
-    for a, b in zip((members, w, f, coeffs), before):
+    for a, b in zip((members, w, f, coeffs, fw), before):
         assert np.array_equal(a, b)
 
 
 def test_per_label_kernels_allocate_one_small_temporary():
-    # the result and one buffer of f * w, besides numpy's fixed-size buffers
-    # for casting the real weights; the one-expression form held two
-    # temporaries of the function stack at once
+    # the operand of the coefficient kernel is one buffer of f * w, besides
+    # numpy's fixed-size buffers for casting the real weights (the
+    # one-expression form held two temporaries of the function stack at
+    # once); the per-label calls then allocate only their results
     cast_buffers = 2 * 16 * np.getbufsize()
     rng = np.random.default_rng(5)
     members = rng.standard_normal((9, 4096)) + 1j * rng.standard_normal((9, 4096))
     w = rng.random(4096)
     fs = rng.standard_normal((16, 4096)) + 1j * rng.standard_normal((16, 4096))
     coeffs = rng.standard_normal((16, 9)) + 1j * rng.standard_normal((16, 9))
+    fw = _kernels.conj_weighted(fs, w)
     for call, allowed in (
-        (lambda: _kernels.coefficients_against(members, w, fs), fs.nbytes + 16 * 16 * 9),
+        (lambda: _kernels.conj_weighted(fs, w), fs.nbytes),
+        (lambda: _kernels.coefficients_against(members, fw), 16 * 16 * 9),
         (lambda: _kernels.combine(coeffs, members), 16 * 16 * 4096),
     ):
         tracemalloc.start()
