@@ -12,29 +12,26 @@ builds a Gram matrix or copies the lift's K factor: ``lift`` reads the
 restriction residual as |envelope[id_index] - 1| * max |xi| and the others
 off the AN mass and the diagonal of Gram(xi) = Gram(lift) / mass.
 
-BLAS idle policy: numpy's bundled OpenBLAS starts a pool of worker threads
-when numpy loads, and by default an idle worker busy-waits for 2**28 cycles
-after init and after each parallel product before it sleeps, which a short
-CLI run pays for in CPU time it never uses.  Before numpy is first imported
-this module therefore sets ``OPENBLAS_THREAD_TIMEOUT`` to
-``BLAS_THREAD_TIMEOUT``, unless ``OPENBLAS_THREAD_TIMEOUT`` or
-``GOTO_THREAD_TIMEOUT`` is already set (a value in the environment wins).
-The workers stay, so the few large products a run makes (the Gram slabs,
-the stacked coefficient call of each chunk of test functions) still use
-every BLAS thread.  OpenBLAS reads the variable once, when numpy loads it,
-so the setting takes effect only when this module is imported before
-numpy, as ``python -m grouplab.cli`` and the ``grouplab`` script do; BLAS
-builds other than OpenBLAS ignore it.
-A library ``import grouplab`` leaves the environment alone.
+BLAS thread policy: before numpy is first imported this module sets
+``OPENBLAS_NUM_THREADS=1``, unless ``OPENBLAS_NUM_THREADS`` or
+``GOTO_NUM_THREADS`` is already set (a value in the environment wins;
+``OMP_NUM_THREADS`` alone does not stop it, as it is often set for other
+software).  A product's rounding depends on how OpenBLAS splits it over its
+threads, so under one thread the analysis bytes do not depend on the core
+count, and each process touches one OpenBLAS buffer instead of one per
+thread.  OpenBLAS reads the variable once, when numpy loads it, so the
+setting takes effect only when this module is imported before numpy, as
+``python -m grouplab.cli`` and the ``grouplab`` script do; BLAS builds other
+than OpenBLAS ignore it.  A library ``import grouplab`` leaves the
+environment alone.
 
 Processes: the coefficient dump of ``catalog`` and the test-set walk of
 ``semicomplete`` run on every usable CPU, in workers forked by
-``workers.run_shares``; the outputs do not depend on the CPU count.  The
-walk's workers enter BLAS, so its split pays only under the idle policy
-above: under OpenBLAS's default spin, the idle BLAS threads of each process
-spin on the CPUs the other needs, and the split walk is slower than one
-process's.  Threads in place of the workers would not help, as the walk's
-per-label calls hold the GIL.
+``workers.run_shares``; the outputs do not depend on the CPU count.  Under
+the policy above no BLAS thread runs at the fork, and each worker computes
+on one thread, so the processes do not contend for the CPUs.  Threads in
+place of the workers would not help, as the walk's per-label calls hold the
+GIL.
 """
 from __future__ import annotations
 
@@ -42,14 +39,10 @@ import argparse
 import os
 import sys
 
-#: OpenBLAS's idle-worker timeout: a worker spins 2**4 cycles once idle and
-#: then sleeps.  4 is OpenBLAS's minimum; its default is 28.
-BLAS_THREAD_TIMEOUT = "4"
+if "OPENBLAS_NUM_THREADS" not in os.environ and "GOTO_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-if "OPENBLAS_THREAD_TIMEOUT" not in os.environ and "GOTO_THREAD_TIMEOUT" not in os.environ:
-    os.environ["OPENBLAS_THREAD_TIMEOUT"] = BLAS_THREAD_TIMEOUT
-
-import numpy as np  # only now: OpenBLAS reads the policy above when numpy loads it
+import numpy as np  # only now: OpenBLAS reads its thread count when numpy loads it
 
 # perfbench/traced.py wraps names in the grouplab modules it finds loaded
 # right after importing this one, so these imports stay at module level

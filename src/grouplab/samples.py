@@ -1,14 +1,18 @@
 """The reader of samples files, the CSVs of ``[fn,]node,re,im`` rows that the
 ``samples:PATH`` test-set and function specs name.
 
-A file is read once, ``config.CSV_CHUNK_ROWS`` lines at a time, and each
-chunk's node and value columns are checked whole by the rules of ``spec``:
+A file is read once, ``config.CSV_CHUNK_ROWS`` records at a time, by the
+stdlib ``csv`` reader, so an ``fn`` id that ``config.write_csv`` quoted reads
+back as written; each chunk's node and value columns are checked whole by
+the rules of ``spec``:
 a node index is an ``integer``, each part of a sample a finite ``real``.
 This module is imported only when a test set reads a samples file, so the
 other runs neither compile nor hold it.
 """
 from __future__ import annotations
 
+import bisect
+import csv
 import itertools
 import re
 from pathlib import Path
@@ -87,20 +91,22 @@ def read_samples(group: GroupModel, path, named: bool, out: np.ndarray | None = 
 
 
 def leading_integers(texts) -> list[int]:
-    """``spec.integer`` of each of ``texts``, up to the first that is not one.
-
-    The texts hold no newline, as the cells of a CSV line do not."""
-    good = _INTEGER_LINES.match("\n".join(texts) + "\n").group().count("\n")
+    """``spec.integer`` of each of ``texts``, up to the first that is not one."""
+    joined = "\n".join(texts)
+    if texts and joined.count("\n") >= len(texts):   # a quoted cell may hold a newline, no integer does
+        texts = texts[:next(r for r, text in enumerate(texts) if "\n" in text)]
+        joined = "\n".join(texts)
+    good = _INTEGER_LINES.match(joined + "\n").group().count("\n")
     return list(map(int, texts[:good]))
 
 
 def leading_reals(texts) -> list[float]:
-    """``spec.real`` of each of ``texts``, up to the first that is not one.
-
-    The texts hold no newline, as the cells of a CSV line do not."""
+    """``spec.real`` of each of ``texts``, up to the first that is not one."""
     joined = "\n".join(texts)
     if not joined.isascii() or "_" in joined:
-        texts = texts[:joined.count("\n", 0, _NOT_REAL_CHAR.search(joined).start())]
+        # the text holding the first bad character, by the texts' end offsets in joined
+        ends = list(itertools.accumulate(len(text) + 1 for text in texts))
+        texts = texts[:bisect.bisect_right(ends, _NOT_REAL_CHAR.search(joined).start())]
     try:
         return list(map(float, texts))
     except ValueError:   # a bad file only: read up to the text float() rejects
@@ -130,18 +136,20 @@ def _first_repeat(keys: np.ndarray) -> int:
 
 
 def _read_csv_chunks(fh, path: Path, header: list[str]):
-    """``(rows, error)`` for an open CSV file, ``config.CSV_CHUNK_ROWS`` lines
-    at a time, each row a list of its cells; the last chunk is shorter, maybe
-    empty.  Blank lines are skipped, and so is a first row that is
-    ``header``.  A row with another number of cells ends the file: its chunk
-    holds the rows before it and the ConfigError on it, as does a chunk cut
-    short by text that is not UTF-8."""
+    """``(rows, error)`` for a CSV file opened with ``newline=""``,
+    ``config.CSV_CHUNK_ROWS`` records at a time, each row a list of its cells
+    as ``csv.reader`` reads them; the last chunk is shorter, maybe empty.
+    Blank lines are skipped, and so is a first row that is ``header``.  A row
+    with another number of cells ends the file: its chunk holds the rows
+    before it and the ConfigError on it, as does a chunk cut short by text
+    that is not UTF-8 or that the reader refuses."""
     size = config.CSV_CHUNK_ROWS
+    records = csv.reader(fh)
     first = True
     try:
         while True:
-            lines = list(itertools.islice(fh, size))
-            rows = [line.split(",") for line in map(str.strip, lines) if line]
+            chunk = list(itertools.islice(records, size))
+            rows = [row for row in chunk if row and (len(row) > 1 or not row[0].isspace())]
             if first and rows:
                 first = False
                 if rows[0] == header:
@@ -151,7 +159,9 @@ def _read_csv_chunks(fh, path: Path, header: list[str]):
                 yield rows[:bad], ConfigError(f"{path}: expected {len(header)} columns, got {len(rows[bad])}")
                 return
             yield rows, None
-            if len(lines) < size:
+            if len(chunk) < size:
                 return
     except UnicodeDecodeError as exc:
         yield [], ConfigError(f"{path} is not a text file: {exc}")
+    except csv.Error as exc:
+        yield [], ConfigError(f"{path} is not a CSV file: {exc}")

@@ -7,10 +7,13 @@ inherits the process as it was at the fork, store and test set included, so
 nothing is sent to it; it sends back its share's bytes through a pipe.
 
 The dump's workers only slice the read-only store and format text; the
-walk's workers enter BLAS.  numpy's bundled OpenBLAS stops its thread pool
-at a fork (a ``pthread_atfork`` handler) and each process restarts it at its
-next threaded call, which removes the hazard that Python >= 3.12 warns of
-(a ``DeprecationWarning`` on a fork with other threads running).
+walk's workers enter BLAS.  Under the CLI's policy (``cli.py``) OpenBLAS runs
+on one thread and starts no pool, so no other thread runs at a fork, the
+hazard that Python >= 3.12 warns of (a ``DeprecationWarning``), and the
+processes do not contend for the CPUs with idle BLAS threads.  A thread count
+the user sets is safe too: numpy's bundled OpenBLAS stops its pool at a fork
+(a ``pthread_atfork`` handler) and each process restarts it at its next
+threaded call.
 """
 from __future__ import annotations
 

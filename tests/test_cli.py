@@ -465,6 +465,10 @@ FIRST_BAD_LINE = {
     "malformed-line-before-a-bad-value": (["f,0,1,0", "f,1,1", "f,2,x,0"], "expected 4 columns, got 3"),
     # only the file's first line may be the header; with 2-line chunks this one opens a chunk
     "a-later-header-is-a-row": (["f,0,1,0", "fn,node,re,im", "f,1,1,0"], "bad node index in .* 'node'"),
+    # a quoted cell may hold a newline: no node index does, and it must not shift
+    # the cells the value rules check after it
+    "newline-in-a-quoted-node": (["f,0,1,0", 'f,"1\n",1,0'], "bad node index in .* '1\\\\n'"),
+    "underscore-after-a-quoted-newline": (['f,0,"1\n",0', "f,1,1_0,0"], "bad sample value in .* '1_0'"),
     "missing-node-after-every-line-passed": (["g,0,1,0", "f,0,1,0", "f,1,1,0", "f,2,1,0", "f,3,1,0"], "function 'g' of .* misses 3 of 4 nodes"),
 }
 
@@ -1022,6 +1026,8 @@ BAD_INPUTS = {
     "non-ascii-digit-in-sample-value": ("parseval", dict(test_set="samples:{tmp}/arabic.csv")),
     "non-integer-sample-node": ("parseval", dict(test_set="samples:{tmp}/node.csv")),
     "binary-samples-file": ("parseval", dict(test_set="samples:{tmp}/binary.csv")),
+    # an fn id past the csv reader's field size limit
+    "oversized-samples-field": ("parseval", dict(test_set="samples:{tmp}/oversized.csv")),
     "boolean-config-seed": ("parseval", dict(seed=True)),
     "unknown-iwasawa-key": ("lift", dict(iwasawa={"K": "circle:16", "trunction": 3})),
     "unknown-iwasawa-axis-key": ("lift", dict(iwasawa={"A": {"node": 4}})),
@@ -1050,6 +1056,7 @@ BAD_INPUTS = {
 
 #: What the message of a bad input names, where a test pins it.
 BLAMED = {
+    "oversized-samples-field": "{tmp}/oversized.csv is not a CSV file: field larger than field limit",
     "zero-table-weight": "expansion weights must be nonzero, got 0 at beta[0][1]",
     "boolean-table-weight": "cannot read complex value from True",
     "nan-iwasawa-truncation": "'iwasawa.truncation': truncation for circle:16 must be a finite number",
@@ -1087,6 +1094,7 @@ def test_bad_inputs_exit_2_as_config_errors(tmp_path, capsys, case):
     (tmp_path / "words.csv").write_text(samples.replace("f,3,1,0", "f,3,one,0"))
     (tmp_path / "node.csv").write_text(samples.replace("f,3,1,0", "f,3.5,1,0"))
     (tmp_path / "binary.csv").write_bytes(samples.encode() + b"f,\xff,1,0\n")
+    (tmp_path / "oversized.csv").write_text(samples.replace("f,3,1,0", "f" * 200_000 + ",3,1,0"))
     (tmp_path / "underscore.csv").write_text(samples.replace("f,3,1,0", "f,3,1_0,0"))
     (tmp_path / "arabic.csv").write_text(samples.replace("f,3,1,0", "f,3,1,\u0661"), encoding="utf-8")
     (tmp_path / "vast.csv").write_text("fn,node,re,im\nf,0,1e308,0\nf,1,-1e308,0\n")

@@ -14,7 +14,7 @@ from grouplab.cli import main
 from grouplab.config import write_csv
 from grouplab.groups import make_group
 from grouplab.hilbert import random_function
-from support import l2_to_csv
+from support import functions_to_csv, l2_to_csv
 
 # sets the umask given as argv[1], then runs each CLI command named after the
 # config and output arguments, all in one process started with that umask
@@ -108,3 +108,20 @@ def test_analysis_csvs_read_back_with_the_exact_ids(tmp_path):
             header, *rows = csv.reader(fh)
         assert len(header) == fields and all(len(row) == fields for row in rows), command
         assert [row[0] for row in rows] == [f"samples:{samples}", "random:1"], command
+
+
+def test_samples_ids_that_need_quoting_round_trip_through_parseval(tmp_path):
+    # write_csv quotes an id that holds a comma or a quote; the samples reader
+    # must read it back as one field, and parseval write it back the same way
+    group = make_group("sym:3")
+    ids = ["a,b", 'say "x"']
+    samples = tmp_path / "f.csv"
+    functions_to_csv(ids, [random_function(group, seed) for seed in (1, 2)], samples)
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"name": "exp", "group": "sym:3", "test_set": f"samples:{samples}"}))
+    out = tmp_path / "out"
+    assert main(["parseval", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "exp_parseval.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(header) == 4 and all(len(row) == 4 for row in rows)
+    assert [row[0] for row in rows] == ids

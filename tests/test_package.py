@@ -1,4 +1,4 @@
-"""The lazy package, the CLI's BLAS idle policy, and what ``import grouplab.cli``
+"""The lazy package, the CLI's BLAS thread policy, and what ``import grouplab.cli``
 loads.  Everything that depends on a fresh interpreter runs in a subprocess."""
 import json
 import os
@@ -12,13 +12,13 @@ import grouplab
 
 SRC = Path(grouplab.__file__).resolve().parents[1]
 TRACED = SRC.parent / "perfbench" / "traced.py"
-BLAS_VARS = ("OPENBLAS_THREAD_TIMEOUT", "GOTO_THREAD_TIMEOUT")
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS")
 
 
 def fresh(script: str, **preset: str):
-    """Run ``script`` in a new interpreter whose environment has no BLAS
-    timeout variable except ``preset``; return what it prints, as JSON."""
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    """Run ``script`` in a new interpreter whose environment has no BLAS or
+    OpenMP thread count except ``preset``; return what it prints, as JSON."""
+    env = {k: v for k, v in os.environ.items() if k not in (*BLAS_VARS, "OMP_NUM_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     env.update(preset)
     result = subprocess.run(
@@ -83,40 +83,70 @@ def test_from_import_of_a_submodule_still_works():
     assert config.load_config is sys.modules["grouplab.config"].load_config
 
 
-def test_cli_sets_the_blas_idle_timeout():
+def test_cli_sets_one_blas_thread():
     env = fresh(ENV_AFTER.format(module="grouplab.cli", names=BLAS_VARS))
-    assert env == {"OPENBLAS_THREAD_TIMEOUT": "4", "GOTO_THREAD_TIMEOUT": None}
+    assert env == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None}
 
 
-def test_preset_openblas_timeout_wins():
-    env = fresh(ENV_AFTER.format(module="grouplab.cli", names=BLAS_VARS), OPENBLAS_THREAD_TIMEOUT="28")
-    assert env == {"OPENBLAS_THREAD_TIMEOUT": "28", "GOTO_THREAD_TIMEOUT": None}
+def test_cli_sets_one_blas_thread_despite_omp_num_threads():
+    # OMP_NUM_THREADS is often set for other software, so it does not count
+    env = fresh(ENV_AFTER.format(module="grouplab.cli", names=BLAS_VARS), OMP_NUM_THREADS="2")
+    assert env == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None}
 
 
-def test_preset_goto_timeout_wins():
-    env = fresh(ENV_AFTER.format(module="grouplab.cli", names=BLAS_VARS), GOTO_THREAD_TIMEOUT="28")
-    assert env == {"OPENBLAS_THREAD_TIMEOUT": None, "GOTO_THREAD_TIMEOUT": "28"}
+def test_preset_openblas_thread_count_wins():
+    env = fresh(ENV_AFTER.format(module="grouplab.cli", names=BLAS_VARS), OPENBLAS_NUM_THREADS="2")
+    assert env == {"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": None}
+
+
+def test_preset_goto_thread_count_wins():
+    env = fresh(ENV_AFTER.format(module="grouplab.cli", names=BLAS_VARS), GOTO_NUM_THREADS="2")
+    assert env == {"OPENBLAS_NUM_THREADS": None, "GOTO_NUM_THREADS": "2"}
 
 
 def test_library_import_leaves_the_environment_alone():
     env = fresh(ENV_AFTER.format(module="grouplab", names=BLAS_VARS))
-    assert env == {"OPENBLAS_THREAD_TIMEOUT": None, "GOTO_THREAD_TIMEOUT": None}
+    assert env == {"OPENBLAS_NUM_THREADS": None, "GOTO_NUM_THREADS": None}
 
 
-def test_cli_sets_the_timeout_before_numpy_loads():
+def test_cli_sets_the_thread_count_before_numpy_loads():
     # OpenBLAS reads the variable once, when numpy loads it
     seen = fresh(
         "import json, os, sys\n"
         "class Probe:\n"
         "    def find_spec(self, name, path=None, target=None):\n"
         "        if name == 'numpy' and not hasattr(self, 'env'):\n"
-        "            self.env = os.environ.get('OPENBLAS_THREAD_TIMEOUT')\n"
+        "            self.env = os.environ.get('OPENBLAS_NUM_THREADS')\n"
         "probe = Probe()\n"
         "sys.meta_path.insert(0, probe)\n"
         "import grouplab.cli\n"
         "print(json.dumps(probe.env))\n"
     )
-    assert seen == "4"
+    assert seen == "1"
+
+
+def test_parseval_bytes_do_not_depend_on_the_core_count(tmp_path):
+    # su2:j=4 without j:4, 32 functions: the stacked coefficient product of
+    # this parseval rounds differently under one and two OpenBLAS threads, so
+    # with no thread count in the environment the CLI must pick one itself
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "name": "exp", "group": "su2:j=4", "omit": ["j:4"],
+        "weights": "diag-reciprocal:seed=4", "test_set": "random:count=32,seed=11",
+    }))
+    written = []
+    for preset in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        out = tmp_path / f"out{len(written)}"
+        code = fresh(
+            "import json\n"
+            "from grouplab.cli import main\n"
+            f"print(json.dumps(main(['parseval', '--config', {str(cfg)!r}, '--out', {str(out)!r}])))\n",
+            **preset,
+        )
+        assert code == 0
+        written.append((out / "exp_parseval.csv").read_bytes())
+    assert written[0].count(b"\n") == 33
+    assert written[0] == written[1]
 
 
 def test_cli_import_loads_every_module_the_tracer_wraps():
