@@ -35,7 +35,7 @@ from .hilbert import (
     random_rows,
     unit_weights,
 )
-from .iwasawa import an_grid_bytes
+from .iwasawa import an_grid_bytes, check_axis, check_k_factor, profile_form
 from .semicomplete import SemicompletenessReport, validate_weights
 from .spec import ConfigError, integer, is_finite, parse_params, parse_value, real, split_spec
 
@@ -125,16 +125,19 @@ def _require_fits(need: int, what: str) -> None:
         raise ConfigError(f"{what} needs {size}, more than the {limit:.3g} B of physical memory")
 
 
+def _keyed(key: str, rule, *args):
+    """``rule(*args)``; a ConfigError it raises is prefixed with the config key it checked."""
+    try:
+        return rule(*args)
+    except ConfigError as exc:
+        raise ConfigError(f"'{key}': {exc}") from exc
+
+
 def _require_store_fits(group_spec: str, truncation, keys: tuple[str, str]) -> None:
     """The catalog's coefficient store must fit in physical memory; sizing it checks the
     spec, then the truncation, by ``build_catalog``'s rules, naming the bad one's key."""
-    key = keys[0]
-    try:
-        grid_shape(group_spec)
-        key = keys[1]
-        need = store_bytes(group_spec, truncation)
-    except ConfigError as exc:
-        raise ConfigError(f"'{key}': {exc}") from exc
+    _keyed(keys[0], grid_shape, group_spec)
+    need = _keyed(keys[1], store_bytes, group_spec, truncation)
     _require_fits(need, f"the coefficient store of '{keys[0]}' {group_spec!r}")
 
 
@@ -168,7 +171,7 @@ def load_config(
     path = Path(path)
     _require(path.is_file(), f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
+        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require(isinstance(raw, dict), "config must be a JSON object")
@@ -235,9 +238,9 @@ def load_config(
 
 
 def _iwasawa_config(blk) -> IwasawaConfig:
-    """The 'iwasawa' block: strings ``K`` and ``profile``, a numeric ``truncation``,
-    and per axis ``A``/``N`` an integer ``nodes`` >= 1 and a ``range`` of two
-    finite numbers."""
+    """The 'iwasawa' block, checked whole by the rules ``make_iwasawa_model``
+    applies (``iwasawa.check_axis``, ``check_k_factor``, ``profile_form``),
+    each error named by its key; the profile table is read only by ``lift``."""
     _require(isinstance(blk, dict), "'iwasawa' must be an object")
     _require_known_keys(blk, IWASAWA_KEYS, "'iwasawa'")
     axes = []
@@ -245,23 +248,13 @@ def _iwasawa_config(blk) -> IwasawaConfig:
         sub = blk.get(axis, {})
         _require(isinstance(sub, dict), f"'iwasawa.{axis}' must be an object")
         _require_known_keys(sub, AXIS_KEYS, f"'iwasawa.{axis}'")
-        rng = sub.get("range", [-2.0, 2.0])
-        _require(
-            isinstance(rng, list) and len(rng) == 2 and all(map(is_finite, rng)),
-            f"'iwasawa.{axis}.range' must be two finite numbers, got {rng!r}",
-        )
-        nodes = sub.get("nodes", 32)
-        _require(
-            isinstance(nodes, int) and not isinstance(nodes, bool) and nodes >= 1,
-            f"'iwasawa.{axis}.nodes' must be an integer >= 1, got {nodes!r}",
-        )
-        axes.append((tuple(rng), nodes))
+        span, nodes = sub.get("range", [-2.0, 2.0]), sub.get("nodes", 32)
+        _keyed(f"iwasawa.{axis}", check_axis, span, nodes)
+        axes.append((tuple(span), nodes))
     k_spec = blk.get("K", "circle:64")
     profile = blk.get("profile", "uniform")
-    _require(
-        isinstance(k_spec, str) and isinstance(profile, str),
-        f"'iwasawa.K' and 'iwasawa.profile' must be strings, got {k_spec!r} and {profile!r}",
-    )
+    _keyed("iwasawa.K", check_k_factor, k_spec)
+    _keyed("iwasawa.profile", profile_form, profile)
     truncation = blk.get("truncation")
     _require_store_fits(k_spec, truncation, ("iwasawa.K", "iwasawa.truncation"))
     (a_range, a_size), (n_range, n_size) = axes
@@ -294,7 +287,7 @@ def _weights_reader(spec, seed_override: int | None) -> Callable[[int], Expansio
         path = Path(rest)
         _require(path.is_file(), f"weights table not found: {path}")
         try:
-            data = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
+            data = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
             table = ExpansionWeights(_complex_table(data["gamma"], 1), _complex_table(data["beta"], 2))
         except (KeyError, ValueError, TypeError, OverflowError, json.JSONDecodeError) as exc:
             raise ConfigError(f"malformed weights table {path}: {exc}") from exc
@@ -532,7 +525,7 @@ def _atomic_write(path: Path, chunks) -> None:
         except FileExistsError:
             continue
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -593,7 +586,9 @@ def _samples_file(path) -> Path:
 
 def _member_ids(family: OrthonormalFamily) -> list[str]:
     """``member:<label>[i][j]`` for every family member, in flat order."""
-    return [f"member:{label}[{i}][{j}]" for label, i, j in family.flat_positions()]
+    labels, pos = family.labels, family.positions
+    rows = zip(pos.block.tolist(), pos.i.tolist(), pos.j.tolist())
+    return [f"member:{labels[b]}[{i}][{j}]" for b, i, j in rows]
 
 
 def weights_hash(weights: ExpansionWeights) -> str:

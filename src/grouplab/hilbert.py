@@ -12,6 +12,7 @@ member row, and one ``FamilyBlock`` (label, square size, flat offset) per
 block, with the flat order fixed as: blocks in catalog order, row-major
 (i outer, j inner) within a block.  ``block_layout`` is the one constructor
 of that layout; the catalog store and the L2(A) matrix sequences use it too.
+``OrthonormalFamily.positions`` is its one per-row table: each row's block and (i, j).
 Member m is ``scale[m] * members[m]``: the Peter-Weyl family keeps the
 catalog's unscaled coefficients u_ij and its sqrt(d) in ``scale``, so both
 may be read-only views of the catalog (see ``catalog``).  The scale is
@@ -28,6 +29,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,7 +102,7 @@ class L2Function:
 RowWriter = Callable[[int, np.ndarray], None]
 
 
-def random_rows(group: GroupModel, seed: int, normalize: bool = True) -> RowWriter:
+def random_rows(group: GroupModel, seed: int) -> RowWriter:
     """A writer of seeded random rows: complex standard-normal node values, each row normalized.
 
     The rows are consecutive draws from one generator, each filled in place
@@ -114,18 +116,16 @@ def random_rows(group: GroupModel, seed: int, normalize: bool = True) -> RowWrit
         for row in out:
             row.real = rng.standard_normal(group.n_nodes)
             row.imag = rng.standard_normal(group.n_nodes)
-            n = L2Function(group, row).norm() if normalize else 0.0
-            if n > 0:
-                row *= 1.0 / n
+            row *= 1.0 / L2Function(group, row).norm()
 
     return write
 
 
-def random_function(group: GroupModel, seed: int, normalize: bool = True) -> L2Function:
+def random_function(group: GroupModel, seed: int) -> L2Function:
     """Seeded random function: complex standard-normal node values, normalized;
     row 0 of ``random_rows(group, seed)``."""
     out = np.empty((1, group.n_nodes), dtype=np.complex128)
-    random_rows(group, seed, normalize)(0, out)
+    random_rows(group, seed)(0, out)
     return L2Function(group, out[0])
 
 
@@ -279,6 +279,15 @@ def block_layout(sizes) -> tuple[FamilyBlock, ...]:
     return tuple(blocks)
 
 
+class MemberPositions(NamedTuple):
+    """Row m of a family is entry (i[m], j[m]) of block block[m], of size sizes[block[m]]."""
+
+    sizes: np.ndarray   # (n_blocks,)
+    block: np.ndarray   # (n_members,), as are i and j
+    i: np.ndarray
+    j: np.ndarray
+
+
 @dataclass(eq=False)
 class OrthonormalFamily:
     """An indexed family of functions with square block structure.
@@ -315,19 +324,13 @@ class OrthonormalFamily:
         return max((b.size for b in self.blocks), default=0)
 
     @cached_property
-    def size_table_index(self) -> tuple[tuple[int, ...], np.ndarray]:
-        """(sizes, index): the distinct block sizes, ascending, and for each
-        member row its entry in the concatenation over ``sizes`` of one
-        row-major d x d table per size d, so ``table[index]`` gathers per-size
-        values into flat order."""
-        sizes = tuple(sorted({b.size for b in self.blocks}))
-        start = dict(zip(sizes, np.cumsum([0] + [d * d for d in sizes]).tolist()))
-        # row b.offset + p of a size-d block reads entry start[d] + p
-        shift = [start[b.size] - b.offset for b in self.blocks]
-        index = np.arange(self.n_members) + np.repeat(
-            np.array(shift, dtype=np.intp), [b.size * b.size for b in self.blocks]
-        )
-        return sizes, index
+    def positions(self) -> MemberPositions:
+        """Each block's size and, for every member row, its block and in-block (i, j)."""
+        sizes = np.array([b.size for b in self.blocks], dtype=np.intp)
+        block = np.repeat(np.arange(len(sizes)), sizes * sizes)
+        offset = np.repeat(np.array([b.offset for b in self.blocks], dtype=np.intp), sizes * sizes)
+        i, j = divmod(np.arange(self.n_members) - offset, sizes[block])
+        return MemberPositions(sizes, block, i, j)
 
     def flat_index(self, block: int, i: int, j: int) -> int:
         b = self.blocks[block]
@@ -338,15 +341,6 @@ class OrthonormalFamily:
     def member(self, block: int, i: int, j: int) -> L2Function:
         k = self.flat_index(block, i, j)
         return L2Function(self.group, self.scale[k] * self.members[k])
-
-    def flat_positions(self) -> list[tuple[str, int, int]]:
-        """(block label, i, j) for every member in flat order."""
-        out = []
-        for b in self.blocks:
-            for i in range(b.size):
-                for j in range(b.size):
-                    out.append((b.label, i, j))
-        return out
 
     def gram_matrix(self) -> np.ndarray:
         return _kernels.gram(self.members, self.group.weights, self.scale)

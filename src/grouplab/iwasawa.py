@@ -27,18 +27,22 @@ functions instead.
 The K factor spec and the profile spec (``uniform``, ``gauss:sigma=S``,
 ``table:PATH``) are read with the grammar of ``spec.py``, and every bad input
 to the model (range, node count, K factor, profile, table) is a
-``ConfigError``.
+``ConfigError``.  ``check_axis``, ``check_k_factor`` and ``profile_form`` are
+the one copy of each rule, which ``config.load_config`` applies too, so only a
+profile table's contents are first checked when the model is built.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .groups import GroupModel, make_group, same_group
+from .groups import GroupModel, grid_shape, make_group, same_group
 from .hilbert import L2Function, OrthonormalFamily
-from .spec import ConfigError, parse_params, real, split_spec
+from .spec import ConfigError, is_finite, parse_params, real, split_spec
 
 
 @dataclass(eq=False)
@@ -82,15 +86,50 @@ def an_grid_bytes(a_size: int, n_size: int) -> int:
     return a_size * n_size * AN_NODE_BYTES
 
 
-def _grid(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def check_axis(span, nodes) -> None:
+    """The one rule of an A or N axis: ``span`` is two finite numbers lo < hi
+    with lo <= 0 <= hi, and ``nodes`` an integer >= 1."""
+    if not (isinstance(span, (list, tuple)) and len(span) == 2 and all(map(is_finite, span))):
+        raise ConfigError(f"range must be two finite numbers, got {span!r}")
+    lo, hi = span
     if not (lo < hi):
         raise ConfigError(f"degenerate range [{lo}, {hi}]")
-    if n < 1:
-        raise ConfigError(f"grid size must be positive, got {n}")
     if not (lo <= 0.0 <= hi):
         raise ConfigError(f"range [{lo}, {hi}] excludes the identity coordinate 0")
-    h = (hi - lo) / n
-    nodes = lo + (np.arange(n) + 0.5) * h
+    if not (isinstance(nodes, numbers.Integral) and not isinstance(nodes, bool) and nodes >= 1):
+        raise ConfigError(f"nodes must be an integer >= 1, got {nodes!r}")
+
+
+def check_k_factor(k_spec) -> None:
+    """The K factor must be a circle model; read from the spec alone."""
+    if grid_shape(k_spec)[0] != "circle":
+        raise ConfigError(f"K factor must be a circle model, got {k_spec!r}")
+
+
+def profile_form(profile) -> tuple[str, object]:
+    """``(head, param)`` of a profile spec, checked from the spec alone:
+    'uniform' gives None, 'gauss' its sigma > 0 and 'table' its path, which
+    must name a file (read only when the model is built)."""
+    head, rest = split_spec(profile)
+    if head == "uniform":
+        parse_params(rest, "uniform profile")
+        return head, None
+    if head == "gauss":
+        sigma = parse_params(rest, "gauss profile", sigma=real).get("sigma", 1.0)
+        if sigma <= 0:
+            raise ConfigError(f"gauss profile needs sigma > 0, got {sigma}")
+        return head, sigma
+    if head == "table":
+        if not Path(rest).is_file():
+            raise ConfigError(f"profile table not found: {rest}")
+        return head, rest
+    raise ConfigError(f"unknown profile {profile!r}")
+
+
+def _grid(span, n: int) -> tuple[np.ndarray, np.ndarray]:
+    check_axis(span, n)
+    h = (span[1] - span[0]) / n
+    nodes = span[0] + (np.arange(n) + 0.5) * h
     return nodes, np.full(n, h)
 
 
@@ -107,42 +146,34 @@ def make_iwasawa_model(
     ``profile`` is ``uniform``, ``gauss:sigma=S``, or ``table:PATH`` (a text
     file with a_size rows of n_size real values).
     """
+    check_k_factor(k_spec)
+    head, param = profile_form(profile)
+    a_nodes, a_w = _grid(a_range, a_size)
+    n_nodes, n_w = _grid(n_range, n_size)
     K = make_group(k_spec)
-    if K.kind != "circle":
-        raise ConfigError(f"K factor must be a circle model, got {k_spec!r}")
-    a_nodes, a_w = _grid(a_range[0], a_range[1], a_size)
-    n_nodes, n_w = _grid(n_range[0], n_range[1], n_size)
     an_weights = np.outer(a_w, n_w).reshape(-1)
 
     aa, nn = np.meshgrid(a_nodes, n_nodes, indexing="ij")
     id_index = int(np.argmin(aa.reshape(-1) ** 2 + nn.reshape(-1) ** 2))
 
-    name = profile.strip()
-    head, rest = split_spec(name)
     if head == "uniform":
-        parse_params(rest, "uniform profile")
         raw = np.zeros(a_size * n_size, dtype=np.complex128)
     elif head == "gauss":
-        sigma = parse_params(rest, "gauss profile", sigma=real).get("sigma", 1.0)
-        if sigma <= 0:
-            raise ConfigError(f"gauss profile needs sigma > 0, got {sigma}")
-        raw = (-(aa**2 + nn**2) / (4.0 * sigma * sigma)).reshape(-1).astype(np.complex128)
-    elif head == "table":
+        raw = (-(aa**2 + nn**2) / (4.0 * param * param)).reshape(-1).astype(np.complex128)
+    else:
         try:
-            table = np.loadtxt(rest, dtype=float, ndmin=2)
+            table = np.loadtxt(param, dtype=float, ndmin=2, encoding="utf-8")
         except OSError as exc:
             raise ConfigError(
-                f"cannot read profile table {rest!r}: {exc.strerror or type(exc).__name__}"
+                f"cannot read profile table {param!r}: {exc.strerror or type(exc).__name__}"
             ) from exc
         except ValueError as exc:
-            raise ConfigError(f"profile table {rest!r} is not a table of numbers: {exc}") from exc
+            raise ConfigError(f"profile table {param!r} is not a table of numbers: {exc}") from exc
         if table.shape != (a_size, n_size):
             raise ConfigError(
                 f"profile table shape {table.shape} does not match grid ({a_size}, {n_size})"
             )
         raw = table.reshape(-1).astype(np.complex128)
-    else:
-        raise ConfigError(f"unknown profile {profile!r}")
 
     model = IwasawaModel(
         K=K,
@@ -151,7 +182,7 @@ def make_iwasawa_model(
         an_weights=an_weights,
         profile=raw - raw[id_index],       # condition (i), exact
         id_index=id_index,
-        profile_name=name,
+        profile_name=profile.strip(),
     )
     with np.errstate(over="ignore"):  # an overflowing mass is reported just below
         mass = model.an_mass

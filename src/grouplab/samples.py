@@ -45,7 +45,7 @@ def read_samples(group: GroupModel, path, named: bool, out: np.ndarray | None = 
     n = group.n_nodes
     row_of = {} if named else {"": 0}
     fns, nodes, samples = [], [], []    # per chunk, of its lines before the first bad one
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         for chunk, broken in _read_csv_chunks(fh, path, header):
             cols = list(zip(*chunk)) or [()] * len(header)
             for fid in dict.fromkeys(cols[0]) if named else ():

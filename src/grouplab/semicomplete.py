@@ -104,14 +104,16 @@ def semi_fourier_expand(
             f"weights of dimension {weights.n} cannot cover a block of size "
             f"{family.max_block_size}"
         )
-    # member (i, j) of a size-d block is weighted by gamma[j] * beta[i, j]
-    sizes, index = family.size_table_index
-    table = np.concatenate(
-        [(weights.gamma[:d] * weights.beta[:d, :d]).reshape(-1) for d in sizes] or [np.zeros(0)]
-    )
+    # member (i, j) of a size-d block is weighted by entry (d, i, j) of a
+    # zero-padded table whose slice d is the product gamma[:d] * beta[:d, :d]
+    pos, d_max = family.positions, family.max_block_size
+    table = np.zeros((d_max + 1, d_max, d_max), dtype=np.complex128)
+    for d in set(pos.sizes.tolist()):
+        table[d, :d, :d] = weights.gamma[:d] * weights.beta[:d, :d]
     # ``expand``'s product, made here so that an overflow is refused as a ConfigError
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _kernels.combine(coefficients(f, family) * table[index] * family.scale, family.members)
+        weighted = coefficients(f, family) * table[pos.sizes[pos.block], pos.i, pos.j]
+        values = _kernels.combine(weighted * family.scale, family.members)
     if not np.isfinite(values).all():
         raise ConfigError("expansion weights overflow: the weighted expansion is not finite")
     return L2Function(family.group, values)

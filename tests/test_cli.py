@@ -595,6 +595,30 @@ def test_cmd_lift_rejects_mistyped_iwasawa_block(tmp_path, override):
     assert not (tmp_path / "exp_lift.json").exists()
 
 
+#: An 'iwasawa' block that breaks one rule of ``make_iwasawa_model``, and the key it names.
+IWASAWA_RULES = {
+    "non-circle-k": ({"K": "zn:4"}, "iwasawa.K"),
+    "range-excludes-identity": ({"A": {"range": [1, 2]}}, "iwasawa.A"),
+    "degenerate-range": ({"A": {"range": [2, 2]}}, "iwasawa.A"),
+    "unknown-profile": ({"profile": "bogus:x=1"}, "iwasawa.profile"),
+    "negative-sigma": ({"profile": "gauss:sigma=-1"}, "iwasawa.profile"),
+    "missing-profile-table": ({"profile": "table:{tmp}/missing.txt"}, "iwasawa.profile"),
+}
+
+
+@pytest.mark.parametrize("command", ["parseval", "lift"])
+@pytest.mark.parametrize("case", list(IWASAWA_RULES))
+def test_every_iwasawa_rule_is_checked_at_load(tmp_path, capsys, case, command):
+    # parseval never builds the model, so only a check at load refuses the block
+    block, key = IWASAWA_RULES[case]
+    block = json.loads(json.dumps(block).replace("{tmp}", str(tmp_path)))
+    cfg = write_config(tmp_path, group="zn:3", iwasawa=block)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"'{key}': " in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("dump", ["false", 0, None])
 def test_cmd_catalog_rejects_non_boolean_dump_coefficients(tmp_path, dump):
     cfg = write_config(tmp_path, group="zn:4", dump_coefficients=dump)

@@ -15,6 +15,16 @@ from grouplab.hilbert import (
 from grouplab.parseval import MatrixSequence, block_decompose, hs_inner, transform_H
 
 
+def _unnormalized(group, seed):
+    """Complex standard-normal node values drawn as ``random_rows`` draws them
+    (the real part, then the imaginary part), left unscaled."""
+    rng = np.random.default_rng(seed)
+    values = np.empty(group.n_nodes, dtype=np.complex128)
+    values.real = rng.standard_normal(group.n_nodes)
+    values.imag = rng.standard_normal(group.n_nodes)
+    return L2Function(group, values)
+
+
 def test_constant_function_hits_only_trivial_block(sym3, sym3_catalog):
     f = L2Function(sym3, np.ones(6))
     fhat = fourier_transform(f, sym3_catalog)
@@ -93,7 +103,7 @@ def test_truncated_inversion_equals_span_projection():
 
 def test_plancherel_randomized(sym3, sym3_catalog):
     for seed in range(10):
-        f = random_function(sym3, seed, normalize=False)
+        f = _unnormalized(sym3, seed)
         fhat = fourier_transform(f, sym3_catalog)
         assert abs(f.norm_sq() - fhat.norm_sq()) < 1e-10
 
@@ -189,8 +199,8 @@ def test_transform_is_transform_H_against_peter_weyl(spec, truncation):
 
 def test_hs_inner_of_transforms_is_l2_inner(sym3, sym3_catalog):
     for seed in range(5):
-        f = random_function(sym3, seed, normalize=False)
-        h = random_function(sym3, 100 + seed, normalize=False)
+        f = _unnormalized(sym3, seed)
+        h = _unnormalized(sym3, 100 + seed)
         fh = fourier_transform(f, sym3_catalog)
         hh = fourier_transform(h, sym3_catalog)
         assert abs(hs_inner(fh, hh) - inner(f, h)) < 1e-12

@@ -201,14 +201,35 @@ def test_family_gram_tolerance_attributes(sym3_catalog, circle64):
     assert fam_c.gram_defect() < 1e-8
 
 
+def _positions_by_loop(family):
+    """(sizes, block, i, j) of ``family.positions``, one member row at a time."""
+    rows = [(k, i, j) for k, b in enumerate(family.blocks) for i in range(b.size) for j in range(b.size)]
+    return [b.size for b in family.blocks], *map(list, zip(*rows))
+
+
 def test_flat_index_and_positions(sym3_basis):
     # blocks in catalog order, row-major within a block
-    positions = sym3_basis.flat_positions()
-    assert positions[0][0] == "irrep:0"
-    assert positions[-1] == ("irrep:2", 1, 1)
+    pos = sym3_basis.positions
+    assert pos.sizes.tolist() == [1, 1, 2]
+    assert sym3_basis.labels[pos.block[0]] == "irrep:0"
+    assert (pos.block[-1], pos.i[-1], pos.j[-1]) == (2, 1, 1)
+    assert [a.tolist() for a in pos] == list(_positions_by_loop(sym3_basis))
     assert sym3_basis.flat_index(2, 1, 0) == 2 + 2
     with pytest.raises(IndexError):
         sym3_basis.flat_index(2, 2, 0)
+
+
+def test_positions_of_a_family_with_a_gap():
+    # sym:4 without irrep:2: the size-2 block is gone, and rows after it shift
+    family = build_riemann_lebesgue_family(build_catalog(make_group("sym:4")), OmissionSpec(("irrep:2",)))
+    pos = family.positions
+    assert family.labels == ("irrep:0", "irrep:1", "irrep:3", "irrep:4")
+    assert [a.tolist() for a in pos] == list(_positions_by_loop(family))
+    assert pos.sizes.tolist() == [1, 1, 3, 3] and len(pos.block) == family.n_members == 20
+    for k, b in enumerate(family.blocks):
+        rows = b.rows
+        assert (pos.block[rows] == k).all()
+        assert (b.offset + pos.i[rows] * b.size + pos.j[rows] == np.arange(rows.start, rows.stop)).all()
 
 
 def test_expansion_weights_validation():

@@ -1,8 +1,9 @@
 """What the output writers promise beyond their bytes: file modes that follow
-the umask, refused repeated JSON keys, and CSV string fields that read back
-as one field each."""
+the umask, refused repeated JSON keys, CSV string fields that read back
+as one field each, and UTF-8 text whatever the locale."""
 import csv
 import json
+import os
 import stat
 import subprocess
 import sys
@@ -125,3 +126,23 @@ def test_samples_ids_that_need_quoting_round_trip_through_parseval(tmp_path):
         header, *rows = csv.reader(fh)
     assert len(header) == 4 and all(len(row) == 4 for row in rows)
     assert [row[0] for row in rows] == ids
+
+
+def test_text_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # under the C locale with UTF-8 mode off, Python's default text encoding is ASCII
+    group = make_group("sym:3")
+    samples = tmp_path / "s.csv"
+    functions_to_csv(["\u00e9", "b"], [random_function(group, 1), random_function(group, 2)], samples)
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"name": "exp", "group": "sym:3", "test_set": f"samples:{samples}"}))
+    ascii_env = {k: v for k, v in os.environ.items() if k != "PYTHONUTF8"}
+    ascii_env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    for out, flags, env in [("ascii", ["-X", "utf8=0"], ascii_env), ("default", [], None)]:
+        result = subprocess.run(
+            [sys.executable, *flags, "-m", "grouplab.cli", "parseval", "--config", str(cfg), "--out", str(tmp_path / out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+    written = (tmp_path / "ascii" / "exp_parseval.csv").read_bytes()
+    assert written == (tmp_path / "default" / "exp_parseval.csv").read_bytes()
+    assert written.splitlines()[1].startswith("\u00e9,".encode())
